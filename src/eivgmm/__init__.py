@@ -22,7 +22,6 @@ from .errors import (
 )
 from .gmm import (
     GmmFit,
-    StackedGradient,
     bootstrap_omega,
     fit_gmm,
     fit_gmm_multi,

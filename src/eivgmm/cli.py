@@ -117,12 +117,13 @@ def cmd_fit(args) -> int:
     )
     try:
         d = load_csv(args.data, schema)
-        cov = estimate_covariances(d)
         design = build_design(d)
         results = {}
         if "naive" in estimators:
             results["naive"] = {"coef": fit_ols(d.y, design.v, d.p).theta.tolist(), "se": None}
-        mc = fit_mc(d, cov, design)
+        if "mc" in estimators or "gmm" in estimators:
+            cov = estimate_covariances(d)
+            mc = fit_mc(d, cov, design)
         if "mc" in estimators:
             results["mc"] = {"coef": mc.theta.theta.tolist(), "se": None,
                              "sigma_eps_sq": mc.sigma_eps_sq}

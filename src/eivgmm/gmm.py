@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .covariance import (
     CovarianceSet,
@@ -32,7 +31,6 @@ from .phase import EcfOutcome, PhaseConfig, build_ecf, grad_and_hessian, grad_dt
 from .weights import WeightVector, make_weights
 
 __all__ = [
-    "StackedGradient",
     "GmmFit",
     "stacked_gradient",
     "bootstrap_omega",
@@ -42,31 +40,28 @@ __all__ = [
 
 #: eigenvalue floor for the bootstrap covariance, relative to trace/dim
 OMEGA_FLOOR = 1e-10
-MAX_ITER = 2000
+#: convergence: max-norm of an accepted Levenberg-Marquardt step
 STEP_TOL = 1e-9
-Q_DECREASE_TOL = 1e-12
+#: non-convergence: damping or evaluation count beyond these caps
+MU_MAX = 1e16
+MAX_EVAL = 500
 MAX_BOOT_FAILURE_FRAC = 0.10
-
-
-@dataclass(frozen=True)
-class StackedGradient:
-    """Stacked estimating equations, ordered
-    [corrected-LS beta, corrected-LS gamma, phase beta, phase gamma]."""
-
-    s: np.ndarray
 
 
 @dataclass
 class GmmFit:
     """Result of the combined fit.
 
-    theta minimizes q_value = s' omega_hat^{-1} s; p1_hat stacks the transposed
-    Jacobian blocks of the estimating equations; se holds sandwich standard
-    errors (None until computed or when the fit did not converge).
+    theta minimizes q_value = s' omega_inv s, with omega_inv the inverse of the
+    eigenvalue-floored bootstrap covariance omega_hat; p1_hat stacks the
+    transposed Jacobian blocks of the estimating equations; se holds sandwich
+    standard errors (None until computed or when the fit did not converge).
+    n_iter counts objective evaluations.
     """
 
     theta: ParamVector
     omega_hat: np.ndarray
+    omega_inv: np.ndarray
     p1_hat: np.ndarray | None
     se: np.ndarray | None
     q_value: float
@@ -78,25 +73,21 @@ class GmmFit:
     weights: WeightVector
     ecf: EcfOutcome
     n_boot_failed: int = 0
-    used_fallback: bool = False
     diagnostics: dict = field(default_factory=dict)
 
 
-def _stacked(theta, v, y, sig_w, q, ecf) -> np.ndarray:
-    return np.concatenate([
-        grad_corrected_l2(theta, v, y, sig_w),
-        grad_dtilde(theta, v, q, ecf),
-    ])
-
-
 def stacked_gradient(theta, d: Dataset, cov: CovarianceSet, weights: WeightVector,
-                     ecf: EcfOutcome, design: RegressionDesign | None = None) -> StackedGradient:
-    """Evaluate the 2(p+q+1) stacked estimating equations at theta."""
+                     ecf: EcfOutcome, design: RegressionDesign | None = None) -> np.ndarray:
+    """Evaluate the 2(p+q+1) stacked estimating equations at theta, ordered
+    [corrected-LS beta, corrected-LS gamma, phase beta, phase gamma]."""
     if design is None:
         design = build_design(d)
+    theta = as_theta(theta)
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-    s = _stacked(as_theta(theta), design.v, d.y, sig_w, weights.q, ecf)
-    return StackedGradient(s=s)
+    return np.concatenate([
+        grad_corrected_l2(theta, design.v, d.y, sig_w),
+        grad_dtilde(theta, design.v, weights.q, ecf),
+    ])
 
 
 def _floor_eigh(omega: np.ndarray):
@@ -112,13 +103,14 @@ def _floor_eigh(omega: np.ndarray):
 
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                           cfg: PhaseConfig, design: RegressionDesign,
-                          cov: CovarianceSet, center: bool = True):
+                          cov: CovarianceSet):
     """Shared bootstrap pass: one set of resamples, one gradient per scheme.
 
     Resample-invariant work (index draw, pooled covariance, frequency cutoff,
     corrected-LS gradient) is done once per resample and reused for every
     weight scheme, which is what makes fitting several schemes on one dataset
-    cheap. Returns {scheme: (omega, failures)}.
+    cheap. Returns {scheme: (omega, omega_inv, failures)} with omega the
+    eigenvalue-floored covariance and omega_inv its inverse.
     """
     theta = as_theta(theta)
     v, y = design.v, d.y
@@ -168,32 +160,27 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                 f"first: {failures[scheme][0][1]}"
             )
         n_ok = b - n_bad
-        second_moment = acc[scheme] / n_ok
-        if center:
-            # covariance about the bootstrap mean; without this the phase
-            # block is inflated by the squared mean of its gradient at the
-            # initial estimate, which buries the phase information whenever
-            # the initial estimate is off (exactly the heavy-tail scenarios
-            # the combination exists for)
-            mean = mean_acc[scheme] / n_ok
-            second_moment = second_moment - np.outer(mean, mean)
-        omega, _ = _floor_eigh(second_moment)
-        out[scheme] = (omega, failures[scheme])
+        # covariance about the bootstrap mean; the uncentered moment would
+        # inflate the phase block by the squared mean of its gradient at the
+        # initial estimate, which buries the phase information whenever the
+        # initial estimate is off (exactly the heavy-tail scenarios the
+        # combination exists for)
+        mean = mean_acc[scheme] / n_ok
+        omega, omega_inv = _floor_eigh(acc[scheme] / n_ok - np.outer(mean, mean))
+        out[scheme] = (omega, omega_inv, failures[scheme])
     return out
 
 
 def bootstrap_omega(d: Dataset, theta_init, b: int, seed: int, scheme: str,
                     cfg: PhaseConfig = PhaseConfig(),
                     design: RegressionDesign | None = None,
-                    cov: CovarianceSet | None = None,
-                    return_failures: bool = False, center: bool = True):
+                    cov: CovarianceSet | None = None):
     """Estimating-function bootstrap covariance of the stacked equations.
 
     Resamples observations with replacement (never replicates within an
     observation); per resample the covariances, weights, and frequency cutoff
-    are recomputed and the stacked gradient is evaluated at theta_init. By
-    default the second moment is taken about the bootstrap mean (center=False
-    gives the raw uncentered moment). The result is symmetrized and
+    are recomputed and the stacked gradient is evaluated at theta_init. The
+    second moment is taken about the bootstrap mean, symmetrized and
     eigenvalue-floored. Replicate streams are derived from (seed, resample
     index), so the result is reproducible independent of execution order.
     """
@@ -203,104 +190,69 @@ def bootstrap_omega(d: Dataset, theta_init, b: int, seed: int, scheme: str,
         design = build_design(d)
     if cov is None:
         cov = estimate_covariances(d)
-    omega, failures = _bootstrap_accumulate(d, theta_init, b, seed, (scheme,),
-                                            cfg, design, cov, center=center)[scheme]
-    if return_failures:
-        return omega, failures
+    omega, _, _ = _bootstrap_accumulate(d, theta_init, b, seed, (scheme,),
+                                        cfg, design, cov)[scheme]
     return omega
 
 
-def _minimize_q(fun_grad, x0, max_iter=MAX_ITER):
-    """Damped BFGS with Armijo backtracking; falls back to Nelder-Mead after
-    three line-search failures. Convergence: step max-norm <= STEP_TOL and
-    relative objective decrease <= Q_DECREASE_TOL."""
+def _levenberg_marquardt(resid_jac, omega_inv, x0):
+    """Minimize Q(x) = s(x)' W s(x), W = omega_inv, from x0, where
+    resid_jac(x) returns (s, J).
+
+    Steps solve (J'WJ + mu D) dx = -J'Ws with D = diag(J'WJ) (Marquardt
+    scaling). A step that does not raise Q is taken, and mu is rescaled by the
+    gain ratio of actual to predicted decrease (Nielsen's update); a step that
+    raises Q is refused and mu grows by a doubling factor. Converged once a
+    taken step has max-norm <= STEP_TOL; mu > MU_MAX or MAX_EVAL evaluations
+    end the search unconverged. Returns (x, q, n_eval, converged).
+    """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
-    h = np.eye(x.size)
-    best_f, best_x = f, x.copy()
-    ls_failures = 0
-    n_iter = 0
-    converged = False
-    used_fallback = False
-    while n_iter < max_iter:
-        n_iter += 1
-        if np.max(np.abs(g)) <= 1e-14 * (1.0 + abs(f)):
-            converged = True
-            break
-        direction = -h @ g
-        dg = direction @ g
-        if dg >= 0.0:
-            h = np.eye(x.size)
-            direction = -g
-            dg = -(g @ g)
-        step = 1.0
-        accepted = False
-        for _ in range(50):
-            xn = x + step * direction
-            fn, gn = fun_grad(xn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * step * dg:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            ls_failures += 1
-            h = np.eye(x.size)
-            if ls_failures >= 3:
-                res = scipy.optimize.minimize(
-                    lambda z: fun_grad(z)[0], best_x, method="Nelder-Mead",
-                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000},
-                )
-                if res.fun < best_f:
-                    best_f, best_x = float(res.fun), res.x
-                used_fallback = True
-                converged = bool(res.success)
-                n_iter += int(res.nit)
-                break
-            continue
-        s = xn - x
-        yv = gn - g
-        sy = s @ yv
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            rho = 1.0 / sy
-            hy = h @ yv
-            h = h - rho * (np.outer(s, hy) + np.outer(hy, s)) \
-                + rho * (rho * (yv @ hy) + 1.0) * np.outer(s, s)
-        small_step = np.max(np.abs(s)) <= STEP_TOL
-        small_decrease = (f - fn) <= Q_DECREASE_TOL * max(1.0, abs(f))
-        x, f, g = xn, fn, gn
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        if small_step and small_decrease:
-            converged = True
-            break
-    return best_x, best_f, n_iter, converged, used_fallback
+    s, jac = resid_jac(x)
+    q = s @ omega_inv @ s
+    mu, nu = 1e-3, 2.0
+    n_eval = 1
+    while n_eval < MAX_EVAL and mu <= MU_MAX:
+        jtw = jac.T @ omega_inv
+        jtwj = jtw @ jac
+        damp = mu * np.diag(np.diag(jtwj))
+        dx = np.linalg.solve(jtwj + damp, -(jtw @ s))
+        s_new, jac_new = resid_jac(x + dx)
+        q_new = s_new @ omega_inv @ s_new
+        n_eval += 1
+        if q_new <= q:
+            if np.max(np.abs(dx)) <= STEP_TOL:
+                return x + dx, float(q_new), n_eval, True
+            gain = (q - q_new) / (dx @ (jtwj + 2.0 * damp) @ dx)
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+            x, s, jac, q = x + dx, s_new, jac_new, q_new
+        else:
+            mu *= nu
+            nu *= 2.0
+    return x, float(q), n_eval, False
 
 
-def _fit_from_omega(d, scheme, omega, n_failures, b, mc, cov, design, ecf, cfg,
-                    compute_se) -> GmmFit:
+def _fit_from_omega(d, scheme, omega, omega_inv, n_failures, b, mc, cov, design,
+                    ecf, compute_se) -> GmmFit:
     """Minimize the quadratic form for one scheme given its bootstrap covariance."""
-    omega, omega_inv = _floor_eigh(omega)
     weights = make_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
     v, y = design.v, d.y
     jac_mc = _mc_jacobian(v, y, sig_w)
 
-    def fun_grad(theta):
-        s_mc = grad_corrected_l2(theta, v, y, sig_w)
+    def resid_jac(theta):
         s_ph, hess_ph = grad_and_hessian(theta, v, weights.q, ecf)
-        s = np.concatenate([s_mc, s_ph])
-        jac = np.vstack([jac_mc, hess_ph])
-        q_val = s @ omega_inv @ s
-        grad = 2.0 * jac.T @ (omega_inv @ s)
-        return q_val, grad
+        return (np.concatenate([grad_corrected_l2(theta, v, y, sig_w), s_ph]),
+                np.vstack([jac_mc, hess_ph]))
 
-    x, q_val, n_iter, converged, used_fallback = _minimize_q(fun_grad, mc.theta.theta)
+    x, q_val, n_iter, converged = _levenberg_marquardt(resid_jac, omega_inv, mc.theta.theta)
     fit = GmmFit(
         theta=ParamVector.from_theta(x, d.p),
         omega_hat=omega,
+        omega_inv=omega_inv,
         p1_hat=None,
         se=None,
-        q_value=float(q_val),
+        q_value=q_val,
         bootstrap_b=b,
         converged=converged,
         n_iter=n_iter,
@@ -309,7 +261,6 @@ def _fit_from_omega(d, scheme, omega, n_failures, b, mc, cov, design, ecf, cfg,
         weights=weights,
         ecf=ecf,
         n_boot_failed=n_failures,
-        used_fallback=used_fallback,
         diagnostics={"max_q_times_n": weights.max_q_times_n, "t_star": ecf.t_star},
     )
     if compute_se and converged:
@@ -325,9 +276,9 @@ def fit_gmm(d: Dataset, scheme: str = "minimax", b: int = 100, seed: int = 0,
 
     Step one computes the moment-corrected estimate and the bootstrap
     covariance of the stacked equations at it; step two minimizes the
-    quadratic form from that estimate. Standard errors use the sandwich with
-    the analytic least-squares Jacobian block and a central-difference
-    Jacobian of the phase gradient.
+    quadratic form from that estimate by Levenberg-Marquardt on the exact
+    Jacobian of the stacked equations. Standard errors use the sandwich with
+    the analytic least-squares Jacobian block and the exact phase Hessian.
     """
     fits = fit_gmm_multi(d, (scheme,), b=b, seed=seed, cfg=cfg,
                          compute_se=compute_se, mc=mc, cov=cov, design=design)
@@ -337,8 +288,7 @@ def fit_gmm(d: Dataset, scheme: str = "minimax", b: int = 100, seed: int = 0,
 def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
                   cfg: PhaseConfig = PhaseConfig(), compute_se: bool = True,
                   mc: McFit | None = None, cov: CovarianceSet | None = None,
-                  design: RegressionDesign | None = None,
-                  center: bool = True) -> dict:
+                  design: RegressionDesign | None = None) -> dict:
     """Fit several weight schemes on one dataset, sharing the bootstrap resamples.
 
     Sharing the resample-level work (covariances, frequency cutoffs, corrected
@@ -355,12 +305,12 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     if mc is None:
         mc = fit_mc(d, cov, design)
     per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, tuple(schemes),
-                                       cfg, design, cov, center=center)
+                                       cfg, design, cov)
     ecf = build_ecf(d.y, cfg)
     return {
-        scheme: _fit_from_omega(d, scheme, omega, len(fails), b, mc, cov, design,
-                                ecf, cfg, compute_se)
-        for scheme, (omega, fails) in per_scheme.items()
+        scheme: _fit_from_omega(d, scheme, omega, omega_inv, len(fails), b, mc, cov,
+                                design, ecf, compute_se)
+        for scheme, (omega, omega_inv, fails) in per_scheme.items()
     }
 
 
@@ -374,29 +324,18 @@ def gmm_standard_errors(fit: GmmFit, d: Dataset, cov: CovarianceSet,
                         design: RegressionDesign | None = None) -> np.ndarray:
     """Sandwich standard errors at the fitted estimate.
 
-    The corrected least-squares block of the Jacobian is analytic (the
-    equations are linear); the phase block is a central-difference Jacobian of
-    the phase gradient with per-coordinate step 1e-5 (1 + |theta_i|),
-    symmetrized. Stores p1_hat and se on the fit and returns the se vector.
+    Both Jacobian blocks are exact: the corrected least-squares block is
+    analytic (the equations are linear) and the phase block is the Hessian of
+    the phase discrepancy. Stores p1_hat and se on the fit and returns the se
+    vector.
     """
     if design is None:
         design = build_design(d)
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-    theta = fit.theta.theta
-    k = theta.size
     jac_mc = _mc_jacobian(design.v, d.y, sig_w)
-    jac_ph = np.empty((k, k))
-    for i in range(k):
-        h = 1e-5 * (1.0 + abs(theta[i]))
-        hi = np.zeros(k)
-        hi[i] = h
-        g_plus = grad_dtilde(theta + hi, design.v, weights.q, ecf)
-        g_minus = grad_dtilde(theta - hi, design.v, weights.q, ecf)
-        jac_ph[:, i] = (g_plus - g_minus) / (2.0 * h)
-    jac_ph = 0.5 * (jac_ph + jac_ph.T)
+    _, jac_ph = grad_and_hessian(fit.theta.theta, design.v, weights.q, ecf)
     p1 = np.hstack([jac_mc.T, jac_ph.T])
-    _, omega_inv = _floor_eigh(fit.omega_hat)
-    sandwich = p1 @ omega_inv @ p1.T
+    sandwich = p1 @ fit.omega_inv @ p1.T
     cond = np.linalg.cond(sandwich)
     if not np.isfinite(cond) or cond > 1e14:
         raise StandardErrorError(

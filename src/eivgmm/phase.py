@@ -30,7 +30,7 @@ __all__ = [
     "wepf",
     "dtilde",
     "grad_dtilde",
-    "dtilde_hessian",
+    "grad_and_hessian",
 ]
 
 _SCAN_CHUNK = 512
@@ -218,12 +218,6 @@ def grad_dtilde(theta, design, weights, ecf: EcfOutcome) -> np.ndarray:
     bs = (sin_tv * q) @ v
     gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * bc + ecf.s_y[:, None] * bs)
     return 2.0 * ((base_w * g) @ gmat)
-
-
-def dtilde_hessian(theta, design, weights, ecf: EcfOutcome) -> np.ndarray:
-    """Exact Hessian of the phase discrepancy (same quadrature rule as dtilde)."""
-    _, hess = grad_and_hessian(theta, _as_design(design), _as_weights(weights), ecf)
-    return hess
 
 
 def grad_and_hessian(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):

@@ -30,20 +30,6 @@ DISPLAY_NAMES = {
     "gmm_equal": "GMM-Equal", "gmm_mm": "GMM-MM", "gmm_ql": "GMM-QL",
 }
 
-_limiter = None
-
-
-def _limit_worker_threads():
-    """Pin BLAS pools to one thread inside pool workers (processes provide the
-    parallelism; nested BLAS threads only oversubscribe)."""
-    global _limiter
-    try:
-        from threadpoolctl import threadpool_limits
-        _limiter = threadpool_limits(limits=1)
-    except ImportError:
-        pass
-
-
 @dataclass
 class StudyResult:
     """Stacked per-replication estimates plus trimmed metrics and SE summaries."""
@@ -149,8 +135,7 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
 
     jobs = [(cfg, m, tuple(estimators), b, compute_se) for m in range(m_reps)]
     if workers > 1 and m_reps > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_limit_worker_threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_job, jobs, chunksize=max(1, m_reps // (4 * workers))))
     else:
         results = [_job(job) for job in jobs]

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 
 from eivgmm.covariance import estimate_covariances, pooled_error_covariance
 from eivgmm.errors import BootstrapInstabilityError
 from eivgmm.gmm import (
     _floor_eigh,
+    _levenberg_marquardt,
     _mc_jacobian,
-    _minimize_q,
     bootstrap_omega,
     fit_gmm,
     fit_gmm_multi,
@@ -15,8 +17,8 @@ from eivgmm.gmm import (
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
-from eivgmm.phase import build_ecf, dtilde, grad_dtilde
-from eivgmm.simgen import SimConfig, gen_dataset
+from eivgmm.phase import build_ecf, dtilde, grad_and_hessian, grad_dtilde
+from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import make_weights
 from conftest import toy_dataset
 
@@ -34,13 +36,13 @@ def prepared(rng, **kw):
 class TestStackedGradient:
     def test_mc_block_zero_at_mc_solution(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=50)
-        s = stacked_gradient(mc.theta, d, cov, weights, ecf, design=design).s
+        s = stacked_gradient(mc.theta, d, cov, weights, ecf, design=design)
         k = d.p + d.q + 1
         assert np.max(np.abs(s[:k])) <= 1e-8
 
     def test_dimensions(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60, p=2, q=2)
-        s = stacked_gradient(mc.theta, d, cov, weights, ecf, design=design).s
+        s = stacked_gradient(mc.theta, d, cov, weights, ecf, design=design)
         assert s.shape == (10,)
 
     def test_matches_joint_finite_differences(self, rng):
@@ -48,7 +50,7 @@ class TestStackedGradient:
         sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.2 * rng.normal(size=k)
-        s = stacked_gradient(theta, d, cov, weights, ecf, design=design).s
+        s = stacked_gradient(theta, d, cov, weights, ecf, design=design)
         fd = np.empty(2 * k)
         for i in range(k):
             h = 1e-6 * (1.0 + abs(theta[i]))
@@ -113,27 +115,78 @@ class TestBootstrapOmega:
 
 class TestMinimizeQ:
     def test_quadratic_exact(self):
+        # linear residual x - b under weight A: Q = (x - b)' A (x - b)
         a = np.diag([4.0, 1.0, 0.25])
         b = np.array([1.0, -2.0, 0.5])
 
-        def fg(x):
-            r = x - b
-            return float(r @ a @ r), 2.0 * a @ r
+        def rj(x):
+            return x - b, np.eye(3)
 
-        x, f, n_iter, converged, fallback = _minimize_q(fg, np.zeros(3))
-        assert converged and not fallback
+        x, q, _, converged = _levenberg_marquardt(rj, a, np.zeros(3))
+        assert converged
         assert np.allclose(x, b, atol=1e-8)
+        assert q <= 1e-16
 
-    def test_never_worsens_start(self, rng):
-        # objective with a nasty ridge: best value never exceeds the start
-        def fg(x):
-            f = float(np.abs(x).sum() + 5.0 * np.sin(x[0]) ** 2)
-            g = np.sign(x) + np.array([10.0 * np.sin(x[0]) * np.cos(x[0]), 0.0])
-            return f, g
+    def test_never_worsens_start(self):
+        # oscillating ridge: best value never exceeds the start
+        def rj(x):
+            s = np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2), 3.0 * np.sin(5.0 * x[0])])
+            jac = np.array([[1.0, 0.0], [-20.0 * x[0], 10.0],
+                            [15.0 * np.cos(5.0 * x[0]), 0.0]])
+            return s, jac
+
+        def q_of(x):
+            s, _ = rj(x)
+            return s @ s
 
         x0 = np.array([1.3, -0.7])
-        x, f, *_ = _minimize_q(fg, x0)
-        assert f <= fg(x0)[0] + 1e-12
+        x, q, _, converged = _levenberg_marquardt(rj, np.eye(3), x0)
+        assert converged
+        assert np.isclose(q, q_of(x), rtol=1e-12)
+        assert q <= q_of(x0) + 1e-12
+
+        # a Jacobian of the wrong sign makes every step uphill: the search
+        # stops unconverged at the start instead of taking one
+        def rj_uphill(x):
+            s, jac = rj(x)
+            return s, -jac
+
+        x, q, _, converged = _levenberg_marquardt(rj_uphill, np.eye(3), x0)
+        assert not converged
+        assert np.array_equal(x, x0)
+        assert q <= q_of(x0) + 1e-12
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), setting=st.sampled_from(["simple", "I", "III"]),
+           law=st.sampled_from(ERROR_LAWS))
+    def test_matches_least_squares_reference(self, seed, setting, law):
+        # the GMM minimizer equals scipy's on the Cholesky-whitened residual
+        # L' s (omega_inv = L L', so |L' s|^2 = Q) from the same start
+        cfg = SimConfig(setting=setting, n=200, n_rep=2, m_reps=1,
+                        error_law=law, seed=seed)
+        d, _ = gen_dataset(cfg, 0)
+        cov = estimate_covariances(d)
+        design = build_design(d)
+        fit = fit_gmm(d, scheme="minimax", b=25, seed=seed, compute_se=False,
+                      cov=cov, design=design)
+        assert fit.converged
+        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        jac_mc = _mc_jacobian(design.v, d.y, sig_w)
+        lt = np.linalg.cholesky(fit.omega_inv).T
+
+        def resid(theta):
+            return lt @ stacked_gradient(theta, d, cov, fit.weights, fit.ecf, design=design)
+
+        def jac(theta):
+            _, hess = grad_and_hessian(theta, design.v, fit.weights.q, fit.ecf)
+            return lt @ np.vstack([jac_mc, hess])
+
+        ref = least_squares(resid, fit.theta_init.theta, jac=jac, method="trf",
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        theta = fit.theta.theta
+        assert np.max(np.abs(theta - ref.x)) <= 1e-6 * (1.0 + np.max(np.abs(ref.x)))
+        q_ref = 2.0 * ref.cost
+        assert fit.q_value <= q_ref + 1e-9 * max(q_ref, 1.0)
 
 
 class TestFitGmm:
@@ -154,9 +207,8 @@ class TestFitGmm:
     def test_q_never_worse_than_mc_start(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60)
         fit = fit_gmm(d, scheme="minimax", b=40, seed=6, compute_se=False)
-        _, omega_inv = _floor_eigh(fit.omega_hat)
-        s_mc = stacked_gradient(mc.theta, d, cov, fit.weights, fit.ecf, design=design).s
-        q_at_mc = s_mc @ omega_inv @ s_mc
+        s_mc = stacked_gradient(mc.theta, d, cov, fit.weights, fit.ecf, design=design)
+        q_at_mc = s_mc @ fit.omega_inv @ s_mc
         assert fit.q_value <= q_at_mc + 1e-12
         assert fit.q_value >= 0.0
 
@@ -210,13 +262,13 @@ class TestFitGmm:
         k = d.p + d.q + 1
         jac_mc = _mc_jacobian(design.v, d.y, sig_w)
 
-        def fg(theta):
+        def rj(theta):
             s = np.concatenate([grad_corrected_l2(theta, design.v, d.y, sig_w),
                                 np.zeros(k)])
-            jac = np.vstack([jac_mc, np.zeros((k, k))])
-            return float(s @ s), 2.0 * jac.T @ s
+            return s, np.vstack([jac_mc, np.zeros((k, k))])
 
-        x, *_ = _minimize_q(fg, mc.theta.theta + 0.3 * rng.normal(size=k))
+        x, *_ = _levenberg_marquardt(rj, np.eye(2 * k),
+                                     mc.theta.theta + 0.3 * rng.normal(size=k))
         assert np.max(np.abs(x - mc.theta.theta)) <= 1e-6
 
     def test_q_invariant_under_stacking_permutation(self, rng):
@@ -225,7 +277,7 @@ class TestFitGmm:
                                 design=design, cov=cov)
         _, omega_inv = _floor_eigh(omega)
         s = stacked_gradient(mc.theta.theta + 0.05, d, cov, weights, ecf,
-                             design=design).s
+                             design=design)
         q0 = s @ omega_inv @ s
         perm = rng.permutation(s.size)
         pmat = np.eye(s.size)[perm]
@@ -247,3 +299,30 @@ class TestStandardErrors:
         fit = fit_gmm(d, scheme="minimax", b=40, seed=7)
         se = gmm_standard_errors(fit, d, cov, fit.weights, fit.ecf, design=design)
         assert np.allclose(se, fit.se)
+
+    @pytest.mark.parametrize("setting", ["toy", "III"])
+    def test_exact_hessian_matches_central_difference_oracle(self, rng, setting):
+        # oracle: the sandwich with the phase block as a symmetrized central
+        # difference of the phase gradient, step 1e-5 (1 + |theta_i|)
+        if setting == "toy":
+            d, cov, design, *_ = prepared(rng, n=60)
+        else:
+            d, _ = gen_dataset(SimConfig(setting="III", n=300, n_rep=2, m_reps=1,
+                                         error_law="t2_5", seed=17), 0)
+            cov, design = estimate_covariances(d), build_design(d)
+        fit = fit_gmm(d, scheme="minimax", b=40, seed=7, cov=cov, design=design)
+        assert fit.se is not None
+        theta = fit.theta.theta
+        k = theta.size
+        jac_ph = np.empty((k, k))
+        for i in range(k):
+            h = 1e-5 * (1.0 + abs(theta[i]))
+            e = np.zeros(k)
+            e[i] = h
+            jac_ph[:, i] = (grad_dtilde(theta + e, design.v, fit.weights.q, fit.ecf)
+                            - grad_dtilde(theta - e, design.v, fit.weights.q, fit.ecf)) / (2 * h)
+        jac_ph = 0.5 * (jac_ph + jac_ph.T)
+        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        p1 = np.hstack([_mc_jacobian(design.v, d.y, sig_w).T, jac_ph.T])
+        se_fd = np.sqrt(np.diag(np.linalg.inv(p1 @ fit.omega_inv @ p1.T)))
+        assert np.allclose(fit.se, se_fd, rtol=1e-6, atol=0.0)

@@ -6,8 +6,8 @@ from eivgmm.phase import (
     PhaseConfig,
     build_ecf,
     dtilde,
-    dtilde_hessian,
     ecf_values,
+    grad_and_hessian,
     grad_dtilde,
     kernel,
     select_t_star,
@@ -221,7 +221,7 @@ class TestGradDtilde:
 
     def test_hessian_matches_gradient_differences(self, rng):
         v, y, q, ecf, theta0 = _random_problem(rng, n=12)
-        hess = dtilde_hessian(theta0, v, q, ecf)
+        _, hess = grad_and_hessian(theta0, v, q, ecf)
         assert np.allclose(hess, hess.T, atol=1e-14)
         fd = np.empty((3, 3))
         for i in range(3):

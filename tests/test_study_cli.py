@@ -80,6 +80,23 @@ class TestCliFit:
                             "--estimators", "gmm", "--bootstrap", "0"], capsys)
         assert code == 2
 
+    def test_naive_needs_no_corrected_fit(self, tmp_path, capsys):
+        # the corrected normal equations of this file are singular; naive
+        # least squares does not use them
+        path = tmp_path / "singular.csv"
+        path.write_text("y,w1_r1,w1_r2\n0.3,-0.5,0.5\n-0.1,-0.5,0.5\n"
+                        "1.2,0.5,1.5\n0.9,0.5,1.5\n", encoding="utf-8")
+        json_path = tmp_path / "naive.json"
+        code, *_ = run_cli(["fit", "--data", str(path), "--y", "y",
+                            "--estimators", "naive", "--json", str(json_path)], capsys)
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        assert np.allclose(report["results"]["naive"]["coef"], [0.95, 0.1])
+        code, out, _ = run_cli(["fit", "--data", str(path), "--y", "y",
+                                "--estimators", "mc"], capsys)
+        assert code == 1
+        assert "near-singular" in json.loads(out.splitlines()[0])["error"]
+
     def test_estimation_error_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("y,w1_r1,w1_r2\n1.0,2.0,oops\n2.0,1.0,1.5\n", encoding="utf-8")
