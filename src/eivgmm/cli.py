@@ -146,6 +146,8 @@ def cmd_fit(args) -> int:
                     "max_q_times_n": fit.weights.max_q_times_n,
                     "bootstrap_b": fit.bootstrap_b,
                     "bootstrap_failed": fit.n_boot_failed,
+                    **{name: fit.diagnostics[name] for name in
+                       ("boot_capped", "boot_ql_fallback", "boot_ql_clamped")},
                 }
     except EivError as exc:
         return _fail(str(exc), EXIT_ESTIMATION)

@@ -7,8 +7,12 @@ an estimating-function bootstrap: observations are resampled with replacement
 (replicate groups kept intact), all data-dependent ingredients (per-observation
 covariances, pooled covariance, phase weights, frequency cutoff) are recomputed
 per resample, and the stacked gradient is re-evaluated at a fixed consistent
-initial estimate. The final estimate minimizes the quadratic form in the
-stacked equations weighted by the inverse bootstrap covariance.
+initial estimate. A resample is its distinct rows plus their multiplicities:
+the phase gradients of every weight scheme come from one pair of trig tables
+over the distinct rows, with each scheme's weights folded onto them, and the
+outcome ECF and its t* scan evaluate tied outcomes once. The final estimate
+minimizes the quadratic form in the stacked equations weighted by the inverse
+bootstrap covariance.
 """
 
 from __future__ import annotations
@@ -56,7 +60,10 @@ class GmmFit:
     eigenvalue-floored bootstrap covariance omega_hat; p1_hat stacks the
     transposed Jacobian blocks of the estimating equations; se holds sandwich
     standard errors (None until computed or when the fit did not converge).
-    n_iter counts objective evaluations.
+    n_iter counts objective evaluations. diagnostics holds max_q_times_n,
+    t_star and the bootstrap event counts boot_capped (resamples whose t* scan
+    hit its cap), boot_ql_fallback and boot_ql_clamped (resamples whose
+    quasi-likelihood weights fell back to equal or were clamped).
     """
 
     theta: ParamVector
@@ -106,11 +113,20 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                           cov: CovarianceSet):
     """Shared bootstrap pass: one set of resamples, one gradient per scheme.
 
-    Resample-invariant work (index draw, pooled covariance, frequency cutoff,
-    corrected-LS gradient) is done once per resample and reused for every
-    weight scheme, which is what makes fitting several schemes on one dataset
-    cheap. Returns {scheme: (omega, omega_inv, failures)} with omega the
-    eigenvalue-floored covariance and omega_inv its inverse.
+    Resample i draws n row indices from the stream keyed by (seed, i). Its
+    covariances, frequency cutoff, corrected-LS gradient and weights are
+    computed on the n resampled rows, once per resample, and shared by every
+    scheme. The phase gradient, the costly part, runs on the resample's
+    distinct rows only: duplicated rows get identical weights under every
+    scheme, so each scheme's weights fold to q[first] * counts over the
+    distinct rows, and one grad_dtilde call on that (n_distinct x S) weight
+    matrix gives all S phase gradients from one pair of trig tables.
+
+    Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
+    scheme instead of warned about once per resample. Returns {scheme:
+    (omega, omega_inv, failures, events)} with omega the eigenvalue-floored
+    covariance, omega_inv its inverse, failures a list of (resample, message)
+    and events the counts boot_capped, boot_ql_fallback and boot_ql_clamped.
     """
     theta = as_theta(theta)
     v, y = design.v, d.y
@@ -121,31 +137,43 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     acc = {s: np.zeros((dim, dim)) for s in schemes}
     mean_acc = {s: np.zeros(dim) for s in schemes}
     failures = {s: [] for s in schemes}
+    events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
+              for s in schemes}
     for idx_b in range(b):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx_b]))
         idx = rng.integers(0, n, size=n)
+        rows, first, counts = np.unique(idx, return_index=True, return_counts=True)
         vb, yb = v[idx], y[idx]
         sj, nr = sigma_j[idx], n_rep[idx]
         w_bar_b = vb[:, :p]
         try:
             cov_b = CovarianceSet(sigma_j=sj, sigma_x=sigma_x_from_parts(w_bar_b, sj, nr))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                ecf_b = build_ecf(yb, cfg)
+            ecf_b = build_ecf(yb, cfg)
             s_mc = grad_corrected_l2(theta, vb, yb, pooled_error_covariance(sj, nr))
         except EivError as exc:
             for s in schemes:
                 failures[s].append((idx_b, str(exc)))
             continue
+        ok, folded = [], []
         for scheme in schemes:
+            events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
                 with warnings.catch_warnings():
+                    # counted in events below, not warned once per resample
                     warnings.simplefilter("ignore", RuntimeWarning)
                     q_b = make_weights(scheme, cov_b, w_bar_b, nr)
-                s_vec = np.concatenate([s_mc, grad_dtilde(theta, vb, q_b.q, ecf_b)])
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
                 continue
+            events[scheme]["boot_ql_fallback"] += int(q_b.fallback)
+            events[scheme]["boot_ql_clamped"] += int(q_b.max_clamp > 0.0)
+            ok.append(scheme)
+            folded.append(q_b.q[first] * counts)
+        if not ok:
+            continue
+        s_ph = grad_dtilde(theta, v[rows], np.column_stack(folded), ecf_b)
+        for scheme, s_ph_scheme in zip(ok, s_ph):
+            s_vec = np.concatenate([s_mc, s_ph_scheme])
             if not np.all(np.isfinite(s_vec)):
                 failures[scheme].append((idx_b, "non-finite stacked gradient"))
                 continue
@@ -167,7 +195,7 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         # combination exists for)
         mean = mean_acc[scheme] / n_ok
         omega, omega_inv = _floor_eigh(acc[scheme] / n_ok - np.outer(mean, mean))
-        out[scheme] = (omega, omega_inv, failures[scheme])
+        out[scheme] = (omega, omega_inv, failures[scheme], events[scheme])
     return out
 
 
@@ -190,8 +218,8 @@ def bootstrap_omega(d: Dataset, theta_init, b: int, seed: int, scheme: str,
         design = build_design(d)
     if cov is None:
         cov = estimate_covariances(d)
-    omega, _, _ = _bootstrap_accumulate(d, theta_init, b, seed, (scheme,),
-                                        cfg, design, cov)[scheme]
+    omega, *_ = _bootstrap_accumulate(d, theta_init, b, seed, (scheme,),
+                                      cfg, design, cov)[scheme]
     return omega
 
 
@@ -232,8 +260,8 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     return x, float(q), n_eval, False
 
 
-def _fit_from_omega(d, scheme, omega, omega_inv, n_failures, b, mc, cov, design,
-                    ecf, compute_se) -> GmmFit:
+def _fit_from_omega(d, scheme, omega, omega_inv, n_failures, events, b, mc, cov,
+                    design, ecf, compute_se) -> GmmFit:
     """Minimize the quadratic form for one scheme given its bootstrap covariance."""
     weights = make_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
@@ -261,7 +289,8 @@ def _fit_from_omega(d, scheme, omega, omega_inv, n_failures, b, mc, cov, design,
         weights=weights,
         ecf=ecf,
         n_boot_failed=n_failures,
-        diagnostics={"max_q_times_n": weights.max_q_times_n, "t_star": ecf.t_star},
+        diagnostics={"max_q_times_n": weights.max_q_times_n, "t_star": ecf.t_star,
+                     **events},
     )
     if compute_se and converged:
         gmm_standard_errors(fit, d, cov, weights, ecf, design=design)
@@ -308,9 +337,9 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
                                        cfg, design, cov)
     ecf = build_ecf(d.y, cfg)
     return {
-        scheme: _fit_from_omega(d, scheme, omega, omega_inv, len(fails), b, mc, cov,
-                                design, ecf, compute_se)
-        for scheme, (omega, omega_inv, fails) in per_scheme.items()
+        scheme: _fit_from_omega(d, scheme, omega, omega_inv, len(fails), events, b, mc,
+                                cov, design, ecf, compute_se)
+        for scheme, (omega, omega_inv, fails, events) in per_scheme.items()
     }
 
 

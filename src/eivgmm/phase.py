@@ -87,13 +87,17 @@ def kernel(t, t_star: float):
 
 
 def ecf_values(y, t):
-    """Empirical CF components of y: (mean cos(t y), mean sin(t y)) for each t."""
+    """Empirical CF components of y: (mean cos(t y), mean sin(t y)) for each t.
+
+    Tied values are evaluated once and weighted by their counts; a bootstrap
+    resample repeats about a third of its rows.
+    """
     y = np.asarray(y, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    ty = t[:, None] * y[None, :]
-    c = np.cos(ty).mean(axis=1)
-    s = np.sin(ty).mean(axis=1)
-    return c, s
+    vals, counts = np.unique(y, return_counts=True)
+    counts = counts.astype(float)
+    ty = t[:, None] * vals[None, :]
+    return (np.cos(ty) @ counts) / y.size, (np.sin(ty) @ counts) / y.size
 
 
 def select_t_star(y, step: float | None = None, cap: float | None = None) -> float:
@@ -115,24 +119,27 @@ def select_t_star(y, step: float | None = None, cap: float | None = None) -> flo
         step = 0.01 / sd
     if cap is None:
         cap = 50.0 / sd
-    threshold = n ** -0.5
     n_steps = int(np.floor(cap / step))
-    # On each chunk the modulus |mean exp(i t y)| is evaluated by elementwise
-    # cumulative rotation (one exp per chunk, complex products after), which is
-    # several times cheaper than per-node cos/sin on the fine scan grid.
-    rot = np.exp(1j * step * y)
+    # Tied values are rotated once and weighted by their counts. On each chunk
+    # exp(i t y) is evaluated by elementwise cumulative rotation (one exp per
+    # chunk, complex products after), which is several times cheaper than
+    # per-node cos/sin on the fine scan grid; the squared modulus of the mean
+    # is compared with the squared floor 1/n.
+    vals, counts = np.unique(y, return_counts=True)
+    counts = counts.astype(float)
+    rot = np.exp(1j * step * vals)
     for start in range(1, n_steps + 1, _SCAN_CHUNK):
         length = min(_SCAN_CHUNK, n_steps + 1 - start)
-        block = np.broadcast_to(rot, (length, n)).copy()
-        block[0] = np.exp(1j * (start * step) * y)
+        block = np.broadcast_to(rot, (length, vals.size)).copy()
+        block[0] = np.exp(1j * (start * step) * vals)
         np.cumprod(block, axis=0, out=block)
-        mod = np.abs(block.mean(axis=1))
-        hit = np.nonzero(mod <= threshold)[0]
+        mean = (block @ counts) / n
+        hit = np.nonzero(mean.real**2 + mean.imag**2 <= 1.0 / n)[0]
         if hit.size:
             return float((start + hit[0]) * step)
     endpoint = n_steps * step
     warnings.warn(
-        f"ecf modulus never reached n^(-1/2)={threshold:.3g}; returning scan cap {endpoint:.3g}",
+        f"ecf modulus never reached n^(-1/2)={n ** -0.5:.3g}; returning scan cap {endpoint:.3g}",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -191,12 +198,17 @@ def wepf(theta, design, weights, t: float) -> complex:
 
 
 def _phase_tables(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
-    """Node-by-observation trig tables shared by the criterion and its derivatives."""
+    """Node-by-observation trig tables shared by the criterion and its derivatives.
+
+    q is one weight vector (n,) or S of them as the columns of an (n, S)
+    array; g is (n_quad,) or (n_quad, S) to match.
+    """
     idx = v @ as_theta(theta)
     tv = ecf.grid[:, None] * idx[None, :]
     sin_tv = np.sin(tv)
     cos_tv = np.cos(tv)
-    g = ecf.c_y * (sin_tv @ q) - ecf.s_y * (cos_tv @ q)
+    col = (-1,) + (1,) * (q.ndim - 1)
+    g = ecf.c_y.reshape(col) * (sin_tv @ q) - ecf.s_y.reshape(col) * (cos_tv @ q)
     base_w = ecf.quad_w * kernel(ecf.grid, ecf.t_star)
     return sin_tv, cos_tv, g, base_w
 
@@ -210,14 +222,24 @@ def dtilde(theta, design, weights, ecf: EcfOutcome) -> float:
 
 
 def grad_dtilde(theta, design, weights, ecf: EcfOutcome) -> np.ndarray:
-    """Exact gradient of the phase discrepancy with respect to [beta, gamma]."""
+    """Exact gradient of the phase discrepancy with respect to [beta, gamma].
+
+    weights is one vector (n,), giving a (k,) gradient, or S weight vectors
+    as the columns of an (n, S) array, giving an (S, k) array of gradients
+    from one pair of trig tables.
+    """
     v = _as_design(design)
     q = _as_weights(weights)
     sin_tv, cos_tv, g, base_w = _phase_tables(theta, v, q, ecf)
-    bc = (cos_tv * q) @ v
-    bs = (sin_tv * q) @ v
-    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * bc + ecf.s_y[:, None] * bs)
-    return 2.0 * ((base_w * g) @ gmat)
+    n, k = v.shape
+    n_quad = ecf.grid.size
+    # column s*k + j holds q_s * v_j, so one product per table covers every scheme
+    qv = (q.reshape(n, -1, 1) * v[:, None, :]).reshape(n, -1)
+    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * (cos_tv @ qv)
+                                + ecf.s_y[:, None] * (sin_tv @ qv))
+    wg = base_w[:, None] * g.reshape(n_quad, -1)
+    grad = 2.0 * np.einsum("ts,tsk->sk", wg, gmat.reshape(n_quad, -1, k))
+    return grad.reshape(q.shape[1:] + (k,))
 
 
 def grad_and_hessian(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):

@@ -1,11 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
-from eivgmm.covariance import estimate_covariances, pooled_error_covariance
-from eivgmm.errors import BootstrapInstabilityError
+import eivgmm.gmm as gmm_module
+import eivgmm.weights as weights_module
+from eivgmm.covariance import (
+    CovarianceSet,
+    estimate_covariances,
+    pooled_error_covariance,
+    sigma_x_from_parts,
+)
+from eivgmm.errors import (
+    BootstrapInstabilityError,
+    DegenerateCovarianceError,
+    EivError,
+    WeightSolveError,
+)
 from eivgmm.gmm import (
+    MAX_BOOT_FAILURE_FRAC,
+    _bootstrap_accumulate,
     _floor_eigh,
     _levenberg_marquardt,
     _mc_jacobian,
@@ -17,9 +33,9 @@ from eivgmm.gmm import (
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
-from eivgmm.phase import build_ecf, dtilde, grad_and_hessian, grad_dtilde
+from eivgmm.phase import PhaseConfig, build_ecf, dtilde, grad_and_hessian, grad_dtilde
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
-from eivgmm.weights import make_weights
+from eivgmm.weights import SCHEMES, make_weights
 from conftest import toy_dataset
 
 
@@ -111,6 +127,138 @@ class TestBootstrapOmega:
                 diags[n] = np.diag(omega)
             ratios.append(np.median(diags[2000] / diags[1000]))
         assert 0.35 <= np.mean(ratios) <= 0.65
+
+
+def loop_bootstrap(d, theta, b, seed, schemes, cfg, design, cov):
+    """Reference: every resample's full n rows, one weight vector and one
+    phase gradient per scheme. Returns ({scheme: (omega, omega_inv, failures,
+    events)}, per-resample t*)."""
+    v, y = design.v, d.y
+    n, p = d.n, d.p
+    n_rep = d.n_rep.astype(float)
+    dim = 2 * design.k
+    acc = {s: np.zeros((dim, dim)) for s in schemes}
+    mean_acc = {s: np.zeros(dim) for s in schemes}
+    failures = {s: [] for s in schemes}
+    events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
+              for s in schemes}
+    t_stars = []
+    for idx_b in range(b):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx_b]))
+        idx = rng.integers(0, n, size=n)
+        vb, yb = v[idx], y[idx]
+        sj, nr = cov.sigma_j[idx], n_rep[idx]
+        w_bar_b = vb[:, :p]
+        try:
+            cov_b = CovarianceSet(sigma_j=sj, sigma_x=sigma_x_from_parts(w_bar_b, sj, nr))
+            ecf_b = build_ecf(yb, cfg)
+            s_mc = grad_corrected_l2(theta, vb, yb, pooled_error_covariance(sj, nr))
+        except EivError as exc:
+            for s in schemes:
+                failures[s].append((idx_b, str(exc)))
+            continue
+        t_stars.append(ecf_b.t_star)
+        for scheme in schemes:
+            events[scheme]["boot_capped"] += int(ecf_b.capped)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    q_b = make_weights(scheme, cov_b, w_bar_b, nr)
+                s_vec = np.concatenate([s_mc, grad_dtilde(theta, vb, q_b.q, ecf_b)])
+            except EivError as exc:
+                failures[scheme].append((idx_b, str(exc)))
+                continue
+            events[scheme]["boot_ql_fallback"] += int(q_b.fallback)
+            events[scheme]["boot_ql_clamped"] += int(q_b.max_clamp > 0.0)
+            if not np.all(np.isfinite(s_vec)):
+                failures[scheme].append((idx_b, "non-finite stacked gradient"))
+                continue
+            acc[scheme] += np.outer(s_vec, s_vec)
+            mean_acc[scheme] += s_vec
+    out = {}
+    for scheme in schemes:
+        n_bad = len(failures[scheme])
+        if n_bad > MAX_BOOT_FAILURE_FRAC * b:
+            raise BootstrapInstabilityError(f"{n_bad}/{b} failed for {scheme!r}")
+        n_ok = b - n_bad
+        mean = mean_acc[scheme] / n_ok
+        omega, omega_inv = _floor_eigh(acc[scheme] / n_ok - np.outer(mean, mean))
+        out[scheme] = (omega, omega_inv, failures[scheme], events[scheme])
+    return out, t_stars
+
+
+def batched_with_t_stars(monkeypatch, *args):
+    """_bootstrap_accumulate plus the t* of every resample whose ECF it built."""
+    t_stars = []
+
+    def recording_build_ecf(y, cfg):
+        ecf = build_ecf(y, cfg)
+        t_stars.append(ecf.t_star)
+        return ecf
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gmm_module, "build_ecf", recording_build_ecf)
+        out = _bootstrap_accumulate(*args)
+    return out, t_stars
+
+
+def assert_same_bootstrap(batched, oracle):
+    (got, got_t), (ref, ref_t) = batched, oracle
+    assert got_t == ref_t
+    assert set(got) == set(ref)
+    for scheme, (omega, omega_inv, fails, events) in ref.items():
+        np.testing.assert_allclose(got[scheme][0], omega, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got[scheme][1], omega_inv, rtol=1e-10, atol=0.0)
+        assert got[scheme][2] == fails
+        assert got[scheme][3] == events
+
+
+class TestBatchedBootstrap:
+    """The distinct-row bootstrap against the per-resample, per-scheme loop."""
+
+    @staticmethod
+    def inputs(setting, law, seed=31):
+        cfg = SimConfig(setting=setting, n=200, n_rep=2, m_reps=1, error_law=law, seed=seed)
+        d, _ = gen_dataset(cfg, 0)
+        cov = estimate_covariances(d)
+        design = build_design(d)
+        mc = fit_mc(d, cov, design)
+        return d, mc.theta.theta, 30, seed, SCHEMES, PhaseConfig(), design, cov
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_matches_loop(self, monkeypatch, setting, law):
+        args = self.inputs(setting, law)
+        assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args),
+                              loop_bootstrap(*args))
+
+    def test_matches_loop_with_failing_weights(self, monkeypatch):
+        # the quasi-likelihood solve fails on resamples whose mean first
+        # covariate lies above the full-sample mean (fallback to equal
+        # weights), and minimax weighting fails outright on a few resamples
+        args = self.inputs("I", "t2_5")
+        d, design = args[0], args[6]
+        cut = design.v[:, 0].mean()
+        solve, minimax = weights_module.solve_ql_system, weights_module.weights_minimax
+
+        def flaky_solve(omega_inv, w_bar, gamma):
+            if w_bar[:, 0].mean() > cut:
+                raise WeightSolveError("forced failure")
+            return solve(omega_inv, w_bar, gamma)
+
+        def flaky_minimax(cov, n_rep):
+            if int(cov.sigma_x[0, 0] * 1e9) % 11 == 0:
+                raise DegenerateCovarianceError("forced failure")
+            return minimax(cov, n_rep)
+
+        monkeypatch.setattr(weights_module, "solve_ql_system", flaky_solve)
+        monkeypatch.setattr(weights_module, "weights_minimax", flaky_minimax)
+        oracle = loop_bootstrap(*args)
+        ref = oracle[0]
+        assert 0 < len(ref["minimax"][2]) <= MAX_BOOT_FAILURE_FRAC * args[2]
+        assert ref["equal"][2] == [] and ref["quasi_likelihood"][2] == []
+        assert 0 < ref["quasi_likelihood"][3]["boot_ql_fallback"] < args[2]
+        assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args), oracle)
 
 
 class TestMinimizeQ:

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eivgmm.errors import DegenerateInputError, PhaseValueError
 from eivgmm.phase import (
@@ -231,3 +234,82 @@ class TestGradDtilde:
             fd[:, i] = (grad_dtilde(theta0 + e, v, q, ecf)
                         - grad_dtilde(theta0 - e, v, q, ecf)) / (2 * h)
         assert np.max(np.abs(hess - fd)) <= 1e-4 * max(np.abs(fd).max(), 1e-12)
+
+
+def _tied_sample(seed, n0, heavy):
+    """A bootstrap resample of n0 draws: about a third of its rows repeat."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_t(2.5, size=n0) if heavy else rng.normal(size=n0)
+    return base, rng.integers(0, n0, size=n0), rng
+
+
+def _plain_t_star(y, step, cap):
+    """First t = j step with |mean exp(i t y)| <= n^{-1/2}, by direct evaluation."""
+    n_steps = int(np.floor(cap / step))
+    t = np.arange(1, n_steps + 1) * step
+    mod = np.abs(np.exp(1j * t[:, None] * y[None, :]).mean(axis=1))
+    hit = np.nonzero(mod <= y.size ** -0.5)[0]
+    return float(t[hit[0]]) if hit.size else float(n_steps * step)
+
+
+class TestTiedFastPaths:
+    """Count-weighted evaluation over distinct values against the plain formulas."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n0=st.integers(8, 150), heavy=st.booleans())
+    def test_t_star_matches_direct_scan(self, seed, n0, heavy):
+        base, idx, _ = _tied_sample(seed, n0, heavy)
+        y = base[idx]
+        sd = y.std(ddof=1)
+        assume(sd > 0.0)
+        step, cap = 0.01 / sd, 50.0 / sd
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert select_t_star(y, step=step, cap=cap) == _plain_t_star(y, step, cap)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n0=st.integers(2, 150), heavy=st.booleans())
+    def test_ecf_matches_direct_means(self, seed, n0, heavy):
+        base, idx, rng = _tied_sample(seed, n0, heavy)
+        y = base[idx]
+        t = rng.uniform(0.0, 5.0, size=16)
+        c, s = ecf_values(y, t)
+        ty = t[:, None] * y[None, :]
+        # components are means of unit-modulus terms: atol matches rtol
+        np.testing.assert_allclose(c, np.cos(ty).mean(axis=1), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(s, np.sin(ty).mean(axis=1), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n=st.integers(3, 60), k=st.integers(1, 5),
+           n_schemes=st.integers(1, 4))
+    def test_gradient_columns_match_single_calls(self, seed, n, k, n_schemes):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n, k))
+        y = v @ rng.normal(size=k) + 0.3 * rng.normal(size=n)
+        assume(y.std() > 0.0)
+        ecf = build_ecf(y)
+        q = rng.dirichlet(np.ones(n), size=n_schemes).T
+        theta = rng.normal(size=k)
+        batched = grad_dtilde(theta, v, q, ecf)
+        single = np.stack([grad_dtilde(theta, v, q[:, s], ecf) for s in range(n_schemes)])
+        assert batched.shape == (n_schemes, k)
+        np.testing.assert_allclose(batched, single, rtol=1e-12,
+                                   atol=1e-12 * np.abs(single).max())
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), n0=st.integers(5, 150), k=st.integers(1, 5))
+    def test_folded_weights_match_resampled_rows(self, seed, n0, k):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n0, k))
+        y = v @ rng.normal(size=k) + 0.3 * rng.normal(size=n0)
+        idx = rng.integers(0, n0, size=n0)
+        assume(y[idx].std() > 0.0)
+        ecf = build_ecf(y[idx])
+        rows, first, counts = np.unique(idx, return_index=True, return_counts=True)
+        # per-row weights: duplicates of one row share a weight
+        raw = rng.uniform(0.5, 2.0, size=n0)[idx]
+        q = raw / raw.sum()
+        theta = rng.normal(size=k)
+        full = grad_dtilde(theta, v[idx], q, ecf)
+        folded = grad_dtilde(theta, v[rows], q[first] * counts, ecf)
+        np.testing.assert_allclose(folded, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())

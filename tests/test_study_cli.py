@@ -1,13 +1,35 @@
+import ctypes
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import eivgmm.study as study_module
 from eivgmm.cli import main
+from eivgmm.errors import BootstrapInstabilityError
 from eivgmm.model_data import CsvSchema, write_csv
 from eivgmm.simgen import SimConfig, gen_dataset
-from eivgmm.study import run_replication, run_study
+from eivgmm.study import _OPENBLAS_SET_THREADS, _pin_blas_threads, run_replication, run_study
+
+
+def openblas_threads():
+    """{library path: thread count} for every OpenBLAS loaded in this process,
+    read through the getter that matches its setter's symbol."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    threads = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in _OPENBLAS_SET_THREADS:
+            getter = getattr(lib, symbol.replace("_set_", "_get_"), None)
+            if getter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                threads[path] = int(getter())
+                break
+    return threads
 
 
 class TestStudy:
@@ -15,11 +37,34 @@ class TestStudy:
         cfg = SimConfig(setting="simple", n=120, n_rep=2, m_reps=3,
                         error_law="normal", seed=77)
         r1 = run_study(cfg, estimators=("true", "naive", "mc", "gmm_equal"),
-                       b=30, workers=1, compute_se=False)
+                       b=30, workers=1, compute_se=True)
         r2 = run_study(cfg, estimators=("true", "naive", "mc", "gmm_equal"),
-                       b=30, workers=2, compute_se=False)
+                       b=30, workers=2, compute_se=True)
         for name in r1.estimates:
             assert np.array_equal(r1.estimates[name], r2.estimates[name])
+            assert np.array_equal(r1.ses[name], r2.ses[name], equal_nan=True)
+        assert np.all(np.isfinite(r1.ses["gmm_equal"]))
+
+    def test_pool_workers_run_blas_single_threaded(self):
+        if not openblas_threads():
+            pytest.skip("no OpenBLAS library is loaded in this process")
+        with ProcessPoolExecutor(max_workers=2, initializer=_pin_blas_threads) as pool:
+            seen = [pool.submit(openblas_threads).result(timeout=60) for _ in range(4)]
+        for threads in seen:
+            assert threads and set(threads.values()) == {1}
+
+    def test_gmm_failure_keeps_mc(self, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise BootstrapInstabilityError("forced bootstrap failure")
+
+        monkeypatch.setattr(study_module, "fit_gmm_multi", unstable)
+        cfg = SimConfig(setting="I", n=200, n_rep=2, m_reps=1, error_law="normal", seed=3)
+        est, ses, errors = run_replication(cfg, 0, b=30)
+        assert np.all(np.isfinite(est["mc"]))
+        assert np.all(np.isfinite(est["naive"]))
+        assert sorted(name for name, _ in errors) == ["gmm_equal", "gmm_mm", "gmm_ql"]
+        assert all(msg == "forced bootstrap failure" for _, msg in errors)
+        assert np.all(np.isnan(est["gmm_mm"]))
 
     def test_replication_outputs(self):
         cfg = SimConfig(setting="I", n=150, n_rep=2, m_reps=1,
@@ -61,6 +106,9 @@ class TestCliFit:
         assert len(report["results"]["gmm_minimax"]["coef"]) == 3
         assert report["results"]["gmm_minimax"]["se"] is not None
         assert report["diagnostics"]["gmm_minimax"]["converged"]
+        events = {key: report["diagnostics"]["gmm_minimax"][key]
+                  for key in ("boot_capped", "boot_ql_fallback", "boot_ql_clamped")}
+        assert events == {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
 
     def test_fit_deterministic_json(self, csv_path, tmp_path, capsys):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
