@@ -7,7 +7,7 @@ bootstrap-estimated equation covariance and sandwich standard errors. A
 simulation harness reproduces the reference numerical studies at desk scale.
 """
 
-from .covariance import CovarianceSet, estimate_covariances, estimate_sigma_j, estimate_sigma_x
+from .covariance import CovarianceSet, estimate_covariances
 from .errors import (
     BootstrapInstabilityError,
     CsvParseError,
@@ -30,12 +30,10 @@ from .gmm import (
 )
 from .metrics import RobustMse, SeSummary, mc_se_summary, robust_mse
 from .model_data import (
-    AveragedDesign,
     CsvSchema,
     Dataset,
     ParamVector,
     RegressionDesign,
-    average_replicates,
     build_design,
     load_csv,
     make_dataset,

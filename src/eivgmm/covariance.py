@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_data import Dataset, average_replicates
+from .model_data import Dataset
 
 __all__ = [
     "CovarianceSet",
-    "estimate_sigma_j",
-    "estimate_sigma_all",
-    "estimate_sigma_x",
     "estimate_covariances",
     "psd_project",
     "pooled_error_covariance",
@@ -45,52 +42,10 @@ class CovarianceSet:
     sigma_x: np.ndarray
 
 
-def estimate_sigma_j(d: Dataset, j: int) -> np.ndarray:
-    """Measurement-error covariance of observation j from replicate differences.
-
-    Returns [n_j (n_j - 1)]^{-1} sum_{k<k'} (w_jk - w_jk')(w_jk - w_jk')^T,
-    which is symmetric PSD by construction.
-    """
-    w = d.w_reps[j]
-    r = w.shape[0]
-    acc = np.zeros((d.p, d.p))
-    for k in range(r - 1):
-        diffs = w[k] - w[k + 1:]
-        acc += diffs.T @ diffs
-    return acc / (r * (r - 1))
-
-
-def estimate_sigma_all(d: Dataset) -> np.ndarray:
-    """All sigma_j estimates stacked as (n, p, p).
-
-    Uses the algebraic identity with the replicate sample covariance:
-    sum_{k<k'} (w_k - w_k')(w_k - w_k')^T = n_j sum_k (w_k - w_bar)(w_k - w_bar)^T,
-    so each sigma_j equals the sample covariance of its replicate rows.
-    """
-    stacked = d.replicate_stack()
-    if stacked is not None:
-        r = stacked.shape[1]
-        centered = stacked - stacked.mean(axis=1, keepdims=True)
-        return np.einsum("jka,jkb->jab", centered, centered) / (r - 1)
-    out = np.empty((d.n, d.p, d.p))
-    for j, w in enumerate(d.w_reps):
-        centered = w - w.mean(axis=0)
-        out[j] = centered.T @ centered / (w.shape[0] - 1)
-    return out
-
-
-def estimate_sigma_x(d: Dataset, cov: CovarianceSet) -> np.ndarray:
-    """Pooled covariance of the true error-prone covariates.
-
-    (n-1)^{-1} sum_j (w_bar_j - w_bar)(w_bar_j - w_bar)^T
-    - n^{-1} sum_j n_j^{-1} sigma_j. Symmetric but possibly indefinite.
-    """
-    avg = average_replicates(d)
-    return sigma_x_from_parts(avg.w_bar, cov.sigma_j, avg.n_rep)
-
-
 def sigma_x_from_parts(w_bar: np.ndarray, sigma_j: np.ndarray, n_rep: np.ndarray) -> np.ndarray:
-    """estimate_sigma_x for precomputed parts (used on bootstrap resamples)."""
+    """Pooled covariance of the true error-prone covariates,
+    (n-1)^{-1} sum_j (w_bar_j - w_bar)(w_bar_j - w_bar)^T
+    - n^{-1} sum_j n_j^{-1} sigma_j. Symmetric but possibly indefinite."""
     n = w_bar.shape[0]
     centered = w_bar - w_bar.mean(axis=0)
     sample_cov = centered.T @ centered / (n - 1)
@@ -99,11 +54,18 @@ def sigma_x_from_parts(w_bar: np.ndarray, sigma_j: np.ndarray, n_rep: np.ndarray
 
 
 def estimate_covariances(d: Dataset) -> CovarianceSet:
-    """Estimate all sigma_j and sigma_x for a dataset."""
-    sigma_j = estimate_sigma_all(d)
-    avg = average_replicates(d)
-    sigma_x = sigma_x_from_parts(avg.w_bar, sigma_j, avg.n_rep)
-    return CovarianceSet(sigma_j=sigma_j, sigma_x=sigma_x)
+    """Estimate all sigma_j and sigma_x for a dataset.
+
+    sigma_j = [n_j (n_j - 1)]^{-1} sum_{k<k'} (w_jk - w_jk')(w_jk - w_jk')^T,
+    symmetric PSD by construction. By the identity
+    sum_{k<k'} (w_k - w_k')(w_k - w_k')^T = n_j sum_k (w_k - w_bar)(w_k - w_bar)^T
+    it is the sample covariance of row j's replicates, computed here with the
+    padded slots masked out of the centered replicates.
+    """
+    filled = np.arange(d.w.shape[1]) < d.n_rep[:, None]
+    centered = np.where(filled[:, :, None], d.w - d.w_bar[:, None, :], 0.0)
+    sigma_j = np.einsum("jka,jkb->jab", centered, centered) / (d.n_rep - 1)[:, None, None]
+    return CovarianceSet(sigma_j=sigma_j, sigma_x=sigma_x_from_parts(d.w_bar, sigma_j, d.n_rep))
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:

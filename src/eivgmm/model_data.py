@@ -3,7 +3,9 @@
 The observed sample consists of an outcome ``y_j``, error-free covariates
 ``z_j`` (with a synthesized intercept), and ``n_j >= 2`` replicate surrogate
 measurements of the error-prone covariates. Replicate counts may vary across
-observations, so the replicate block is stored as a ragged list.
+observations; the replicates are stored once, as a zero-padded (n, R_max, p)
+array with each row's n_j replicates packed to the front, together with the
+counts n_j and the replicate means.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ from .errors import CsvParseError, ValidationError
 __all__ = [
     "ParamVector",
     "Dataset",
-    "AveragedDesign",
     "RegressionDesign",
     "CsvSchema",
     "make_dataset",
-    "average_replicates",
     "build_design",
     "load_csv",
     "write_csv",
@@ -73,28 +73,28 @@ class Dataset:
     ----------
     y : (n,) outcomes.
     z : (n, q+1) error-free design, first column identically one.
-    w_reps : list of n arrays, each (n_j, p), the replicate surrogates.
+    w : (n, R_max, p) replicate surrogates; row j holds its n_rep[j] complete
+        replicates in slots 0..n_rep[j]-1 and zeros in the slots after them.
+    n_rep : (n,) replicate counts n_j >= 2; R_max is their maximum.
+    w_bar : (n, p) replicate means.
     n, p, q : dimensions.
+
+    All arrays are read-only.
     """
 
     y: np.ndarray
     z: np.ndarray
-    w_reps: list
+    w: np.ndarray
+    n_rep: np.ndarray
+    w_bar: np.ndarray
     n: int
     p: int
     q: int
 
     @property
-    def n_rep(self) -> np.ndarray:
-        """Replicate counts n_j, shape (n,)."""
-        return np.array([w.shape[0] for w in self.w_reps], dtype=int)
-
-    def replicate_stack(self):
-        """(n, r, p) stacked replicates if all n_j are equal, else None."""
-        counts = self.n_rep
-        if np.all(counts == counts[0]):
-            return np.stack(self.w_reps)
-        return None
+    def w_reps(self) -> list:
+        """Per-row views w[j, :n_rep[j]], each (n_j, p)."""
+        return [wj[:r] for wj, r in zip(self.w, self.n_rep)]
 
 
 def make_dataset(y, z, w_reps) -> Dataset:
@@ -104,49 +104,58 @@ def make_dataset(y, z, w_reps) -> Dataset:
     ----------
     y : (n,) outcomes.
     z : (n, q) error-free covariates WITHOUT the intercept column (q may be 0).
-    w_reps : sequence of n arrays of shape (n_j, p).
+    w_reps : sequence of n arrays of shape (n_j, p); an (n, R, p) array is one.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.array(y, dtype=float).reshape(-1)  # a copy: callers keep their arrays writable
+    blocks = [np.asarray(w, dtype=float) for w in w_reps]
+    if y.size == 0:
+        raise ValidationError("no observations")
+    if len(blocks) != y.size:
+        raise ValidationError(f"got {len(blocks)} replicate blocks for {y.size} outcomes")
+    shapes = [w.shape for w in blocks]
+    p = shapes[0][-1] if shapes[0] else 0
+    for j, shape in enumerate(shapes):
+        if shape[1:] != (p,):
+            raise ValidationError(f"row {j}: replicate block has shape {shape}, expected (n_j, {p})")
+    if p == 0:
+        raise ValidationError("replicate blocks have no columns")
+    n_rep = np.array([shape[0] for shape in shapes], dtype=int)
+    return _dataset(y, z, np.concatenate(blocks), n_rep)
+
+
+def _dataset(y, z, flat, n_rep) -> Dataset:
+    """Pack ``flat`` (sum n_j, p), the replicates of row 0, then row 1, ...,
+    into the dense layout and validate the sample."""
     n = y.size
-    z = np.asarray(z, dtype=float).reshape(n, -1) if np.size(z) else np.empty((n, 0))
+    z = np.asarray(z, dtype=float)
+    if z.size == 0:
+        z = np.empty((n, 0))
+    elif z.shape == (n,):
+        z = z[:, None]
+    if z.ndim != 2 or z.shape[0] != n:
+        raise ValidationError(f"error-free covariates have shape {z.shape}, expected ({n}, q)")
     q = z.shape[1]
-    w_list = [np.atleast_2d(np.asarray(w, dtype=float)) for w in w_reps]
-    if len(w_list) != n:
-        raise ValidationError(f"got {len(w_list)} replicate blocks for {n} outcomes")
-    p = w_list[0].shape[1]
-    for j, w in enumerate(w_list):
-        if w.shape[1] != p:
-            raise ValidationError(f"row {j}: replicate block has {w.shape[1]} columns, expected {p}")
-    bad = [j for j, w in enumerate(w_list) if w.shape[0] < 2]
-    if bad:
-        raise ValidationError(f"n_j<2: rows {bad} have fewer than 2 complete replicates")
+    p = flat.shape[1]
+    bad = np.flatnonzero(n_rep < 2)
+    if bad.size:
+        raise ValidationError(
+            f"n_j<2: rows {bad.tolist()} have fewer than 2 complete replicates")
+    w = np.zeros((n, n_rep.max(), p))
+    w[np.arange(w.shape[1]) < n_rep[:, None]] = flat
     full_z = np.column_stack([np.ones(n), z])
     if not np.all(np.isfinite(y)):
         raise ValidationError("non-finite outcome values")
     if not np.all(np.isfinite(full_z)):
         raise ValidationError("non-finite error-free covariate values")
-    for j, w in enumerate(w_list):
-        if not np.all(np.isfinite(w)):
-            raise ValidationError(f"row {j}: non-finite replicate values")
+    bad = np.flatnonzero(~np.isfinite(w).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationError(f"row {bad[0]}: non-finite replicate values")
     if n < p + q + 2:
         raise ValidationError(f"need n >= p+q+2 = {p + q + 2}, got n = {n}")
-    for arr in (y, full_z, *w_list):
+    w_bar = w.sum(axis=1) / n_rep[:, None]
+    for arr in (y, full_z, w, n_rep, w_bar):
         arr.setflags(write=False)
-    return Dataset(y=y, z=full_z, w_reps=w_list, n=n, p=p, q=q)
-
-
-@dataclass(frozen=True)
-class AveragedDesign:
-    """Per-observation replicate means and counts."""
-
-    w_bar: np.ndarray  # (n, p)
-    n_rep: np.ndarray  # (n,)
-
-
-def average_replicates(d: Dataset) -> AveragedDesign:
-    """Average the replicate surrogates for each observation."""
-    w_bar = np.array([w.mean(axis=0) for w in d.w_reps])
-    return AveragedDesign(w_bar=w_bar, n_rep=d.n_rep)
+    return Dataset(y=y, z=full_z, w=w, n_rep=n_rep, w_bar=w_bar, n=n, p=p, q=q)
 
 
 @dataclass(frozen=True)
@@ -162,11 +171,8 @@ class RegressionDesign:
         return self.p + self.q + 1
 
 
-def build_design(d: Dataset, avg: AveragedDesign | None = None) -> RegressionDesign:
-    if avg is None:
-        avg = average_replicates(d)
-    v = np.column_stack([avg.w_bar, d.z])
-    return RegressionDesign(v=v, p=d.p, q=d.q)
+def build_design(d: Dataset) -> RegressionDesign:
+    return RegressionDesign(v=np.column_stack([d.w_bar, d.z]), p=d.p, q=d.q)
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +194,41 @@ class CsvSchema:
     w_prefix: str = "w"
 
 
-def _parse_cell(text, row, column):
+def _parse_cells(cells, locate):
+    """Parse a sequence of cells as floats. ``locate(m)`` gives the (row,
+    column) of cell m, named in the CsvParseError for the first bad cell."""
     try:
-        return float(text)
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
     except ValueError:
-        raise CsvParseError(
-            f"row {row}, column '{column}': cannot parse {text!r} as a number",
-            row=row,
-            column=column,
-        ) from None
+        for m, text in enumerate(cells):
+            try:
+                float(text)
+            except ValueError:
+                row, column = locate(m)
+                raise CsvParseError(
+                    f"row {row}, column '{column}': cannot parse {text!r} as a number",
+                    row=row,
+                    column=column,
+                ) from None
+        raise
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a wide-format CSV file into a Dataset.
 
-    Raises CsvParseError for malformed numeric cells and ValidationError for
+    Raises CsvParseError for malformed numeric cells and for rows with more
+    or fewer cells than the header, and ValidationError for an empty file,
     schema problems or rows with fewer than 2 complete replicate vectors.
+    Data rows are numbered from 0; blank lines are skipped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        rows = list(reader)
+        lines = [line for line in csv.reader(fh) if line]
+    if not lines:
+        raise ValidationError("empty file: no header row")
+    header, rows = lines[0], lines[1:]
+    duplicates = sorted({name for name in header if header.count(name) > 1})
+    if duplicates:
+        raise ValidationError(f"duplicate column names {duplicates} in header")
 
     if schema.y not in header:
         raise ValidationError(f"outcome column '{schema.y}' not in header {header}")
@@ -234,50 +254,57 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise ValidationError(f"incomplete replicate column grid; missing {missing}")
     if n_rep_cols < 2:
         raise ValidationError("n_j<2: schema provides a single replicate column per covariate")
+    if not rows:
+        raise ValidationError("no data rows after the header")
+    lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
+    bad = np.flatnonzero(lengths != len(header))
+    if bad.size:
+        i, cells = int(bad[0]), int(lengths[bad[0]])
+        # a short row names its first missing column, a long row its first extra cell
+        column = header[cells] if cells < len(header) else len(header)
+        raise CsvParseError(
+            f"row {i}: {cells} cells, header has {len(header)}", row=i, column=column)
 
-    y, z, w_reps = [], [], []
-    short_rows = []
-    for i, row in enumerate(rows):
-        y.append(_parse_cell(row[schema.y], i, schema.y))
-        z.append([_parse_cell(row[name], i, name) for name in schema.z])
-        reps = []
-        for r in range(1, n_rep_cols + 1):
-            cells = [row[rep_cols[(k, r)]] for k in range(1, p + 1)]
-            if all(c is not None and c.strip() != "" for c in cells):
-                reps.append([_parse_cell(c, i, rep_cols[(k + 1, r)])
-                             for k, c in enumerate(cells)])
-        if len(reps) < 2:
-            short_rows.append(i)
-        w_reps.append(np.array(reps, dtype=float).reshape(len(reps), p))
-    if short_rows:
-        raise ValidationError(
-            f"n_j<2: rows {short_rows} have fewer than 2 complete replicate vectors"
-        )
-    return make_dataset(np.array(y), np.array(z).reshape(len(y), len(schema.z)), w_reps)
+    n = len(rows)
+    cols = dict(zip(header, zip(*rows)))
+    y = _parse_cells(cols[schema.y], lambda m: (m, schema.y))
+    z = np.array([_parse_cells(cols[name], lambda m, name=name: (m, name))
+                  for name in schema.z]).reshape(len(schema.z), n).T
+    # text[j, r, k] is the cell of covariate k+1, replicate r+1 in row j
+    text = np.array([cols[rep_cols[(k, r)]] for r in range(1, n_rep_cols + 1)
+                     for k in range(1, p + 1)], dtype=object).T.reshape(n, n_rep_cols, p)
+    filled = np.fromiter(map(bool, map(str.strip, text.flat)), dtype=bool, count=text.size)
+    complete = filled.reshape(text.shape).all(axis=2)
+    row_of, slot_of = np.nonzero(complete)
+    cells = text[complete].ravel()
+    flat = _parse_cells(cells, lambda m: (int(row_of[m // p]),
+                                          rep_cols[(m % p + 1, int(slot_of[m // p]) + 1)]))
+    return _dataset(y, z, flat.reshape(-1, p), complete.sum(axis=1))
 
 
 def write_csv(d: Dataset, path, schema: CsvSchema | None = None) -> None:
     """Write a Dataset in the wide CSV layout read by load_csv.
 
     Floats are written with repr so a load_csv round trip is bit-identical.
-    The intercept column is never written.
+    The intercept column is never written; padded replicate slots are empty
+    cells.
     """
     if schema is None:
         schema = CsvSchema(y="y", z=tuple(f"z{i + 1}" for i in range(d.q)))
-    r_max = int(d.n_rep.max())
+    if len(schema.z) != d.q:
+        raise ValidationError(
+            f"schema names {len(schema.z)} error-free columns, dataset has q = {d.q}")
+    r_max = d.w.shape[1]
     header = [schema.y, *schema.z]
     header += [f"{schema.w_prefix}{k}_r{r}" for r in range(1, r_max + 1)
                for k in range(1, d.p + 1)]
+    # w[j].ravel() runs over replicates, then covariates: the header's order
+    values = np.column_stack([d.y, d.z[:, 1:], d.w.reshape(d.n, -1)])
+    filled = np.column_stack([np.ones((d.n, 1 + d.q), dtype=bool),
+                              np.repeat(np.arange(r_max) < d.n_rep[:, None], d.p, axis=1)])
+    table = np.full(values.shape, "", dtype=object)
+    table[filled] = list(map(repr, values[filled].tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for j in range(d.n):
-            row = [repr(float(d.y[j]))]
-            row += [repr(float(v)) for v in d.z[j, 1:]]
-            w = d.w_reps[j]
-            for r in range(r_max):
-                if r < w.shape[0]:
-                    row += [repr(float(v)) for v in w[r]]
-                else:
-                    row += [""] * d.p
-            writer.writerow(row)
+        writer.writerows(table.tolist())

@@ -210,5 +210,5 @@ def gen_dataset(cfg: SimConfig, rep_index: int = 0):
            * _law_factors(cfg.error_law, rng, cfg.n))
     gamma0 = np.asarray(cfg.gamma0)
     y = x @ np.asarray(cfg.beta0) + gamma0[0] + z_tilde @ gamma0[1:] + eps
-    d = make_dataset(y, z_tilde, list(w))
+    d = make_dataset(y, z_tilde, w)
     return d, x

@@ -2,9 +2,6 @@ import numpy as np
 
 from eivgmm.covariance import (
     estimate_covariances,
-    estimate_sigma_all,
-    estimate_sigma_j,
-    estimate_sigma_x,
     omega_matrices,
     psd_project,
 )
@@ -23,6 +20,18 @@ def pairwise_oracle(w):
     return acc / (r * (r - 1))
 
 
+def estimate_sigma_j(d, j):
+    """Per-row loop over replicate differences: the oracle for the masked,
+    vectorized sigma_j of estimate_covariances."""
+    w = d.w_reps[j]
+    r = w.shape[0]
+    acc = np.zeros((d.p, d.p))
+    for k in range(r - 1):
+        diffs = w[k] - w[k + 1:]
+        acc += diffs.T @ diffs
+    return acc / (r * (r - 1))
+
+
 class TestSigmaJ:
     def test_single_pair_closed_form(self):
         w = [np.array([[1.0, 0.0], [0.0, 1.0]])] * 6
@@ -38,7 +47,7 @@ class TestSigmaJ:
     def test_matches_pairwise_oracle_and_batch(self, rng):
         w = [rng.normal(size=(2 + j % 3, 2)) for j in range(10)]
         d = make_dataset(rng.normal(size=10), np.empty((10, 0)), w)
-        batch = estimate_sigma_all(d)
+        batch = estimate_covariances(d).sigma_j
         for j in range(10):
             oracle = pairwise_oracle(d.w_reps[j])
             assert np.allclose(estimate_sigma_j(d, j), oracle, atol=1e-12)
@@ -54,7 +63,7 @@ class TestSigmaJ:
     def test_psd(self, rng):
         w = [rng.normal(size=(3, 4)) for _ in range(12)]
         d = make_dataset(rng.normal(size=12), np.empty((12, 0)), w)
-        for s in estimate_sigma_all(d):
+        for s in estimate_covariances(d).sigma_j:
             assert np.linalg.eigvalsh(s).min() >= -1e-12
 
     def test_unbiased_monte_carlo(self):
@@ -104,7 +113,7 @@ class TestSigmaX:
         x = rng.normal(size=(n, 2))
         w = [x[j] + rng.normal(size=(2, 2)) @ chol.T for j in range(n)]
         d = make_dataset(rng.normal(size=n), np.empty((n, 0)), w)
-        avg = estimate_sigma_all(d).mean(axis=0)
+        avg = estimate_covariances(d).sigma_j.mean(axis=0)
         assert np.all(np.abs(avg - sigma) < 0.02 * np.abs(sigma).max() + 0.02)
 
 
@@ -120,5 +129,8 @@ class TestOmega:
     def test_symmetry(self, small_dataset):
         cov = estimate_covariances(small_dataset)
         assert np.allclose(cov.sigma_x, cov.sigma_x.T)
-        sx = estimate_sigma_x(small_dataset, cov)
+        d = small_dataset
+        centered = d.w_bar - d.w_bar.mean(axis=0)
+        sx = (centered.T @ centered / (d.n - 1)
+              - np.mean(cov.sigma_j / d.n_rep[:, None, None], axis=0))
         assert np.allclose(sx, cov.sigma_x)

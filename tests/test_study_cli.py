@@ -152,6 +152,13 @@ class TestCliFit:
         assert code == 1
         assert "error" in json.loads(out.splitlines()[0])
 
+    def test_header_only_file_json_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "header_only.csv"
+        path.write_text("y,w1_r1,w1_r2\n", encoding="utf-8")
+        code, out, _ = run_cli(["fit", "--data", str(path), "--y", "y"], capsys)
+        assert code == 1
+        assert "no data rows" in json.loads(out.splitlines()[0])["error"]
+
 
 class TestCliSimulate:
     def test_small_m_skips_metric(self, capsys, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from eivgmm.covariance import CovarianceSet, estimate_covariances, omega_matrices
 from eivgmm.errors import DegenerateCovarianceError
-from eivgmm.model_data import average_replicates
 from eivgmm.weights import (
     make_weights,
     solve_ql_system,
@@ -200,20 +199,19 @@ class TestSchemes:
     def test_all_sum_to_one_and_permute(self, rng):
         d, _ = toy_dataset(rng, n=30)
         cov = estimate_covariances(d)
-        avg = average_replicates(d)
         for scheme in ("equal", "minimax", "quasi_likelihood"):
-            w = make_weights(scheme, cov, avg.w_bar, d.n_rep)
+            w = make_weights(scheme, cov, d.w_bar, d.n_rep)
             assert abs(w.q.sum() - 1.0) <= 1e-10
             assert w.scheme == scheme
         perm = rng.permutation(d.n)
         cov_p = CovarianceSet(sigma_j=cov.sigma_j[perm], sigma_x=cov.sigma_x)
         for scheme in ("minimax", "quasi_likelihood"):
-            w = make_weights(scheme, cov, avg.w_bar, d.n_rep)
-            w_p = make_weights(scheme, cov_p, avg.w_bar[perm], d.n_rep[perm])
+            w = make_weights(scheme, cov, d.w_bar, d.n_rep)
+            w_p = make_weights(scheme, cov_p, d.w_bar[perm], d.n_rep[perm])
             assert np.allclose(w_p.q, w.q[perm], atol=1e-9)
 
     def test_unknown_scheme_raises(self, rng):
         d, _ = toy_dataset(rng, n=30)
         cov = estimate_covariances(d)
         with pytest.raises(ValueError, match="unknown weight scheme"):
-            make_weights("bogus", cov, average_replicates(d).w_bar, d.n_rep)
+            make_weights("bogus", cov, d.w_bar, d.n_rep)
