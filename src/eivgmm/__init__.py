@@ -20,14 +20,7 @@ from .errors import (
     ValidationError,
     WeightSolveError,
 )
-from .gmm import (
-    GmmFit,
-    bootstrap_omega,
-    fit_gmm,
-    fit_gmm_multi,
-    gmm_standard_errors,
-    stacked_gradient,
-)
+from .gmm import GmmFit, fit_gmm_multi, gmm_standard_errors
 from .metrics import RobustMse, SeSummary, mc_se_summary, robust_mse
 from .model_data import (
     CsvSchema,

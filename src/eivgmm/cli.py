@@ -21,11 +21,11 @@ import numpy as np
 from . import __version__
 from .covariance import estimate_covariances
 from .errors import EivError
-from .gmm import fit_gmm_multi
+from .gmm import MIN_BOOTSTRAP, fit_gmm_multi
 from .model_data import CsvSchema, build_design, load_csv, write_csv
 from .moment_correction import fit_mc, fit_ols
 from .simgen import SimConfig, gen_dataset
-from .study import DISPLAY_NAMES, ESTIMATORS, run_study
+from .study import DISPLAY_NAMES, ESTIMATORS, GMM_SCHEMES, run_study
 
 EXIT_OK = 0
 EXIT_ESTIMATION = 1
@@ -102,12 +102,15 @@ def cmd_fit(args) -> int:
         print(f"error: unknown estimators {unknown}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        schemes = [_WEIGHT_TOKENS[tok.strip()] for tok in args.weights.split(",") if tok.strip()]
+        # aliases of one scheme ("mm,minimax") name one fit
+        schemes = list(dict.fromkeys(
+            _WEIGHT_TOKENS[tok.strip()] for tok in args.weights.split(",") if tok.strip()))
     except KeyError as exc:
         print(f"error: unknown weight scheme {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if "gmm" in estimators and args.bootstrap < 25:
-        print("error: the gmm estimator needs --bootstrap >= 25 resamples", file=sys.stderr)
+    if "gmm" in estimators and args.bootstrap < MIN_BOOTSTRAP:
+        print(f"error: the gmm estimator needs --bootstrap >= {MIN_BOOTSTRAP} resamples",
+              file=sys.stderr)
         return EXIT_USAGE
 
     schema = CsvSchema(
@@ -250,6 +253,10 @@ def cmd_simulate(args) -> int:
     if bad:
         print(f"error: unknown estimators {bad}; known: {ESTIMATORS}", file=sys.stderr)
         return EXIT_USAGE
+    if args.b < MIN_BOOTSTRAP and any(name in GMM_SCHEMES for name in estimators):
+        print(f"error: the gmm_* estimators need --b >= {MIN_BOOTSTRAP} bootstrap resamples",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     if args.dump_data:
         os.makedirs(args.dump_data, exist_ok=True)
@@ -257,34 +264,18 @@ def cmd_simulate(args) -> int:
             d, _ = gen_dataset(cfg, m)
             write_csv(d, os.path.join(args.dump_data, f"dataset_{m:04d}.csv"))
 
-    config_echo = {
-        "setting": cfg.setting, "n": cfg.n, "n_rep": cfg.n_rep, "M": cfg.m_reps,
-        "error_law": cfg.error_law, "rho": cfg.rho, "sigma_eps_sq": cfg.sigma_eps_sq,
-        "u_scale": cfg.u_scale, "bootstrap": args.b, "estimators": list(estimators),
-    }
-    if cfg.m_reps < 20:
-        # too few replications for the trimmed metric; emit raw estimates
-        from .study import run_replication
-        rows = []
-        raw = {}
-        for m in range(cfg.m_reps):
-            est, _, errs = run_replication(cfg, m, estimators, b=args.b,
-                                           compute_se=not args.no_se)
-            raw[m] = {k: v.tolist() for k, v in est.items()}
-            rows += [[m, DISPLAY_NAMES[k], *[_fmt(x, 4) for x in v]] for k, v in est.items()]
-        report = {
-            "command": "simulate", "config": config_echo,
-            "note": "M < 20: trimmed det metric skipped, raw estimates reported",
-            "estimates": raw,
-            "provenance": _provenance(cfg.seed),
-            "_text": _coef_table(rows, ["rep", "estimator", *(["coef"] * (cfg.p + cfg.q + 1))]),
-        }
-        _emit(report, args, time.perf_counter() - start)
-        return EXIT_OK
-
     result = run_study(cfg, estimators=estimators, b=args.b, workers=args.workers,
                        compute_se=not args.no_se)
     report = _study_report(result, estimators, "simulate", args)
+    if cfg.m_reps < 20:
+        # too few replications for the trimmed metric; add the raw estimates
+        report["note"] = "M < 20: trimmed det metric skipped, raw estimates reported"
+        report["estimates"] = {m: {name: result.estimates[name][m].tolist() for name in estimators}
+                               for m in range(cfg.m_reps)}
+        rows = [[m, DISPLAY_NAMES[name], *[_fmt(x, 4) for x in result.estimates[name][m]]]
+                for m in range(cfg.m_reps) for name in estimators]
+        report["_text"] += "\n\nraw estimates:\n" + _coef_table(
+            rows, ["rep", "estimator", *(["coef"] * (cfg.p + cfg.q + 1))])
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("estimator,det_metric,n_converged\n")
@@ -311,6 +302,10 @@ def cmd_reproduce(args) -> int:
     if only and len(names) != len(only):
         print(f"error: unknown criteria {sorted(only - set(names))}; "
               f"known: {list(CRITERIA)}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.b < MIN_BOOTSTRAP:
+        print(f"error: every criterion fits gmm estimators and needs --b >= {MIN_BOOTSTRAP} "
+              "bootstrap resamples", file=sys.stderr)
         return EXIT_USAGE
     outcomes = {}
     all_pass = True

@@ -17,6 +17,7 @@ bootstrap covariance.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,15 +31,13 @@ from .covariance import (
 )
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
-from .moment_correction import McFit, fit_mc, grad_corrected_l2, mc_system
+from .moment_correction import McFit, fit_mc, grad_corrected_l2
 from .phase import EcfOutcome, PhaseConfig, build_ecf, grad_and_hessian, grad_dtilde
 from .weights import WeightVector, make_weights
 
 __all__ = [
     "GmmFit",
-    "stacked_gradient",
-    "bootstrap_omega",
-    "fit_gmm",
+    "fit_gmm_multi",
     "gmm_standard_errors",
 ]
 
@@ -50,26 +49,26 @@ STEP_TOL = 1e-9
 MU_MAX = 1e16
 MAX_EVAL = 500
 MAX_BOOT_FAILURE_FRAC = 0.10
+#: fewest bootstrap resamples fit_gmm_multi accepts
+MIN_BOOTSTRAP = 25
 
 
 @dataclass
 class GmmFit:
-    """Result of the combined fit.
+    """Result of the combined fit for one weight scheme.
 
     theta minimizes q_value = s' omega_inv s, with omega_inv the inverse of the
-    eigenvalue-floored bootstrap covariance omega_hat; p1_hat stacks the
-    transposed Jacobian blocks of the estimating equations; se holds sandwich
-    standard errors (None until computed or when the fit did not converge).
-    n_iter counts objective evaluations. diagnostics holds max_q_times_n,
-    t_star and the bootstrap event counts boot_capped (resamples whose t* scan
-    hit its cap), boot_ql_fallback and boot_ql_clamped (resamples whose
-    quasi-likelihood weights fell back to equal or were clamped).
+    eigenvalue-floored bootstrap covariance omega_hat; se holds sandwich
+    standard errors (None when not requested or when the fit did not
+    converge). n_iter counts objective evaluations. diagnostics holds the
+    bootstrap event counts boot_capped (resamples whose t* scan hit its cap),
+    boot_ql_fallback and boot_ql_clamped (resamples whose quasi-likelihood
+    weights fell back to equal or were clamped).
     """
 
     theta: ParamVector
     omega_hat: np.ndarray
     omega_inv: np.ndarray
-    p1_hat: np.ndarray | None
     se: np.ndarray | None
     q_value: float
     bootstrap_b: int
@@ -83,18 +82,18 @@ class GmmFit:
     diagnostics: dict = field(default_factory=dict)
 
 
-def stacked_gradient(theta, d: Dataset, cov: CovarianceSet, weights: WeightVector,
-                     ecf: EcfOutcome, design: RegressionDesign | None = None) -> np.ndarray:
-    """Evaluate the 2(p+q+1) stacked estimating equations at theta, ordered
-    [corrected-LS beta, corrected-LS gamma, phase beta, phase gamma]."""
-    if design is None:
-        design = build_design(d)
-    theta = as_theta(theta)
-    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-    return np.concatenate([
-        grad_corrected_l2(theta, design.v, d.y, sig_w),
-        grad_dtilde(theta, design.v, weights.q, ecf),
-    ])
+def _stacked_equations(theta, v, y, sig_w, jac_mc, q, ecf: EcfOutcome):
+    """The 2(p+q+1) stacked estimating equations at theta and their Jacobian.
+
+    The equations are ordered [corrected-LS beta, corrected-LS gamma, phase
+    beta, phase gamma]. The corrected-LS block is linear in theta, so its
+    Jacobian is the constant jac_mc = (2/n) x corrected Gram matrix; the phase
+    block's Jacobian is the exact Hessian of the phase discrepancy. Returns
+    (s, J) with J of shape (2(p+q+1), p+q+1).
+    """
+    s_ph, hess_ph = grad_and_hessian(theta, v, q, ecf)
+    return (np.concatenate([grad_corrected_l2(theta, v, y, sig_w), s_ph]),
+            np.vstack([jac_mc, hess_ph]))
 
 
 def _floor_eigh(omega: np.ndarray):
@@ -199,30 +198,6 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     return out
 
 
-def bootstrap_omega(d: Dataset, theta_init, b: int, seed: int, scheme: str,
-                    cfg: PhaseConfig = PhaseConfig(),
-                    design: RegressionDesign | None = None,
-                    cov: CovarianceSet | None = None):
-    """Estimating-function bootstrap covariance of the stacked equations.
-
-    Resamples observations with replacement (never replicates within an
-    observation); per resample the covariances, weights, and frequency cutoff
-    are recomputed and the stacked gradient is evaluated at theta_init. The
-    second moment is taken about the bootstrap mean, symmetrized and
-    eigenvalue-floored. Replicate streams are derived from (seed, resample
-    index), so the result is reproducible independent of execution order.
-    """
-    if b < 25:
-        raise ValueError("need at least 25 bootstrap resamples")
-    if design is None:
-        design = build_design(d)
-    if cov is None:
-        cov = estimate_covariances(d)
-    omega, *_ = _bootstrap_accumulate(d, theta_init, b, seed, (scheme,),
-                                      cfg, design, cov)[scheme]
-    return omega
-
-
 def _levenberg_marquardt(resid_jac, omega_inv, x0):
     """Minimize Q(x) = s(x)' W s(x), W = omega_inv, from x0, where
     resid_jac(x) returns (s, J).
@@ -232,7 +207,8 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     gain ratio of actual to predicted decrease (Nielsen's update); a step that
     raises Q is refused and mu grows by a doubling factor. Converged once a
     taken step has max-norm <= STEP_TOL; mu > MU_MAX or MAX_EVAL evaluations
-    end the search unconverged. Returns (x, q, n_eval, converged).
+    end the search unconverged. Returns (x, q, n_eval, converged, jac) with
+    jac the Jacobian already evaluated at the returned x.
     """
     x = np.asarray(x0, dtype=float).copy()
     s, jac = resid_jac(x)
@@ -249,7 +225,7 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
         n_eval += 1
         if q_new <= q:
             if np.max(np.abs(dx)) <= STEP_TOL:
-                return x + dx, float(q_new), n_eval, True
+                return x + dx, float(q_new), n_eval, True, jac_new
             gain = (q - q_new) / (dx @ (jtwj + 2.0 * damp) @ dx)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0
@@ -257,114 +233,74 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
         else:
             mu *= nu
             nu *= 2.0
-    return x, float(q), n_eval, False
-
-
-def _fit_from_omega(d, scheme, omega, omega_inv, n_failures, events, b, mc, cov,
-                    design, ecf, compute_se) -> GmmFit:
-    """Minimize the quadratic form for one scheme given its bootstrap covariance."""
-    weights = make_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
-    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-    v, y = design.v, d.y
-    jac_mc = _mc_jacobian(v, y, sig_w)
-
-    def resid_jac(theta):
-        s_ph, hess_ph = grad_and_hessian(theta, v, weights.q, ecf)
-        return (np.concatenate([grad_corrected_l2(theta, v, y, sig_w), s_ph]),
-                np.vstack([jac_mc, hess_ph]))
-
-    x, q_val, n_iter, converged = _levenberg_marquardt(resid_jac, omega_inv, mc.theta.theta)
-    fit = GmmFit(
-        theta=ParamVector.from_theta(x, d.p),
-        omega_hat=omega,
-        omega_inv=omega_inv,
-        p1_hat=None,
-        se=None,
-        q_value=q_val,
-        bootstrap_b=b,
-        converged=converged,
-        n_iter=n_iter,
-        scheme=weights.scheme,
-        theta_init=mc.theta,
-        weights=weights,
-        ecf=ecf,
-        n_boot_failed=n_failures,
-        diagnostics={"max_q_times_n": weights.max_q_times_n, "t_star": ecf.t_star,
-                     **events},
-    )
-    if compute_se and converged:
-        gmm_standard_errors(fit, d, cov, weights, ecf, design=design)
-    return fit
-
-
-def fit_gmm(d: Dataset, scheme: str = "minimax", b: int = 100, seed: int = 0,
-            cfg: PhaseConfig = PhaseConfig(), compute_se: bool = True,
-            mc: McFit | None = None, cov: CovarianceSet | None = None,
-            design: RegressionDesign | None = None) -> GmmFit:
-    """Two-step combined fit.
-
-    Step one computes the moment-corrected estimate and the bootstrap
-    covariance of the stacked equations at it; step two minimizes the
-    quadratic form from that estimate by Levenberg-Marquardt on the exact
-    Jacobian of the stacked equations. Standard errors use the sandwich with
-    the analytic least-squares Jacobian block and the exact phase Hessian.
-    """
-    fits = fit_gmm_multi(d, (scheme,), b=b, seed=seed, cfg=cfg,
-                         compute_se=compute_se, mc=mc, cov=cov, design=design)
-    return fits[scheme]
+    return x, float(q), n_eval, False, jac
 
 
 def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
                   cfg: PhaseConfig = PhaseConfig(), compute_se: bool = True,
                   mc: McFit | None = None, cov: CovarianceSet | None = None,
                   design: RegressionDesign | None = None) -> dict:
-    """Fit several weight schemes on one dataset, sharing the bootstrap resamples.
+    """Two-step combined fit for each weight scheme, sharing one bootstrap.
 
-    Sharing the resample-level work (covariances, frequency cutoffs, corrected
-    least-squares gradients) across schemes changes nothing statistically and
-    keeps multi-scheme studies at roughly single-scheme cost. Returns
-    {scheme: GmmFit}.
+    Step one takes the moment-corrected estimate (fit here unless mc is
+    given) and the bootstrap covariance of every scheme's stacked equations at
+    it, all schemes from the same b resamples; sharing the resample-level work
+    changes nothing statistically and keeps several schemes at roughly the
+    cost of one. Step two minimizes each scheme's quadratic form from that
+    estimate by Levenberg-Marquardt on the exact Jacobian of the stacked
+    equations. The sandwich standard errors use the Jacobian the optimizer
+    evaluated at the estimate it returns. A scheme listed twice is fit once.
+    Returns {scheme: GmmFit}.
     """
-    if b < 25:
-        raise ValueError("need at least 25 bootstrap resamples")
+    if b < MIN_BOOTSTRAP:
+        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples")
+    schemes = tuple(dict.fromkeys(schemes))
     if cov is None:
         cov = estimate_covariances(d)
     if design is None:
         design = build_design(d)
     if mc is None:
         mc = fit_mc(d, cov, design)
-    per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, tuple(schemes),
-                                       cfg, design, cov)
+    per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, cfg, design, cov)
     ecf = build_ecf(d.y, cfg)
-    return {
-        scheme: _fit_from_omega(d, scheme, omega, omega_inv, len(fails), events, b, mc,
-                                cov, design, ecf, compute_se)
-        for scheme, (omega, omega_inv, fails, events) in per_scheme.items()
-    }
-
-
-def _mc_jacobian(v, y, sig_w):
-    gram, _ = mc_system(v, y, sig_w)
-    return 2.0 / y.size * gram
-
-
-def gmm_standard_errors(fit: GmmFit, d: Dataset, cov: CovarianceSet,
-                        weights: WeightVector, ecf: EcfOutcome,
-                        design: RegressionDesign | None = None) -> np.ndarray:
-    """Sandwich standard errors at the fitted estimate.
-
-    Both Jacobian blocks are exact: the corrected least-squares block is
-    analytic (the equations are linear) and the phase block is the Hessian of
-    the phase discrepancy. Stores p1_hat and se on the fit and returns the se
-    vector.
-    """
-    if design is None:
-        design = build_design(d)
+    v = design.v
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-    jac_mc = _mc_jacobian(design.v, d.y, sig_w)
-    _, jac_ph = grad_and_hessian(fit.theta.theta, design.v, weights.q, ecf)
-    p1 = np.hstack([jac_mc.T, jac_ph.T])
-    sandwich = p1 @ fit.omega_inv @ p1.T
+    jac_mc = 2.0 / d.n * mc.gram
+    fits = {}
+    for scheme, (omega, omega_inv, fails, events) in per_scheme.items():
+        weights = make_weights(scheme, cov, v[:, :d.p], d.n_rep)
+        resid_jac = functools.partial(_stacked_equations, v=v, y=d.y, sig_w=sig_w,
+                                      jac_mc=jac_mc, q=weights.q, ecf=ecf)
+        x, q_val, n_iter, converged, jac = _levenberg_marquardt(
+            resid_jac, omega_inv, mc.theta.theta)
+        fits[scheme] = GmmFit(
+            theta=ParamVector.from_theta(x, d.p),
+            omega_hat=omega,
+            omega_inv=omega_inv,
+            se=gmm_standard_errors(jac, omega_inv) if compute_se and converged else None,
+            q_value=q_val,
+            bootstrap_b=b,
+            converged=converged,
+            n_iter=n_iter,
+            scheme=weights.scheme,
+            theta_init=mc.theta,
+            weights=weights,
+            ecf=ecf,
+            n_boot_failed=len(fails),
+            diagnostics=events,
+        )
+    return fits
+
+
+def gmm_standard_errors(jac: np.ndarray, omega_inv: np.ndarray) -> np.ndarray:
+    """Sandwich standard errors sqrt(diag((J' W J)^{-1})).
+
+    jac is the Jacobian J of the stacked equations at the estimate and
+    omega_inv the weight matrix W of the quadratic form. Raises
+    StandardErrorError when J'WJ is numerically singular or its inverse has a
+    non-positive diagonal entry.
+    """
+    sandwich = jac.T @ omega_inv @ jac
     cond = np.linalg.cond(sandwich)
     if not np.isfinite(cond) or cond > 1e14:
         raise StandardErrorError(
@@ -374,6 +310,4 @@ def gmm_standard_errors(fit: GmmFit, d: Dataset, cov: CovarianceSet,
     diag = np.diag(cov_theta)
     if np.any(diag <= 0.0):
         raise StandardErrorError("sandwich inverse has non-positive diagonal entries")
-    fit.p1_hat = p1
-    fit.se = np.sqrt(diag)
-    return fit.se
+    return np.sqrt(diag)

@@ -16,7 +16,7 @@ from .covariance import CovarianceSet, pooled_error_covariance
 from .errors import EstimationError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 
-__all__ = ["McFit", "fit_mc", "fit_ols", "corrected_l2", "grad_corrected_l2", "mc_system"]
+__all__ = ["McFit", "fit_mc", "fit_ols", "corrected_l2", "grad_corrected_l2"]
 
 #: condition number above which the corrected normal equations are rejected
 MAX_CONDITION = 1e12
@@ -29,18 +29,6 @@ class McFit:
     theta: ParamVector
     sigma_eps_sq: float
     gram: np.ndarray
-
-
-def mc_system(v: np.ndarray, y: np.ndarray, sig_w: np.ndarray):
-    """Gram matrix and right-hand side of the corrected normal equations.
-
-    gram = sum_j v_j v_j^T - blockdiag(sum_j n_j^{-1} sigma_j, 0), rhs = sum_j v_j y_j.
-    """
-    p = sig_w.shape[0]
-    gram = v.T @ v
-    gram[:p, :p] -= sig_w
-    rhs = v.T @ y
-    return gram, rhs
 
 
 def corrected_l2(theta, v: np.ndarray, y: np.ndarray, sig_w: np.ndarray) -> float:
@@ -70,13 +58,17 @@ def grad_corrected_l2(theta, v: np.ndarray, y: np.ndarray, sig_w: np.ndarray) ->
 def fit_mc(d: Dataset, cov: CovarianceSet, design: RegressionDesign | None = None) -> McFit:
     """Solve the corrected estimating equations for the full coefficient vector.
 
-    Raises EstimationError when the corrected Gram matrix has condition
+    The corrected normal equations are gram theta = rhs with
+    gram = sum_j v_j v_j^T - blockdiag(sum_j n_j^{-1} sigma_j, 0) and
+    rhs = sum_j v_j y_j. Raises EstimationError when gram has condition
     number above MAX_CONDITION.
     """
     if design is None:
         design = build_design(d)
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-    gram, rhs = mc_system(design.v, d.y, sig_w)
+    gram = design.v.T @ design.v
+    gram[:d.p, :d.p] -= sig_w
+    rhs = design.v.T @ d.y
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         raise EstimationError(

@@ -146,26 +146,24 @@ def select_t_star(y, step: float | None = None, cap: float | None = None) -> flo
     return float(endpoint)
 
 
-def build_ecf(y, cfg: PhaseConfig = PhaseConfig(), t_star: float | None = None) -> EcfOutcome:
-    """Select t* (unless given) and freeze the outcome ECF on the quadrature grid."""
+def build_ecf(y, cfg: PhaseConfig = PhaseConfig()) -> EcfOutcome:
+    """Select t* and freeze the outcome ECF on the quadrature grid."""
     y = np.asarray(y, dtype=float)
-    capped = False
-    if t_star is None:
-        sd = y.std(ddof=1)
-        if sd == 0.0 or not np.isfinite(sd):
-            raise DegenerateInputError("outcome is constant; characteristic function never decays")
-        step = cfg.t_step_scale / sd
-        cap = cfg.t_cap_scale / sd
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            t_star = select_t_star(y, step=step, cap=cap)
-            capped = any(issubclass(w.category, RuntimeWarning) for w in caught)
+    sd = y.std(ddof=1)
+    if sd == 0.0 or not np.isfinite(sd):
+        raise DegenerateInputError("outcome is constant; characteristic function never decays")
+    step = cfg.t_step_scale / sd
+    cap = cfg.t_cap_scale / sd
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t_star = select_t_star(y, step=step, cap=cap)
+        capped = any(issubclass(w.category, RuntimeWarning) for w in caught)
     nodes, quad_w = _gl_rule(cfg.n_quad)
     grid = 0.5 * t_star * (nodes + 1.0)
     weights = 0.5 * t_star * quad_w
     c_y, s_y = ecf_values(y, grid)
     return EcfOutcome(grid=grid, quad_w=weights, c_y=c_y, s_y=s_y,
-                      t_star=float(t_star), capped=capped)
+                      t_star=t_star, capped=capped)
 
 
 def _as_weights(weights) -> np.ndarray:

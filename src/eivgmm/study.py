@@ -20,7 +20,6 @@ from .gmm import fit_gmm_multi
 from .metrics import mc_se_summary, robust_mse
 from .model_data import build_design
 from .moment_correction import fit_mc, fit_ols
-from .phase import PhaseConfig
 from .simgen import SimConfig, gen_dataset
 
 __all__ = ["StudyResult", "run_study", "run_replication", "ESTIMATORS", "GMM_SCHEMES"]
@@ -95,7 +94,7 @@ def _bootstrap_seed(cfg: SimConfig, m: int, scheme_idx: int) -> int:
 
 
 def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
-                    compute_se: bool = True, phase_cfg: PhaseConfig = PhaseConfig()):
+                    compute_se: bool = True):
     """Generate dataset m and fit the requested estimators.
 
     Returns (estimates, ses, errors): dicts keyed by estimator name, plus a
@@ -122,8 +121,8 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
         try:
             fits = fit_gmm_multi(
                 d, tuple(GMM_SCHEMES[name] for name in gmm_names), b=b,
-                seed=_bootstrap_seed(cfg, m, 0), cfg=phase_cfg,
-                compute_se=compute_se, mc=mc, cov=cov, design=design,
+                seed=_bootstrap_seed(cfg, m, 0), compute_se=compute_se,
+                mc=mc, cov=cov, design=design,
             )
             gmm_fits = {name: fits[GMM_SCHEMES[name]] for name in gmm_names}
         except (EivError, np.linalg.LinAlgError) as exc:
@@ -160,7 +159,7 @@ def _job(args):
 
 
 def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int = 1,
-              compute_se: bool = True, metric_seed: int | None = None) -> StudyResult:
+              compute_se: bool = True) -> StudyResult:
     """Run cfg.m_reps replications and summarize.
 
     Trimmed det metrics need at least 20 successful replications per
@@ -193,8 +192,7 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
         ok = np.all(np.isfinite(rows), axis=1)
         result.n_converged[name] = int(ok.sum())
         if ok.sum() >= 20:
-            seed = cfg.seed if metric_seed is None else metric_seed
-            result.det_metrics[name] = robust_mse(rows[ok], theta0, seed=seed).det_metric
+            result.det_metrics[name] = robust_mse(rows[ok], theta0, seed=cfg.seed).det_metric
         if compute_se and name in GMM_SCHEMES:
             se_ok = ok & np.all(np.isfinite(ses[name]), axis=1)
             if se_ok.sum() >= 2:

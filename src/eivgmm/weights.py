@@ -168,12 +168,12 @@ def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep,
 
 def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep,
                  ridge_gamma: float | None = None) -> WeightVector:
-    """Dispatch on scheme name ('equal', 'minimax'/'mm', 'quasi_likelihood'/'ql')."""
+    """Dispatch on scheme name: one of SCHEMES."""
     name = scheme.lower()
     if name == "equal":
         return weights_equal(len(np.asarray(n_rep)))
-    if name in ("minimax", "mm"):
+    if name == "minimax":
         return weights_minimax(cov, n_rep)
-    if name in ("quasi_likelihood", "ql"):
+    if name == "quasi_likelihood":
         return weights_ql(cov, w_bar, n_rep, ridge_gamma=ridge_gamma)
     raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")

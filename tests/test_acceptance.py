@@ -14,7 +14,7 @@ import pytest
 from eivgmm.acceptance import run_criterion
 from eivgmm.cli import main
 from eivgmm.covariance import estimate_covariances, omega_matrices, pooled_error_covariance
-from eivgmm.gmm import fit_gmm, stacked_gradient
+from eivgmm.gmm import fit_gmm_multi
 from eivgmm.model_data import CsvSchema, build_design, make_dataset, write_csv
 from eivgmm.moment_correction import fit_mc, grad_corrected_l2
 from eivgmm.phase import build_ecf, dtilde, ecf_values, grad_dtilde, kernel, wepf
@@ -127,11 +127,14 @@ class TestCriterion5Properties:
 
     def test_q_at_gmm_below_q_at_mc(self):
         d = _sim_data(n=200, law="t2_5", rho=0.0)
-        fit = fit_gmm(d, scheme="minimax", b=50, seed=3, compute_se=False)
+        fit = fit_gmm_multi(d, ("minimax",), b=50, seed=3, compute_se=False)["minimax"]
         cov = estimate_covariances(d)
         design = build_design(d)
-        s = stacked_gradient(fit.theta_init, d, cov, fit.weights, fit.ecf,
-                             design=design)
+        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        s = np.concatenate([
+            grad_corrected_l2(fit.theta_init, design.v, d.y, sig_w),
+            grad_dtilde(fit.theta_init, design.v, fit.weights.q, fit.ecf),
+        ])
         q_mc = s @ fit.omega_inv @ s
         ok = fit.q_value <= q_mc + 1e-12
         _report("5e Q(gmm) <= Q(mc)",

@@ -24,12 +24,9 @@ from eivgmm.gmm import (
     _bootstrap_accumulate,
     _floor_eigh,
     _levenberg_marquardt,
-    _mc_jacobian,
-    bootstrap_omega,
-    fit_gmm,
+    _stacked_equations,
     fit_gmm_multi,
     gmm_standard_errors,
-    stacked_gradient,
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
@@ -49,24 +46,54 @@ def prepared(rng, **kw):
     return d, cov, design, mc, weights, ecf
 
 
+def stacked(theta, d, cov, design, mc, weights, ecf):
+    """(s, J) of the stacked equations, as the optimizer evaluates them."""
+    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+    return _stacked_equations(theta, design.v, d.y, sig_w, 2.0 / d.n * mc.gram,
+                              weights.q, ecf)
+
+
+def scheme_omega(d, theta, b, seed, scheme, design=None, cov=None):
+    """Eigenvalue-floored bootstrap covariance of one scheme's stacked equations."""
+    design = build_design(d) if design is None else design
+    cov = estimate_covariances(d) if cov is None else cov
+    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), PhaseConfig(), design, cov)
+    return out[scheme][0]
+
+
 class TestStackedGradient:
     def test_mc_block_zero_at_mc_solution(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=50)
-        s = stacked_gradient(mc.theta, d, cov, weights, ecf, design=design)
+        s, _ = stacked(mc.theta, d, cov, design, mc, weights, ecf)
         k = d.p + d.q + 1
         assert np.max(np.abs(s[:k])) <= 1e-8
 
     def test_dimensions(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60, p=2, q=2)
-        s = stacked_gradient(mc.theta, d, cov, weights, ecf, design=design)
+        s, jac = stacked(mc.theta, d, cov, design, mc, weights, ecf)
         assert s.shape == (10,)
+        assert jac.shape == (10, 5)
+
+    def test_jacobian_matches_central_differences(self, rng):
+        d, cov, design, mc, weights, ecf = prepared(rng, n=40)
+        k = d.p + d.q + 1
+        theta = mc.theta.theta + 0.2 * rng.normal(size=k)
+        _, jac = stacked(theta, d, cov, design, mc, weights, ecf)
+        fd = np.empty((2 * k, k))
+        for i in range(k):
+            h = 1e-6 * (1.0 + abs(theta[i]))
+            e = np.zeros(k)
+            e[i] = h
+            fd[:, i] = (stacked(theta + e, d, cov, design, mc, weights, ecf)[0]
+                        - stacked(theta - e, d, cov, design, mc, weights, ecf)[0]) / (2 * h)
+        assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.abs(fd).max())
 
     def test_matches_joint_finite_differences(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=40)
         sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.2 * rng.normal(size=k)
-        s = stacked_gradient(theta, d, cov, weights, ecf, design=design)
+        s, _ = stacked(theta, d, cov, design, mc, weights, ecf)
         fd = np.empty(2 * k)
         for i in range(k):
             h = 1e-6 * (1.0 + abs(theta[i]))
@@ -82,23 +109,23 @@ class TestStackedGradient:
 class TestBootstrapOmega:
     def test_deterministic(self, rng):
         d, cov, design, mc, _, _ = prepared(rng, n=40)
-        o1 = bootstrap_omega(d, mc.theta, 30, seed=9, scheme="equal")
-        o2 = bootstrap_omega(d, mc.theta, 30, seed=9, scheme="equal")
+        o1 = scheme_omega(d, mc.theta, 30, seed=9, scheme="equal")
+        o2 = scheme_omega(d, mc.theta, 30, seed=9, scheme="equal")
         assert np.array_equal(o1, o2)
-        o3 = bootstrap_omega(d, mc.theta, 30, seed=10, scheme="equal")
+        o3 = scheme_omega(d, mc.theta, 30, seed=10, scheme="equal")
         assert not np.array_equal(o1, o3)
 
     def test_symmetric_psd(self, rng):
         d, cov, design, mc, _, _ = prepared(rng, n=45)
         for scheme in ("equal", "minimax", "quasi_likelihood"):
-            omega = bootstrap_omega(d, mc.theta, 30, seed=3, scheme=scheme)
+            omega = scheme_omega(d, mc.theta, 30, seed=3, scheme=scheme)
             assert np.allclose(omega, omega.T)
             assert np.linalg.eigvalsh(omega).min() > 0
 
     def test_minimum_resamples_enforced(self, rng):
         d, cov, design, mc, _, _ = prepared(rng, n=40)
         with pytest.raises(ValueError, match="25"):
-            bootstrap_omega(d, mc.theta, 10, seed=1, scheme="equal")
+            fit_gmm_multi(d, ("equal",), b=10, seed=1, mc=mc, cov=cov, design=design)
 
     def test_instability_raises(self):
         # outcomes almost surely constant within a resample: the frequency
@@ -107,7 +134,7 @@ class TestBootstrapOmega:
         w = [np.array([[0.1 * j], [0.2 * j]]) for j in range(12)]
         d = make_dataset(y, np.empty((12, 0)), w)
         with pytest.raises(BootstrapInstabilityError):
-            bootstrap_omega(d, np.array([0.5, 0.1]), 40, seed=2, scheme="equal")
+            scheme_omega(d, np.array([0.5, 0.1]), 40, seed=2, scheme="equal")
 
     @pytest.mark.slow
     def test_variance_scales_inversely_with_n(self):
@@ -122,7 +149,7 @@ class TestBootstrapOmega:
                 cov = estimate_covariances(d)
                 design = build_design(d)
                 mc = fit_mc(d, cov, design)
-                omega = bootstrap_omega(d, mc.theta, 30, seed=m, scheme="equal",
+                omega = scheme_omega(d, mc.theta, 30, seed=m, scheme="equal",
                                         design=design, cov=cov)
                 diags[n] = np.diag(omega)
             ratios.append(np.median(diags[2000] / diags[1000]))
@@ -270,10 +297,11 @@ class TestMinimizeQ:
         def rj(x):
             return x - b, np.eye(3)
 
-        x, q, _, converged = _levenberg_marquardt(rj, a, np.zeros(3))
+        x, q, _, converged, jac = _levenberg_marquardt(rj, a, np.zeros(3))
         assert converged
         assert np.allclose(x, b, atol=1e-8)
         assert q <= 1e-16
+        assert np.array_equal(jac, np.eye(3))
 
     def test_never_worsens_start(self):
         # oscillating ridge: best value never exceeds the start
@@ -288,10 +316,12 @@ class TestMinimizeQ:
             return s @ s
 
         x0 = np.array([1.3, -0.7])
-        x, q, _, converged = _levenberg_marquardt(rj, np.eye(3), x0)
+        x, q, _, converged, jac = _levenberg_marquardt(rj, np.eye(3), x0)
         assert converged
         assert np.isclose(q, q_of(x), rtol=1e-12)
         assert q <= q_of(x0) + 1e-12
+        # the returned Jacobian is the one evaluated at the returned point
+        assert np.array_equal(jac, rj(x)[1])
 
         # a Jacobian of the wrong sign makes every step uphill: the search
         # stops unconverged at the start instead of taking one
@@ -299,10 +329,11 @@ class TestMinimizeQ:
             s, jac = rj(x)
             return s, -jac
 
-        x, q, _, converged = _levenberg_marquardt(rj_uphill, np.eye(3), x0)
+        x, q, _, converged, jac = _levenberg_marquardt(rj_uphill, np.eye(3), x0)
         assert not converged
         assert np.array_equal(x, x0)
         assert q <= q_of(x0) + 1e-12
+        assert np.array_equal(jac, rj_uphill(x0)[1])
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), setting=st.sampled_from(["simple", "I", "III"]),
@@ -315,19 +346,17 @@ class TestMinimizeQ:
         d, _ = gen_dataset(cfg, 0)
         cov = estimate_covariances(d)
         design = build_design(d)
-        fit = fit_gmm(d, scheme="minimax", b=25, seed=seed, compute_se=False,
-                      cov=cov, design=design)
+        mc = fit_mc(d, cov, design)
+        fit = fit_gmm_multi(d, ("minimax",), b=25, seed=seed, compute_se=False,
+                            mc=mc, cov=cov, design=design)["minimax"]
         assert fit.converged
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-        jac_mc = _mc_jacobian(design.v, d.y, sig_w)
         lt = np.linalg.cholesky(fit.omega_inv).T
 
         def resid(theta):
-            return lt @ stacked_gradient(theta, d, cov, fit.weights, fit.ecf, design=design)
+            return lt @ stacked(theta, d, cov, design, mc, fit.weights, fit.ecf)[0]
 
         def jac(theta):
-            _, hess = grad_and_hessian(theta, design.v, fit.weights.q, fit.ecf)
-            return lt @ np.vstack([jac_mc, hess])
+            return lt @ stacked(theta, d, cov, design, mc, fit.weights, fit.ecf)[1]
 
         ref = least_squares(resid, fit.theta_init.theta, jac=jac, method="trf",
                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
@@ -348,22 +377,22 @@ class TestFitGmm:
         d = make_dataset(y, np.empty((n, 0)), w)
         design = build_design(d)
         ols = fit_ols(d.y, design.v, d.p)
-        fit = fit_gmm(d, scheme="equal", b=30, seed=4, compute_se=False)
+        fit = fit_gmm_multi(d, ("equal",), b=30, seed=4, compute_se=False)["equal"]
         assert np.max(np.abs(fit.theta.theta - ols.theta)) <= 1e-4
         assert np.max(np.abs(fit.theta.theta - fit.theta_init.theta)) <= 1e-4
 
     def test_q_never_worse_than_mc_start(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60)
-        fit = fit_gmm(d, scheme="minimax", b=40, seed=6, compute_se=False)
-        s_mc = stacked_gradient(mc.theta, d, cov, fit.weights, fit.ecf, design=design)
+        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=6, compute_se=False)["minimax"]
+        s_mc, _ = stacked(mc.theta, d, cov, design, mc, fit.weights, fit.ecf)
         q_at_mc = s_mc @ fit.omega_inv @ s_mc
         assert fit.q_value <= q_at_mc + 1e-12
         assert fit.q_value >= 0.0
 
     def test_deterministic(self, rng):
         d, *_ = prepared(rng, n=50)
-        f1 = fit_gmm(d, scheme="quasi_likelihood", b=30, seed=12)
-        f2 = fit_gmm(d, scheme="quasi_likelihood", b=30, seed=12)
+        f1 = fit_gmm_multi(d, ("quasi_likelihood",), b=30, seed=12)["quasi_likelihood"]
+        f2 = fit_gmm_multi(d, ("quasi_likelihood",), b=30, seed=12)["quasi_likelihood"]
         assert np.array_equal(f1.theta.theta, f2.theta.theta)
         assert np.array_equal(f1.omega_hat, f2.omega_hat)
         assert np.array_equal(f1.se, f2.se)
@@ -371,13 +400,24 @@ class TestFitGmm:
     def test_multi_matches_single(self, rng):
         d, *_ = prepared(rng, n=50)
         multi = fit_gmm_multi(d, ("equal", "minimax"), b=30, seed=8, compute_se=False)
-        single = fit_gmm(d, scheme="minimax", b=30, seed=8, compute_se=False)
-        assert np.allclose(multi["minimax"].theta.theta, single.theta.theta)
+        single = fit_gmm_multi(d, ("minimax",), b=30, seed=8, compute_se=False)
+        assert np.allclose(multi["minimax"].theta.theta, single["minimax"].theta.theta)
+
+    def test_repeated_scheme_fit_once(self, rng):
+        # a scheme listed twice must not enter the bootstrap covariance twice
+        d, *_ = prepared(rng, n=50)
+        twice = fit_gmm_multi(d, ("minimax", "equal", "minimax"), b=30, seed=8)
+        once = fit_gmm_multi(d, ("minimax", "equal"), b=30, seed=8)
+        assert list(twice) == ["minimax", "equal"]
+        for scheme in once:
+            assert np.array_equal(twice[scheme].omega_hat, once[scheme].omega_hat)
+            assert np.array_equal(twice[scheme].theta.theta, once[scheme].theta.theta)
+            assert np.array_equal(twice[scheme].se, once[scheme].se)
 
     def test_grad_q_matches_finite_differences(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=45)
-        omega = bootstrap_omega(d, mc.theta, 30, seed=5, scheme="minimax",
-                                design=design, cov=cov)
+        omega = scheme_omega(d, mc.theta, 30, seed=5, scheme="minimax",
+                             design=design, cov=cov)
         _, omega_inv = _floor_eigh(omega)
         sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
         k = d.p + d.q + 1
@@ -389,12 +429,8 @@ class TestFitGmm:
             ])
             return s @ omega_inv @ s
 
-        from eivgmm.phase import grad_and_hessian
         theta = mc.theta.theta + 0.1 * rng.normal(size=k)
-        s_mc = grad_corrected_l2(theta, design.v, d.y, sig_w)
-        s_ph, hess_ph = grad_and_hessian(theta, design.v, weights.q, ecf)
-        s = np.concatenate([s_mc, s_ph])
-        jac = np.vstack([_mc_jacobian(design.v, d.y, sig_w), hess_ph])
+        s, jac = stacked(theta, d, cov, design, mc, weights, ecf)
         grad = 2.0 * jac.T @ (omega_inv @ s)
         fd = np.empty(k)
         for i in range(k):
@@ -408,7 +444,7 @@ class TestFitGmm:
         d, cov, design, mc, weights, ecf = prepared(rng, n=55)
         sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
         k = d.p + d.q + 1
-        jac_mc = _mc_jacobian(design.v, d.y, sig_w)
+        jac_mc = 2.0 / d.n * mc.gram
 
         def rj(theta):
             s = np.concatenate([grad_corrected_l2(theta, design.v, d.y, sig_w),
@@ -421,11 +457,10 @@ class TestFitGmm:
 
     def test_q_invariant_under_stacking_permutation(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=45)
-        omega = bootstrap_omega(d, mc.theta, 30, seed=5, scheme="equal",
-                                design=design, cov=cov)
+        omega = scheme_omega(d, mc.theta, 30, seed=5, scheme="equal",
+                             design=design, cov=cov)
         _, omega_inv = _floor_eigh(omega)
-        s = stacked_gradient(mc.theta.theta + 0.05, d, cov, weights, ecf,
-                             design=design)
+        s, _ = stacked(mc.theta.theta + 0.05, d, cov, design, mc, weights, ecf)
         q0 = s @ omega_inv @ s
         perm = rng.permutation(s.size)
         pmat = np.eye(s.size)[perm]
@@ -433,20 +468,48 @@ class TestFitGmm:
         assert np.isclose(q0, q1, rtol=1e-8)
 
 
+def corrected_ls_jacobian(d, cov, design):
+    """(2/n) x the corrected Gram matrix, from its definition."""
+    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+    gram = design.v.T @ design.v
+    gram[:d.p, :d.p] -= sig_w
+    return 2.0 / d.n * gram
+
+
 class TestStandardErrors:
     def test_positive_and_shapes(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60)
-        fit = fit_gmm(d, scheme="minimax", b=40, seed=7)
+        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7)["minimax"]
         k = d.p + d.q + 1
         assert fit.se is not None and fit.se.shape == (k,)
         assert np.all(fit.se > 0)
-        assert fit.p1_hat.shape == (k, 2 * k)
+        assert fit_gmm_multi(d, ("minimax",), b=40, seed=7,
+                             compute_se=False)["minimax"].se is None
 
     def test_recompute_matches_fit(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60)
-        fit = fit_gmm(d, scheme="minimax", b=40, seed=7)
-        se = gmm_standard_errors(fit, d, cov, fit.weights, fit.ecf, design=design)
-        assert np.allclose(se, fit.se)
+        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7)["minimax"]
+        _, jac = stacked(fit.theta, d, cov, design, mc, fit.weights, fit.ecf)
+        se = gmm_standard_errors(jac, fit.omega_inv)
+        assert np.array_equal(se, fit.se)
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_matches_recomputed_sandwich(self, setting, law):
+        # oracle: the sandwich rebuilt at the estimate from scratch, with the
+        # phase Hessian from a fresh grad_and_hessian call stacked under the
+        # corrected least-squares Jacobian
+        d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
+                                     error_law=law, seed=23), 0)
+        cov, design = estimate_covariances(d), build_design(d)
+        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, cov=cov, design=design)
+        jac_mc = corrected_ls_jacobian(d, cov, design)
+        for fit in fits.values():
+            assert fit.se is not None
+            _, jac_ph = grad_and_hessian(fit.theta.theta, design.v, fit.weights.q, fit.ecf)
+            p1 = np.hstack([jac_mc.T, jac_ph.T])
+            oracle = np.sqrt(np.diag(np.linalg.inv(p1 @ fit.omega_inv @ p1.T)))
+            np.testing.assert_allclose(fit.se, oracle, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("setting", ["toy", "III"])
     def test_exact_hessian_matches_central_difference_oracle(self, rng, setting):
@@ -458,7 +521,7 @@ class TestStandardErrors:
             d, _ = gen_dataset(SimConfig(setting="III", n=300, n_rep=2, m_reps=1,
                                          error_law="t2_5", seed=17), 0)
             cov, design = estimate_covariances(d), build_design(d)
-        fit = fit_gmm(d, scheme="minimax", b=40, seed=7, cov=cov, design=design)
+        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7, cov=cov, design=design)["minimax"]
         assert fit.se is not None
         theta = fit.theta.theta
         k = theta.size
@@ -470,7 +533,6 @@ class TestStandardErrors:
             jac_ph[:, i] = (grad_dtilde(theta + e, design.v, fit.weights.q, fit.ecf)
                             - grad_dtilde(theta - e, design.v, fit.weights.q, fit.ecf)) / (2 * h)
         jac_ph = 0.5 * (jac_ph + jac_ph.T)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
-        p1 = np.hstack([_mc_jacobian(design.v, d.y, sig_w).T, jac_ph.T])
+        p1 = np.hstack([corrected_ls_jacobian(d, cov, design).T, jac_ph.T])
         se_fd = np.sqrt(np.diag(np.linalg.inv(p1 @ fit.omega_inv @ p1.T)))
         assert np.allclose(fit.se, se_fd, rtol=1e-6, atol=0.0)

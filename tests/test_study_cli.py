@@ -110,6 +110,23 @@ class TestCliFit:
                   for key in ("boot_capped", "boot_ql_fallback", "boot_ql_clamped")}
         assert events == {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
 
+    def test_repeated_weight_scheme_fit_once(self, csv_path, tmp_path, capsys):
+        # "mm" and "minimax" name one scheme: one column, one fit, and the
+        # same numbers as naming it once
+        reports = {}
+        for weights in ("mm", "mm,minimax"):
+            path = tmp_path / f"{weights}.json"
+            code, out, _ = run_cli(["fit", "--data", csv_path, "--y", "y",
+                                    "--estimators", "gmm", "--weights", weights,
+                                    "--bootstrap", "30", "--seed", "7", "--json", str(path)],
+                                   capsys)
+            assert code == 0
+            assert out.splitlines()[0].split() == ["coefficient", "gmm_minimax"]
+            reports[weights] = json.loads(path.read_text())
+        assert reports["mm,minimax"]["config"]["weights"] == ["minimax"]
+        assert reports["mm,minimax"]["results"] == reports["mm"]["results"]
+        assert reports["mm,minimax"]["diagnostics"] == reports["mm"]["diagnostics"]
+
     def test_fit_deterministic_json(self, csv_path, tmp_path, capsys):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         argv = ["fit", "--data", csv_path, "--y", "y", "--estimators", "mc,gmm",
@@ -172,6 +189,29 @@ class TestCliSimulate:
         report = json.loads(open(tmp_path / "r.json").read())
         assert "raw estimates" in report["note"]
 
+    def test_small_m_reports_failures(self, monkeypatch, capsys, tmp_path):
+        def unstable(*args, **kwargs):
+            raise BootstrapInstabilityError("forced bootstrap failure")
+
+        monkeypatch.setattr(study_module, "fit_gmm_multi", unstable)
+        json_path = tmp_path / "r.json"
+        code, *_ = run_cli([
+            "simulate", "--setting", "simple", "--n", "100", "--M", "2", "--b", "30",
+            "--seed", "1", "--estimators", "mc,gmm_mm", "--workers", "1",
+            "--json", str(json_path),
+        ], capsys)
+        assert code == 1
+        report = json.loads(json_path.read_text())
+        assert report["failures"] == [[m, "gmm_mm", "forced bootstrap failure"] for m in (0, 1)]
+        assert all(np.all(np.isfinite(report["estimates"][m]["mc"])) for m in ("0", "1"))
+        assert all(np.all(np.isnan(report["estimates"][m]["gmm_mm"])) for m in ("0", "1"))
+
+    def test_gmm_with_too_few_resamples_usage_error(self, capsys):
+        code, _, err = run_cli(["simulate", "--M", "2", "--b", "10",
+                                "--estimators", "mc,gmm_mm"], capsys)
+        assert code == 2
+        assert "--b >= 25" in err
+
     def test_study_json_and_csv(self, capsys, tmp_path):
         json_path = str(tmp_path / "sim.json")
         csv_path = str(tmp_path / "sim.csv")
@@ -220,3 +260,8 @@ class TestCliReproduce:
     def test_unknown_criterion_usage_error(self, capsys):
         code, *_ = run_cli(["reproduce", "--only", "nope"], capsys)
         assert code == 2
+
+    def test_too_few_resamples_usage_error(self, capsys):
+        code, _, err = run_cli(["reproduce", "--M", "2", "--b", "10"], capsys)
+        assert code == 2
+        assert "--b >= 25" in err
