@@ -136,6 +136,9 @@ def cmd_fit(args) -> int:
                                  mc=mc, cov=cov, design=design)
             for scheme, fit in fits.items():
                 key = f"gmm_{scheme}"
+                if isinstance(fit, EivError):
+                    diagnostics[key] = {"error": str(fit)}
+                    continue
                 results[key] = {
                     "coef": fit.theta.theta.tolist(),
                     "se": None if fit.se is None else fit.se.tolist(),
@@ -149,8 +152,7 @@ def cmd_fit(args) -> int:
                     "max_q_times_n": fit.weights.max_q_times_n,
                     "bootstrap_b": fit.bootstrap_b,
                     "bootstrap_failed": fit.n_boot_failed,
-                    **{name: fit.diagnostics[name] for name in
-                       ("boot_capped", "boot_ql_fallback", "boot_ql_clamped")},
+                    **fit.diagnostics,
                 }
     except EivError as exc:
         return _fail(str(exc), EXIT_ESTIMATION)
@@ -186,7 +188,11 @@ def cmd_fit(args) -> int:
         "_text": text,
     }
     _emit(report, args, time.perf_counter() - start)
-    return EXIT_OK
+    # a failed scheme is reported beside the others, and still fails the run
+    failed = {key: diag["error"] for key, diag in diagnostics.items() if "error" in diag}
+    for key, message in failed.items():
+        print(f"error: {key}: {message}", file=sys.stderr)
+    return EXIT_ESTIMATION if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .covariance import (
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
-from .phase import EcfOutcome, PhaseConfig, build_ecf, grad_and_hessian, grad_dtilde
+from .phase import EcfOutcome, build_ecf, grad_and_hessian, grad_dtilde
 from .weights import WeightVector, make_weights
 
 __all__ = [
@@ -63,7 +63,8 @@ class GmmFit:
     converge). n_iter counts objective evaluations. diagnostics holds the
     bootstrap event counts boot_capped (resamples whose t* scan hit its cap),
     boot_ql_fallback and boot_ql_clamped (resamples whose quasi-likelihood
-    weights fell back to equal or were clamped).
+    weights fell back to equal or were clamped), and se_error, the reason,
+    when standard errors were requested but se is None.
     """
 
     theta: ParamVector
@@ -108,8 +109,7 @@ def _floor_eigh(omega: np.ndarray):
 
 
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
-                          cfg: PhaseConfig, design: RegressionDesign,
-                          cov: CovarianceSet):
+                          design: RegressionDesign, cov: CovarianceSet):
     """Shared bootstrap pass: one set of resamples, one gradient per scheme.
 
     Resample i draws n row indices from the stream keyed by (seed, i). Its
@@ -126,6 +126,9 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     (omega, omega_inv, failures, events)} with omega the eigenvalue-floored
     covariance, omega_inv its inverse, failures a list of (resample, message)
     and events the counts boot_capped, boot_ql_fallback and boot_ql_clamped.
+    A scheme with more than MAX_BOOT_FAILURE_FRAC of its resamples failed
+    maps to a BootstrapInstabilityError instead; the other schemes keep
+    their covariances.
     """
     theta = as_theta(theta)
     v, y = design.v, d.y
@@ -147,14 +150,17 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         w_bar_b = vb[:, :p]
         try:
             cov_b = CovarianceSet(sigma_j=sj, sigma_x=sigma_x_from_parts(w_bar_b, sj, nr))
-            ecf_b = build_ecf(yb, cfg)
+            ecf_b = build_ecf(yb)
             s_mc = grad_corrected_l2(theta, vb, yb, pooled_error_covariance(sj, nr))
         except EivError as exc:
             for s in schemes:
                 failures[s].append((idx_b, str(exc)))
             continue
-        ok, folded = [], []
-        for scheme in schemes:
+        # a scheme whose weights fail keeps its column, filled with the
+        # counts, so the matrix shape, and with it every other scheme's
+        # gradient to the last bit, does not depend on which schemes failed
+        ok, folded = [], np.empty((rows.size, len(schemes)))
+        for col, scheme in enumerate(schemes):
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
                 with warnings.catch_warnings():
@@ -163,16 +169,18 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                     q_b = make_weights(scheme, cov_b, w_bar_b, nr)
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
+                folded[:, col] = counts
                 continue
             events[scheme]["boot_ql_fallback"] += int(q_b.fallback)
             events[scheme]["boot_ql_clamped"] += int(q_b.max_clamp > 0.0)
-            ok.append(scheme)
-            folded.append(q_b.q[first] * counts)
+            ok.append(col)
+            folded[:, col] = q_b.q[first] * counts
         if not ok:
             continue
-        s_ph = grad_dtilde(theta, v[rows], np.column_stack(folded), ecf_b)
-        for scheme, s_ph_scheme in zip(ok, s_ph):
-            s_vec = np.concatenate([s_mc, s_ph_scheme])
+        s_ph = grad_dtilde(theta, v[rows], folded, ecf_b)
+        for col in ok:
+            scheme = schemes[col]
+            s_vec = np.concatenate([s_mc, s_ph[col]])
             if not np.all(np.isfinite(s_vec)):
                 failures[scheme].append((idx_b, "non-finite stacked gradient"))
                 continue
@@ -182,10 +190,11 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     for scheme in schemes:
         n_bad = len(failures[scheme])
         if n_bad > MAX_BOOT_FAILURE_FRAC * b:
-            raise BootstrapInstabilityError(
+            out[scheme] = BootstrapInstabilityError(
                 f"{n_bad}/{b} bootstrap resamples failed for scheme {scheme!r}; "
                 f"first: {failures[scheme][0][1]}"
             )
+            continue
         n_ok = b - n_bad
         # covariance about the bootstrap mean; the uncentered moment would
         # inflate the phase block by the squared mean of its gradient at the
@@ -237,8 +246,8 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
 
 
 def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
-                  cfg: PhaseConfig = PhaseConfig(), compute_se: bool = True,
-                  mc: McFit | None = None, cov: CovarianceSet | None = None,
+                  compute_se: bool = True, mc: McFit | None = None,
+                  cov: CovarianceSet | None = None,
                   design: RegressionDesign | None = None) -> dict:
     """Two-step combined fit for each weight scheme, sharing one bootstrap.
 
@@ -250,7 +259,12 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     estimate by Levenberg-Marquardt on the exact Jacobian of the stacked
     equations. The sandwich standard errors use the Jacobian the optimizer
     evaluated at the estimate it returns. A scheme listed twice is fit once.
-    Returns {scheme: GmmFit}.
+
+    Each scheme carries its own outcome: returns {scheme: GmmFit}, where a
+    scheme whose bootstrap exceeded the failure limit, or whose full-sample
+    weights could not be formed, maps to the EivError that stopped it. A
+    failed standard-error sandwich keeps the estimate, leaves se None and
+    records the reason as diagnostics["se_error"].
     """
     if b < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples")
@@ -261,23 +275,39 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
         design = build_design(d)
     if mc is None:
         mc = fit_mc(d, cov, design)
-    per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, cfg, design, cov)
-    ecf = build_ecf(d.y, cfg)
+    per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, cov)
+    ecf = build_ecf(d.y)
     v = design.v
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
     jac_mc = 2.0 / d.n * mc.gram
     fits = {}
-    for scheme, (omega, omega_inv, fails, events) in per_scheme.items():
-        weights = make_weights(scheme, cov, v[:, :d.p], d.n_rep)
+    for scheme, boot in per_scheme.items():
+        if isinstance(boot, EivError):
+            fits[scheme] = boot
+            continue
+        omega, omega_inv, fails, events = boot
+        try:
+            weights = make_weights(scheme, cov, v[:, :d.p], d.n_rep)
+        except EivError as exc:
+            fits[scheme] = exc
+            continue
         resid_jac = functools.partial(_stacked_equations, v=v, y=d.y, sig_w=sig_w,
                                       jac_mc=jac_mc, q=weights.q, ecf=ecf)
         x, q_val, n_iter, converged, jac = _levenberg_marquardt(
             resid_jac, omega_inv, mc.theta.theta)
+        se, diagnostics = None, dict(events)
+        if compute_se and not converged:
+            diagnostics["se_error"] = "optimizer did not converge"
+        elif compute_se:
+            try:
+                se = gmm_standard_errors(jac, omega_inv)
+            except StandardErrorError as exc:
+                diagnostics["se_error"] = str(exc)
         fits[scheme] = GmmFit(
             theta=ParamVector.from_theta(x, d.p),
             omega_hat=omega,
             omega_inv=omega_inv,
-            se=gmm_standard_errors(jac, omega_inv) if compute_se and converged else None,
+            se=se,
             q_value=q_val,
             bootstrap_b=b,
             converged=converged,
@@ -287,7 +317,7 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
             weights=weights,
             ecf=ecf,
             n_boot_failed=len(fails),
-            diagnostics=events,
+            diagnostics=diagnostics,
         )
     return fits
 

@@ -1,17 +1,26 @@
 """Empirical characteristic and phase function machinery.
 
 The outcome characteristic function fixes a usable frequency band [0, t*]:
-t* is the first scan point where the empirical CF modulus drops to the
-n^{-1/2} noise floor. On that band the phase discrepancy integrates the
-squared mismatch between the outcome phase and the weighted phase of the
-fitted linear index, under the kernel (1 - t/t*)^2 and a fixed-order
-Gauss-Legendre rule. The gradient and Hessian of the discrepancy are exact
-(differentiation under the integral), evaluated on the same nodes.
+t* is the first point of the scan grid step, 2 step, ... (step = 0.01/sd(y),
+capped at 50/sd(y)) where the empirical CF modulus drops to the n^{-1/2}
+noise floor. The scan evaluates the ECF of the centered distinct outcome
+values d (centering leaves the modulus unchanged) together with its
+derivative, and skips every grid point that provably stays above the floor:
+with a = |phi'(t)|, M2 = mean d^2 >= |phi''| and gap = |phi(t)| - n^{-1/2},
+Taylor's theorem gives |phi(t + h)| >= |phi(t)| - a h - M2 h^2 / 2, which
+stays above the floor for h < 2 gap / (a + sqrt(a^2 + 2 M2 gap)). The first
+crossing is therefore the same grid point a dense scan finds, reached in a
+few dozen ECF evaluations.
+
+On that band the phase discrepancy integrates the squared mismatch between
+the outcome phase and the weighted phase of the fitted linear index, under
+the kernel (1 - t/t*)^2 and a fixed-order Gauss-Legendre rule. The gradient
+and Hessian of the discrepancy are exact (differentiation under the
+integral), evaluated on the same nodes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,9 +30,7 @@ from .errors import DegenerateInputError, PhaseValueError
 from .model_data import RegressionDesign, as_theta
 
 __all__ = [
-    "PhaseConfig",
     "EcfOutcome",
-    "select_t_star",
     "build_ecf",
     "ecf_values",
     "kernel",
@@ -33,28 +40,11 @@ __all__ = [
     "grad_and_hessian",
 ]
 
-_SCAN_CHUNK = 512
-
-
-@dataclass(frozen=True)
-class PhaseConfig:
-    """Tuning knobs for the phase-function criterion.
-
-    n_quad : Gauss-Legendre node count on [0, t*].
-    t_step_scale / t_cap_scale : the t* scan uses step = t_step_scale / sd(y)
-        and cap = t_cap_scale / sd(y).
-    The kernel is fixed to (1 - t/t*)^2.
-    """
-
-    n_quad: int = 64
-    t_step_scale: float = 0.01
-    t_cap_scale: float = 50.0
-
-    def __post_init__(self):
-        if self.n_quad < 16:
-            raise ValueError("n_quad must be at least 16")
-        if self.t_step_scale <= 0 or self.t_cap_scale <= self.t_step_scale:
-            raise ValueError("need 0 < t_step_scale < t_cap_scale")
+#: Gauss-Legendre node count on [0, t*]
+N_QUAD = 64
+#: the t* scan uses step = T_STEP_SCALE / sd(y) and cap = T_CAP_SCALE / sd(y)
+T_STEP_SCALE = 0.01
+T_CAP_SCALE = 50.0
 
 
 @dataclass(frozen=True)
@@ -86,6 +76,12 @@ def kernel(t, t_star: float):
     return (1.0 - np.asarray(t) / t_star) ** 2
 
 
+def _ecf_from_counts(vals, counts, n: int, t):
+    """(mean cos(t y), mean sin(t y)) from the distinct values and their counts."""
+    ty = t[:, None] * vals[None, :]
+    return (np.cos(ty) @ counts) / n, (np.sin(ty) @ counts) / n
+
+
 def ecf_values(y, t):
     """Empirical CF components of y: (mean cos(t y), mean sin(t y)) for each t.
 
@@ -95,18 +91,47 @@ def ecf_values(y, t):
     y = np.asarray(y, dtype=float)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     vals, counts = np.unique(y, return_counts=True)
-    counts = counts.astype(float)
-    ty = t[:, None] * vals[None, :]
-    return (np.cos(ty) @ counts) / y.size, (np.sin(ty) @ counts) / y.size
+    return _ecf_from_counts(vals, counts.astype(float), y.size, t)
 
 
-def select_t_star(y, step: float | None = None, cap: float | None = None) -> float:
-    """First scan frequency where |ecf of y| reaches the n^{-1/2} noise floor.
+def _scan_t_star(vals, counts, n: int, step: float, cap: float):
+    """First grid point t = j step, 1 <= j <= floor(cap/step), where the ECF of
+    the sample with distinct values vals and multiplicities counts has
+    re^2 + im^2 <= 1/n. Returns (t*, capped): (that point, False), or (the
+    last grid point, True) when no point crosses.
 
-    Scans t = step, 2 step, ... up to cap (defaults 0.01/sd(y) and 50/sd(y)).
-    Beyond the first crossing the modulus merely fluctuates around the noise
-    floor, so the first down-crossing bounds the usable band. When the cap is
-    reached without a crossing, the cap is returned and a warning is emitted.
+    Between evaluations the scan skips the points that the second-order bound
+    in the module docstring keeps above the floor; the 1e-9 margin absorbs
+    rounding in the skip length.
+    """
+    d = vals - (counts @ vals) / n
+    m2 = (counts @ d**2) / n
+    basis = np.column_stack([counts, counts * d]) / n
+    floor_sq = 1.0 / n
+    floor = np.sqrt(floor_sq)
+    n_steps = int(np.floor(cap / step))
+    j = 1
+    while j <= n_steps:
+        # phi(t) and -i phi'(t) of the centered sample
+        phi, dphi = np.exp(1j * (j * step) * d) @ basis
+        mod_sq = phi.real**2 + phi.imag**2
+        if mod_sq <= floor_sq:
+            return float(j * step), False
+        gap = np.sqrt(mod_sq) - floor
+        a = abs(dphi)
+        h = 2.0 * gap / (a + np.sqrt(a * a + 2.0 * m2 * gap))
+        j += max(1, int(h / step * (1.0 - 1e-9)))
+    return float(n_steps * step), True
+
+
+def build_ecf(y) -> EcfOutcome:
+    """Select t* and freeze the outcome ECF on the quadrature grid.
+
+    Beyond the first noise-floor crossing the modulus merely fluctuates around
+    the floor, so the first crossing bounds the usable band. A scan that
+    reaches its cap without a crossing (lattice-like outcomes) returns the cap
+    and sets capped. Raises DegenerateInputError for fewer than 2 or constant
+    outcomes.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -115,53 +140,13 @@ def select_t_star(y, step: float | None = None, cap: float | None = None) -> flo
     sd = y.std(ddof=1)
     if sd == 0.0 or not np.isfinite(sd):
         raise DegenerateInputError("outcome is constant; characteristic function never decays")
-    if step is None:
-        step = 0.01 / sd
-    if cap is None:
-        cap = 50.0 / sd
-    n_steps = int(np.floor(cap / step))
-    # Tied values are rotated once and weighted by their counts. On each chunk
-    # exp(i t y) is evaluated by elementwise cumulative rotation (one exp per
-    # chunk, complex products after), which is several times cheaper than
-    # per-node cos/sin on the fine scan grid; the squared modulus of the mean
-    # is compared with the squared floor 1/n.
     vals, counts = np.unique(y, return_counts=True)
     counts = counts.astype(float)
-    rot = np.exp(1j * step * vals)
-    for start in range(1, n_steps + 1, _SCAN_CHUNK):
-        length = min(_SCAN_CHUNK, n_steps + 1 - start)
-        block = np.broadcast_to(rot, (length, vals.size)).copy()
-        block[0] = np.exp(1j * (start * step) * vals)
-        np.cumprod(block, axis=0, out=block)
-        mean = (block @ counts) / n
-        hit = np.nonzero(mean.real**2 + mean.imag**2 <= 1.0 / n)[0]
-        if hit.size:
-            return float((start + hit[0]) * step)
-    endpoint = n_steps * step
-    warnings.warn(
-        f"ecf modulus never reached n^(-1/2)={n ** -0.5:.3g}; returning scan cap {endpoint:.3g}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return float(endpoint)
-
-
-def build_ecf(y, cfg: PhaseConfig = PhaseConfig()) -> EcfOutcome:
-    """Select t* and freeze the outcome ECF on the quadrature grid."""
-    y = np.asarray(y, dtype=float)
-    sd = y.std(ddof=1)
-    if sd == 0.0 or not np.isfinite(sd):
-        raise DegenerateInputError("outcome is constant; characteristic function never decays")
-    step = cfg.t_step_scale / sd
-    cap = cfg.t_cap_scale / sd
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        t_star = select_t_star(y, step=step, cap=cap)
-        capped = any(issubclass(w.category, RuntimeWarning) for w in caught)
-    nodes, quad_w = _gl_rule(cfg.n_quad)
+    t_star, capped = _scan_t_star(vals, counts, n, T_STEP_SCALE / sd, T_CAP_SCALE / sd)
+    nodes, quad_w = _gl_rule(N_QUAD)
     grid = 0.5 * t_star * (nodes + 1.0)
     weights = 0.5 * t_star * quad_w
-    c_y, s_y = ecf_values(y, grid)
+    c_y, s_y = _ecf_from_counts(vals, counts, n, grid)
     return EcfOutcome(grid=grid, quad_w=weights, c_y=c_y, s_y=s_y,
                       t_star=t_star, capped=capped)
 

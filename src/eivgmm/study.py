@@ -98,7 +98,10 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
     """Generate dataset m and fit the requested estimators.
 
     Returns (estimates, ses, errors): dicts keyed by estimator name, plus a
-    list of (estimator, message) for failed fits.
+    list of (estimator, message) for failed fits. Each GMM scheme reports
+    its own outcome: one whose fit failed gets a NaN estimate and its own
+    message, and one whose standard errors failed keeps its estimate with a
+    "standard errors: ..." message.
     """
     d, x_true = gen_dataset(cfg, m)
     k = cfg.p + cfg.q + 1
@@ -142,9 +145,13 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
                     est = mc.theta.theta
             elif name in gmm_fits:
                 fit = gmm_fits[name]
+                if isinstance(fit, EivError):
+                    raise fit
                 est, se = fit.theta.theta, fit.se
                 if not fit.converged:
                     errors.append((name, "optimizer did not converge"))
+                elif "se_error" in fit.diagnostics:
+                    errors.append((name, f"standard errors: {fit.diagnostics['se_error']}"))
         except (EivError, np.linalg.LinAlgError) as exc:
             errors.append((name, str(exc)))
             est, se = nan_row, None

@@ -166,8 +166,7 @@ def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep,
     return WeightVector(q=q, scheme="quasi_likelihood", max_clamp=max_clamp)
 
 
-def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep,
-                 ridge_gamma: float | None = None) -> WeightVector:
+def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
     """Dispatch on scheme name: one of SCHEMES."""
     name = scheme.lower()
     if name == "equal":
@@ -175,5 +174,5 @@ def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep,
     if name == "minimax":
         return weights_minimax(cov, n_rep)
     if name == "quasi_likelihood":
-        return weights_ql(cov, w_bar, n_rep, ridge_gamma=ridge_gamma)
+        return weights_ql(cov, w_bar, n_rep)
     raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")

@@ -17,6 +17,7 @@ from eivgmm.errors import (
     BootstrapInstabilityError,
     DegenerateCovarianceError,
     EivError,
+    StandardErrorError,
     WeightSolveError,
 )
 from eivgmm.gmm import (
@@ -30,7 +31,7 @@ from eivgmm.gmm import (
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
-from eivgmm.phase import PhaseConfig, build_ecf, dtilde, grad_and_hessian, grad_dtilde
+from eivgmm.phase import build_ecf, dtilde, grad_and_hessian, grad_dtilde
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import SCHEMES, make_weights
 from conftest import toy_dataset
@@ -57,8 +58,10 @@ def scheme_omega(d, theta, b, seed, scheme, design=None, cov=None):
     """Eigenvalue-floored bootstrap covariance of one scheme's stacked equations."""
     design = build_design(d) if design is None else design
     cov = estimate_covariances(d) if cov is None else cov
-    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), PhaseConfig(), design, cov)
-    return out[scheme][0]
+    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), design, cov)[scheme]
+    if isinstance(out, EivError):
+        raise out
+    return out[0]
 
 
 class TestStackedGradient:
@@ -156,7 +159,7 @@ class TestBootstrapOmega:
         assert 0.35 <= np.mean(ratios) <= 0.65
 
 
-def loop_bootstrap(d, theta, b, seed, schemes, cfg, design, cov):
+def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
     """Reference: every resample's full n rows, one weight vector and one
     phase gradient per scheme. Returns ({scheme: (omega, omega_inv, failures,
     events)}, per-resample t*)."""
@@ -178,7 +181,7 @@ def loop_bootstrap(d, theta, b, seed, schemes, cfg, design, cov):
         w_bar_b = vb[:, :p]
         try:
             cov_b = CovarianceSet(sigma_j=sj, sigma_x=sigma_x_from_parts(w_bar_b, sj, nr))
-            ecf_b = build_ecf(yb, cfg)
+            ecf_b = build_ecf(yb)
             s_mc = grad_corrected_l2(theta, vb, yb, pooled_error_covariance(sj, nr))
         except EivError as exc:
             for s in schemes:
@@ -218,8 +221,8 @@ def batched_with_t_stars(monkeypatch, *args):
     """_bootstrap_accumulate plus the t* of every resample whose ECF it built."""
     t_stars = []
 
-    def recording_build_ecf(y, cfg):
-        ecf = build_ecf(y, cfg)
+    def recording_build_ecf(y):
+        ecf = build_ecf(y)
         t_stars.append(ecf.t_star)
         return ecf
 
@@ -250,7 +253,7 @@ class TestBatchedBootstrap:
         cov = estimate_covariances(d)
         design = build_design(d)
         mc = fit_mc(d, cov, design)
-        return d, mc.theta.theta, 30, seed, SCHEMES, PhaseConfig(), design, cov
+        return d, mc.theta.theta, 30, seed, SCHEMES, design, cov
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
@@ -264,7 +267,7 @@ class TestBatchedBootstrap:
         # covariate lies above the full-sample mean (fallback to equal
         # weights), and minimax weighting fails outright on a few resamples
         args = self.inputs("I", "t2_5")
-        d, design = args[0], args[6]
+        d, design = args[0], args[5]
         cut = design.v[:, 0].mean()
         solve, minimax = weights_module.solve_ql_system, weights_module.weights_minimax
 
@@ -466,6 +469,78 @@ class TestFitGmm:
         pmat = np.eye(s.size)[perm]
         q1 = (pmat @ s) @ np.linalg.inv(pmat @ np.linalg.inv(omega_inv) @ pmat.T) @ (pmat @ s)
         assert np.isclose(q0, q1, rtol=1e-8)
+
+
+class TestSchemeFailures:
+    """A failure forced on the minimax scheme leaves the other schemes' fits
+    bit for bit as in an unforced run."""
+
+    @staticmethod
+    def fit_all(d, cov, design, mc):
+        return fit_gmm_multi(d, SCHEMES, b=30, seed=8, mc=mc, cov=cov, design=design)
+
+    @staticmethod
+    def assert_others_unchanged(forced, ref):
+        for scheme in ("equal", "quasi_likelihood"):
+            got, want = forced[scheme], ref[scheme]
+            assert np.array_equal(got.theta.theta, want.theta.theta)
+            assert np.array_equal(got.omega_hat, want.omega_hat)
+            assert np.array_equal(got.se, want.se)
+            assert (got.q_value, got.n_iter, got.diagnostics) == (
+                want.q_value, want.n_iter, want.diagnostics)
+
+    def test_standard_error_failure_keeps_estimate(self, rng, monkeypatch):
+        d, cov, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, cov, design, mc)
+        sandwich = gmm_module.gmm_standard_errors
+
+        def failing(jac, omega_inv):
+            if np.array_equal(omega_inv, ref["minimax"].omega_inv):
+                raise StandardErrorError("forced failure")
+            return sandwich(jac, omega_inv)
+
+        monkeypatch.setattr(gmm_module, "gmm_standard_errors", failing)
+        forced = self.fit_all(d, cov, design, mc)
+        self.assert_others_unchanged(forced, ref)
+        got = forced["minimax"]
+        assert got.se is None and ref["minimax"].se is not None
+        assert got.diagnostics["se_error"] == "forced failure"
+        assert np.array_equal(got.theta.theta, ref["minimax"].theta.theta)
+
+    def test_bootstrap_over_limit_fails_alone(self, rng, monkeypatch):
+        d, cov, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, cov, design, mc)
+
+        def failing(cov_b, n_rep):
+            raise DegenerateCovarianceError("forced failure")
+
+        monkeypatch.setattr(weights_module, "weights_minimax", failing)
+        forced = self.fit_all(d, cov, design, mc)
+        self.assert_others_unchanged(forced, ref)
+        assert isinstance(forced["minimax"], BootstrapInstabilityError)
+        assert "30/30 bootstrap resamples failed" in str(forced["minimax"])
+
+    def test_full_sample_weight_failure_fails_alone(self, rng, monkeypatch):
+        d, cov, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, cov, design, mc)
+        minimax = weights_module.weights_minimax
+
+        def failing(cov_b, n_rep):
+            if cov_b is cov:
+                raise DegenerateCovarianceError("forced failure")
+            return minimax(cov_b, n_rep)
+
+        monkeypatch.setattr(weights_module, "weights_minimax", failing)
+        forced = self.fit_all(d, cov, design, mc)
+        self.assert_others_unchanged(forced, ref)
+        assert isinstance(forced["minimax"], DegenerateCovarianceError)
+
+    def test_nonconverged_fit_says_why_se_is_missing(self, rng, monkeypatch):
+        monkeypatch.setattr(gmm_module, "MAX_EVAL", 1)
+        d, *_ = prepared(rng, n=60)
+        fit = fit_gmm_multi(d, ("minimax",), b=30, seed=8)["minimax"]
+        assert not fit.converged and fit.se is None
+        assert fit.diagnostics["se_error"] == "optimizer did not converge"
 
 
 def corrected_ls_jacobian(d, cov, design):

@@ -6,9 +6,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import eivgmm.gmm as gmm_module
 import eivgmm.study as study_module
+import eivgmm.weights as weights_module
 from eivgmm.cli import main
-from eivgmm.errors import BootstrapInstabilityError
+from eivgmm.errors import BootstrapInstabilityError, DegenerateCovarianceError, StandardErrorError
 from eivgmm.model_data import CsvSchema, write_csv
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.study import _OPENBLAS_SET_THREADS, _pin_blas_threads, run_replication, run_study
@@ -65,6 +67,41 @@ class TestStudy:
         assert sorted(name for name, _ in errors) == ["gmm_equal", "gmm_mm", "gmm_ql"]
         assert all(msg == "forced bootstrap failure" for _, msg in errors)
         assert np.all(np.isnan(est["gmm_mm"]))
+
+    @pytest.mark.parametrize("failure", ["standard_errors", "bootstrap"])
+    def test_one_scheme_failure_keeps_the_others(self, monkeypatch, failure):
+        # the failure is forced on minimax weighting (gmm_mm), the second of
+        # the three schemes
+        cfg = SimConfig(setting="I", n=200, n_rep=2, m_reps=1, error_law="normal", seed=3)
+        ref_est, ref_ses, ref_errors = run_replication(cfg, 0, b=30)
+        assert ref_errors == []
+        if failure == "standard_errors":
+            sandwich, calls = gmm_module.gmm_standard_errors, []
+
+            def failing_se(jac, omega_inv):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise StandardErrorError("forced failure")
+                return sandwich(jac, omega_inv)
+
+            monkeypatch.setattr(gmm_module, "gmm_standard_errors", failing_se)
+        else:
+            def failing_weights(cov, n_rep):
+                raise DegenerateCovarianceError("forced failure")
+
+            monkeypatch.setattr(weights_module, "weights_minimax", failing_weights)
+        est, ses, errors = run_replication(cfg, 0, b=30)
+        for name in ("true", "naive", "mc", "gmm_equal", "gmm_ql"):
+            assert np.array_equal(est[name], ref_est[name])
+            assert np.array_equal(ses[name], ref_ses[name], equal_nan=True)
+        assert [name for name, _ in errors] == ["gmm_mm"]
+        assert np.all(np.isnan(ses["gmm_mm"]))
+        if failure == "standard_errors":
+            assert errors[0][1] == "standard errors: forced failure"
+            assert np.array_equal(est["gmm_mm"], ref_est["gmm_mm"])
+        else:
+            assert "30/30 bootstrap resamples failed for scheme 'minimax'" in errors[0][1]
+            assert np.all(np.isnan(est["gmm_mm"]))
 
     def test_replication_outputs(self):
         cfg = SimConfig(setting="I", n=150, n_rep=2, m_reps=1,
@@ -126,6 +163,27 @@ class TestCliFit:
         assert reports["mm,minimax"]["config"]["weights"] == ["minimax"]
         assert reports["mm,minimax"]["results"] == reports["mm"]["results"]
         assert reports["mm,minimax"]["diagnostics"] == reports["mm"]["diagnostics"]
+
+    def test_failed_scheme_reported_beside_the_others(self, csv_path, tmp_path, capsys,
+                                                      monkeypatch):
+        argv = ["fit", "--data", csv_path, "--y", "y", "--estimators", "mc,gmm",
+                "--weights", "equal,mm", "--bootstrap", "30", "--seed", "7", "--json"]
+        code, _, _ = run_cli(argv + [str(tmp_path / "ref.json")], capsys)
+        assert code == 0
+
+        def failing_weights(cov, n_rep):
+            raise DegenerateCovarianceError("forced failure")
+
+        monkeypatch.setattr(weights_module, "weights_minimax", failing_weights)
+        code, out, err = run_cli(argv + [str(tmp_path / "forced.json")], capsys)
+        assert code == 1
+        assert "error: gmm_minimax: 30/30 bootstrap resamples failed" in err
+        ref = json.loads((tmp_path / "ref.json").read_text())
+        forced = json.loads((tmp_path / "forced.json").read_text())
+        assert set(forced["results"]) == {"mc", "gmm_equal"}
+        assert forced["results"]["gmm_equal"] == ref["results"]["gmm_equal"]
+        assert "forced failure" in forced["diagnostics"]["gmm_minimax"]["error"]
+        assert out.splitlines()[0].split() == ["coefficient", "mc", "gmm_equal"]
 
     def test_fit_deterministic_json(self, csv_path, tmp_path, capsys):
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
