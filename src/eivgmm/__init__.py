@@ -33,7 +33,7 @@ from .model_data import (
     write_csv,
 )
 from .moment_correction import McFit, corrected_l2, fit_mc, fit_ols
-from .phase import EcfOutcome, build_ecf, dtilde, grad_dtilde, wepf
+from .phase import EcfOutcome, build_ecf, grad_dtilde
 from .simgen import SimConfig, draw_errors, gen_dataset, gen_error_matrices, gen_half_normal_copula
 from .study import StudyResult, run_replication, run_study
 from .weights import WeightVector, make_weights, weights_equal, weights_minimax, weights_ql

@@ -47,6 +47,7 @@ def run_naive_ordering(m_reps=100, b=100, seed=20250810, workers=1):
                     f"(ratio {det['naive'] / worst:.1f}x, need >= 10x)"),
         "det_metrics": det,
         "n_failed": res.n_failed,
+        "n_se_failed": res.n_se_failed,
     }
 
 
@@ -68,6 +69,7 @@ def run_heavy_tails(m_reps=100, b=100, seed=20250810, workers=1):
         "ratio": ratio,
         "magnitudes_in_band": bool(in_band),
         "n_failed": res.n_failed,
+        "n_se_failed": res.n_se_failed,
     }
 
 
@@ -87,6 +89,7 @@ def run_contaminated_simple(m_reps=100, b=100, seed=20250810, workers=1):
         "det_metrics": det,
         "ratio": ratio,
         "n_failed": res.n_failed,
+        "n_se_failed": res.n_se_failed,
     }
 
 
@@ -109,6 +112,7 @@ def run_se_calibration(m_reps=100, b=100, seed=20250810, workers=1):
         "mc_se": summary.mc_se.tolist(),
         "avg_se": summary.avg_se.tolist(),
         "n_failed": res.n_failed,
+        "n_se_failed": res.n_se_failed,
     }
 
 

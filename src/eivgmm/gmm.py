@@ -7,9 +7,8 @@ an estimating-function bootstrap: observations are resampled with replacement
 (replicate groups kept intact), all data-dependent ingredients (per-observation
 covariances, pooled covariance, phase weights, frequency cutoff) are recomputed
 per resample, and the stacked gradient is re-evaluated at a fixed consistent
-initial estimate. A resample is its distinct rows plus their multiplicities:
-the phase gradients of every weight scheme come from one pair of trig tables
-over the distinct rows, with each scheme's weights folded onto them, and the
+initial estimate. The phase gradients of every weight scheme come from one
+set of trig tables over the resample's distinct linear-index values, and the
 outcome ECF and its t* scan evaluate tied outcomes once. The final estimate
 minimizes the quadratic form in the stacked equations weighted by the inverse
 bootstrap covariance.
@@ -115,11 +114,12 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     Resample i draws n row indices from the stream keyed by (seed, i). Its
     covariances, frequency cutoff, corrected-LS gradient and weights are
     computed on the n resampled rows, once per resample, and shared by every
-    scheme. The phase gradient, the costly part, runs on the resample's
-    distinct rows only: duplicated rows get identical weights under every
-    scheme, so each scheme's weights fold to q[first] * counts over the
-    distinct rows, and one grad_dtilde call on that (n_distinct x S) weight
-    matrix gives all S phase gradients from one pair of trig tables.
+    scheme. The phase gradient, the costly part, comes from one grad_dtilde
+    call on the n resampled rows and a weight matrix with one column per
+    scheme whose weights could be formed; it gives those phase gradients
+    from one set of trig tables over the distinct index values, since
+    grad_dtilde sums the weights of tied rows, and each column's gradient is
+    the same to the last bit as from a call with that column alone.
 
     Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
     scheme instead of warned about once per resample. Returns {scheme:
@@ -144,7 +144,6 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     for idx_b in range(b):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx_b]))
         idx = rng.integers(0, n, size=n)
-        rows, first, counts = np.unique(idx, return_index=True, return_counts=True)
         vb, yb = v[idx], y[idx]
         sj, nr = sigma_j[idx], n_rep[idx]
         w_bar_b = vb[:, :p]
@@ -156,11 +155,8 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
             for s in schemes:
                 failures[s].append((idx_b, str(exc)))
             continue
-        # a scheme whose weights fail keeps its column, filled with the
-        # counts, so the matrix shape, and with it every other scheme's
-        # gradient to the last bit, does not depend on which schemes failed
-        ok, folded = [], np.empty((rows.size, len(schemes)))
-        for col, scheme in enumerate(schemes):
+        ok, q_cols = [], []
+        for scheme in schemes:
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
                 with warnings.catch_warnings():
@@ -169,18 +165,16 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                     q_b = make_weights(scheme, cov_b, w_bar_b, nr)
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
-                folded[:, col] = counts
                 continue
             events[scheme]["boot_ql_fallback"] += int(q_b.fallback)
             events[scheme]["boot_ql_clamped"] += int(q_b.max_clamp > 0.0)
-            ok.append(col)
-            folded[:, col] = q_b.q[first] * counts
+            ok.append(scheme)
+            q_cols.append(q_b.q)
         if not ok:
             continue
-        s_ph = grad_dtilde(theta, v[rows], folded, ecf_b)
-        for col in ok:
-            scheme = schemes[col]
-            s_vec = np.concatenate([s_mc, s_ph[col]])
+        s_ph = grad_dtilde(theta, vb, np.column_stack(q_cols), ecf_b)
+        for scheme, s_ph_scheme in zip(ok, s_ph):
+            s_vec = np.concatenate([s_mc, s_ph_scheme])
             if not np.all(np.isfinite(s_vec)):
                 failures[scheme].append((idx_b, "non-finite stacked gradient"))
                 continue

@@ -16,10 +16,11 @@ import numpy as np
 
 from .model_data import as_theta
 
-__all__ = ["RobustMse", "robust_mse", "SeSummary", "mc_se_summary", "fast_mcd"]
+__all__ = ["RobustMse", "robust_mse", "SeSummary", "mc_se_summary"]
 
 MCD_SUPPORT_FRACTION = 0.75
 MCD_STARTS = 500
+MCD_MAX_C_STEPS = 100
 TRIM_QUANTILE = 0.90
 
 
@@ -30,7 +31,6 @@ class RobustMse:
     mse_rob: np.ndarray
     det_metric: float
     kept_rows: int
-    trim_quantile: float = TRIM_QUANTILE
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,23 @@ def _c_step(a, support, h):
     return np.sort(new_support), (sign, logdet), scatter
 
 
-def fast_mcd(a, h=None, n_starts=MCD_STARTS, seed=0, max_c_steps=100):
+def fast_mcd(a, seed=0):
     """Minimum covariance determinant scatter of the rows of ``a``.
 
-    Runs ``n_starts`` seeded random (k+1)-subsets to convergence of the
-    concentration steps and returns (location, scatter) of the best
-    (lowest-determinant) h-subset; ties break on start index.
+    Runs MCD_STARTS seeded random (k+1)-subsets to convergence of the
+    concentration steps (at most MCD_MAX_C_STEPS each) and returns
+    (location, scatter) of the best (lowest-determinant) h-subset, with h
+    the MCD_SUPPORT_FRACTION share of the rows; ties break on start index.
     """
     a = np.asarray(a, dtype=float)
     m, k = a.shape
-    if h is None:
-        h = int(np.ceil(MCD_SUPPORT_FRACTION * m))
-    h = min(max(h, k + 1), m)
+    h = min(max(int(np.ceil(MCD_SUPPORT_FRACTION * m)), k + 1), m)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     best = None
-    for _ in range(n_starts):
+    for _ in range(MCD_STARTS):
         support = np.sort(rng.choice(m, size=k + 1, replace=False))
         result = None
-        for _ in range(max_c_steps):
+        for _ in range(MCD_MAX_C_STEPS):
             new_support, obj, scatter = _c_step(a, support, h)
             if new_support is None:
                 break

@@ -17,6 +17,17 @@ the outcome phase and the weighted phase of the fitted linear index, under
 the kernel (1 - t/t*)^2 and a fixed-order Gauss-Legendre rule. The gradient
 and Hessian of the discrepancy are exact (differentiation under the
 integral), evaluated on the same nodes.
+
+The Gauss-Legendre nodes come in pairs symmetric about the midpoint h = t*/2
+of the band: t = h (1 - x) and t = h (1 + x). By angle addition,
+cos(t a) and sin(t a) at both nodes of a pair follow from cos/sin(h a) and
+cos/sin(h x a), so the sin/cos tables over a vector a hold half the nodes,
+and every quadrature sum over the grid is formed from products with those
+half tables. The outcome ECF evaluates tied outcomes once, weighted by their
+counts; the phase gradient likewise collapses observations whose linear
+index ties (the resampled duplicates of a bootstrap resample) into one
+column carrying their summed weights, since the phase terms depend on an
+observation only through its index.
 """
 
 from __future__ import annotations
@@ -26,22 +37,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateInputError, PhaseValueError
+from .errors import DegenerateInputError
 from .model_data import RegressionDesign, as_theta
 
 __all__ = [
     "EcfOutcome",
     "build_ecf",
-    "ecf_values",
     "kernel",
-    "wepf",
-    "dtilde",
     "grad_dtilde",
     "grad_and_hessian",
 ]
 
-#: Gauss-Legendre node count on [0, t*]
+#: Gauss-Legendre node count on [0, t*]; even, so the nodes pair up about t*/2
 N_QUAD = 64
+assert N_QUAD % 2 == 0
 #: the t* scan uses step = T_STEP_SCALE / sd(y) and cap = T_CAP_SCALE / sd(y)
 T_STEP_SCALE = 0.01
 T_CAP_SCALE = 50.0
@@ -76,22 +85,45 @@ def kernel(t, t_star: float):
     return (1.0 - np.asarray(t) / t_star) ** 2
 
 
-def _ecf_from_counts(vals, counts, n: int, t):
-    """(mean cos(t y), mean sin(t y)) from the distinct values and their counts."""
-    ty = t[:, None] * vals[None, :]
-    return (np.cos(ty) @ counts) / n, (np.sin(ty) @ counts) / n
+class _NodePairs:
+    """Products with the N_QUAD x len(a) tables cos(t a) and sin(t a) over the
+    quadrature grid t of [0, t*], built from half tables.
 
-
-def ecf_values(y, t):
-    """Empirical CF components of y: (mean cos(t y), mean sin(t y)) for each t.
-
-    Tied values are evaluated once and weighted by their counts; a bootstrap
-    resample repeats about a third of its rows.
+    The grid is t = h (1 -/+ x) for the N_QUAD/2 positive Gauss-Legendre
+    offsets x and h = t*/2, so with ca, sa = cos, sin(h a) and co, so = cos,
+    sin(h x a): cos(t a) = ca co +/- sa so and sin(t a) = sa co -/+ ca so.
+    Only ca, sa and the (N_QUAD/2) x len(a) tables co, so are evaluated,
+    stacked as the rows of tab; the full tables are never formed.
     """
-    y = np.asarray(y, dtype=float)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    vals, counts = np.unique(y, return_counts=True)
-    return _ecf_from_counts(vals, counts.astype(float), y.size, t)
+
+    def __init__(self, t_star: float, a: np.ndarray):
+        h = 0.5 * t_star
+        half = N_QUAD // 2
+        ha = h * a
+        self.ca, self.sa = np.cos(ha), np.sin(ha)
+        off = (h * _gl_rule(N_QUAD)[0][half:])[:, None] * a[None, :]
+        self.tab = np.empty((N_QUAD, a.size))
+        np.cos(off, out=self.tab[:half])
+        np.sin(off, out=self.tab[half:])
+
+    def times(self, m: np.ndarray):
+        """(cos(t a) @ m, sin(t a) @ m) for m of shape (len(a), c); each (N_QUAD, c)."""
+        c = m.shape[1]
+        half = N_QUAD // 2
+        prod = self.tab @ np.hstack([self.ca[:, None] * m, self.sa[:, None] * m])
+        cc, cs = prod[:half, :c], prod[:half, c:]    # co @ (ca m), co @ (sa m)
+        sc, ss = prod[half:, :c], prod[half:, c:]    # so @ (ca m), so @ (sa m)
+        # the low node of pair i sits at row half - 1 - i, the high one at half + i
+        return (np.vstack([(cc + ss)[::-1], cc - ss]),
+                np.vstack([(cs - sc)[::-1], cs + sc]))
+
+    def rtimes(self, r: np.ndarray):
+        """(r @ cos(t a), r @ sin(t a)) for r of shape (..., N_QUAD); each (..., len(a))."""
+        half = N_QUAD // 2
+        low, high = r[..., :half][..., ::-1], r[..., half:]
+        both = (high + low) @ self.tab[:half]
+        diff = (high - low) @ self.tab[half:]
+        return self.ca * both - self.sa * diff, self.sa * both + self.ca * diff
 
 
 def _scan_t_star(vals, counts, n: int, step: float, cap: float):
@@ -146,7 +178,8 @@ def build_ecf(y) -> EcfOutcome:
     nodes, quad_w = _gl_rule(N_QUAD)
     grid = 0.5 * t_star * (nodes + 1.0)
     weights = 0.5 * t_star * quad_w
-    c_y, s_y = _ecf_from_counts(vals, counts, n, grid)
+    cos_m, sin_m = _NodePairs(t_star, vals).times(counts[:, None] / n)
+    c_y, s_y = cos_m[:, 0], sin_m[:, 0]
     return EcfOutcome(grid=grid, quad_w=weights, c_y=c_y, s_y=s_y,
                       t_star=t_star, capped=capped)
 
@@ -161,47 +194,19 @@ def _as_design(design) -> np.ndarray:
     return np.asarray(design, dtype=float)
 
 
-def wepf(theta, design, weights, t: float) -> complex:
-    """Weighted empirical phase function of the fitted linear index at frequency t.
-
-    Equals (sum_j q_j exp(i t v_j)) normalized to unit modulus, with
-    v_j = w_bar_j' beta + z_j' gamma. Raises PhaseValueError when the
-    normalizing modulus vanishes (possible at large t).
-    """
-    v = _as_design(design) @ as_theta(theta)
-    q = _as_weights(weights)
-    re = q @ np.cos(t * v)
-    im = q @ np.sin(t * v)
-    mod = np.hypot(re, im)
-    if mod <= 1e-12:
-        raise PhaseValueError(
-            f"weighted phase function undefined at t={t:.6g}: modulus {mod:.3g}"
-        )
-    return complex(re / mod, im / mod)
+def _base_weights(ecf: EcfOutcome) -> np.ndarray:
+    """Quadrature weights times the kernel at each node."""
+    return ecf.quad_w * kernel(ecf.grid, ecf.t_star)
 
 
-def _phase_tables(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
-    """Node-by-observation trig tables shared by the criterion and its derivatives.
-
-    q is one weight vector (n,) or S of them as the columns of an (n, S)
-    array; g is (n_quad,) or (n_quad, S) to match.
-    """
-    idx = v @ as_theta(theta)
-    tv = ecf.grid[:, None] * idx[None, :]
-    sin_tv = np.sin(tv)
-    cos_tv = np.cos(tv)
-    col = (-1,) + (1,) * (q.ndim - 1)
-    g = ecf.c_y.reshape(col) * (sin_tv @ q) - ecf.s_y.reshape(col) * (cos_tv @ q)
-    base_w = ecf.quad_w * kernel(ecf.grid, ecf.t_star)
-    return sin_tv, cos_tv, g, base_w
-
-
-def dtilde(theta, design, weights, ecf: EcfOutcome) -> float:
-    """Phase discrepancy: integral of the squared phase mismatch over [0, t*]."""
-    v = _as_design(design)
-    q = _as_weights(weights)
-    _, _, g, base_w = _phase_tables(theta, v, q, ecf)
-    return float(base_w @ g**2)
+def _phase_terms(pairs: _NodePairs, qv1: np.ndarray, ecf: EcfOutcome):
+    """Mismatch g (n_quad,) and its index derivative gmat (n_quad, k) at each
+    node, from the columns [q | q v] of one weight vector."""
+    cos_m, sin_m = pairs.times(qv1)
+    g = ecf.c_y * sin_m[:, 0] - ecf.s_y * cos_m[:, 0]
+    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * cos_m[:, 1:]
+                                + ecf.s_y[:, None] * sin_m[:, 1:])
+    return g, gmat
 
 
 def grad_dtilde(theta, design, weights, ecf: EcfOutcome) -> np.ndarray:
@@ -209,31 +214,42 @@ def grad_dtilde(theta, design, weights, ecf: EcfOutcome) -> np.ndarray:
 
     weights is one vector (n,), giving a (k,) gradient, or S weight vectors
     as the columns of an (n, S) array, giving an (S, k) array of gradients
-    from one pair of trig tables.
+    from one set of trig tables. Observations whose linear index ties are
+    summed first (a stable sort, then one reduction of [q | q v]), so a
+    bootstrap resample's duplicated rows cost nothing extra. Each weight
+    vector then takes its own products with the tables, so its gradient is
+    the same to the last bit whether it comes alone or with others.
     """
     v = _as_design(design)
     q = _as_weights(weights)
-    sin_tv, cos_tv, g, base_w = _phase_tables(theta, v, q, ecf)
     n, k = v.shape
-    n_quad = ecf.grid.size
-    # column s*k + j holds q_s * v_j, so one product per table covers every scheme
-    qv = (q.reshape(n, -1, 1) * v[:, None, :]).reshape(n, -1)
-    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * (cos_tv @ qv)
-                                + ecf.s_y[:, None] * (sin_tv @ qv))
-    wg = base_w[:, None] * g.reshape(n_quad, -1)
-    grad = 2.0 * np.einsum("ts,tsk->sk", wg, gmat.reshape(n_quad, -1, k))
+    qs = q.reshape(n, -1)
+    idx = v @ as_theta(theta)
+    order = np.argsort(idx, kind="stable")
+    sorted_idx = idx[order]
+    starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+    # columns s (k+1) .. s (k+1) + k hold [q_s | q_s v] for weight vector s
+    v1 = np.column_stack([np.ones(n), v])
+    qv1 = (qs[:, :, None] * v1[:, None, :]).reshape(n, -1)[order]
+    summed = np.add.reduceat(qv1, starts, axis=0)
+    pairs = _NodePairs(ecf.t_star, sorted_idx[starts])
+    base_w = _base_weights(ecf)
+    grad = np.empty((qs.shape[1], k))
+    for col in range(qs.shape[1]):
+        g, gmat = _phase_terms(pairs, summed[:, col * (k + 1):(col + 1) * (k + 1)], ecf)
+        grad[col] = 2.0 * ((base_w * g) @ gmat)
     return grad.reshape(q.shape[1:] + (k,))
 
 
 def grad_and_hessian(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
-    """Gradient and Hessian of the discrepancy in one pass over the trig tables."""
-    sin_tv, cos_tv, g, base_w = _phase_tables(theta, v, q, ecf)
-    bc = (cos_tv * q) @ v
-    bs = (sin_tv * q) @ v
-    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * bc + ecf.s_y[:, None] * bs)
+    """Gradient and Hessian of the discrepancy from one set of trig tables."""
+    pairs = _NodePairs(ecf.t_star, v @ as_theta(theta))
+    g, gmat = _phase_terms(pairs, np.column_stack([q, q[:, None] * v]), ecf)
+    base_w = _base_weights(ecf)
     grad = 2.0 * ((base_w * g) @ gmat)
     term1 = 2.0 * gmat.T @ (base_w[:, None] * gmat)
     wg = base_w * g * ecf.grid**2
-    coef = 2.0 * q * ((wg * ecf.s_y) @ cos_tv - (wg * ecf.c_y) @ sin_tv)
+    r_cos, r_sin = pairs.rtimes(np.stack([wg * ecf.s_y, wg * ecf.c_y]))
+    coef = 2.0 * q * (r_cos[0] - r_sin[1])
     term2 = v.T @ (coef[:, None] * v)
     return grad, term1 + term2

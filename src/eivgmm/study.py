@@ -31,6 +31,10 @@ DISPLAY_NAMES = {
     "gmm_equal": "GMM-Equal", "gmm_mm": "GMM-MM", "gmm_ql": "GMM-QL",
 }
 
+#: message prefix of a fit whose estimate stands but whose standard errors failed
+SE_FAILURE_PREFIX = "standard errors: "
+
+
 @dataclass
 class StudyResult:
     """Stacked per-replication estimates plus trimmed metrics and SE summaries."""
@@ -44,9 +48,20 @@ class StudyResult:
     failures: list = field(default_factory=list)
     n_converged: dict = field(default_factory=dict)
 
+    def _failed_fits(self, se_only: bool) -> int:
+        return len({(m, name) for m, name, msg in self.failures
+                    if msg.startswith(SE_FAILURE_PREFIX) == se_only})
+
     @property
     def n_failed(self) -> int:
-        return len({(m, name) for m, name, _ in self.failures})
+        """(replication, estimator) fits with no estimate (a NaN row) or an
+        optimizer that did not converge."""
+        return self._failed_fits(se_only=False)
+
+    @property
+    def n_se_failed(self) -> int:
+        """Fits whose estimate stands but whose standard errors failed."""
+        return self._failed_fits(se_only=True)
 
     @property
     def failure_fraction(self) -> float:
@@ -101,7 +116,7 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
     list of (estimator, message) for failed fits. Each GMM scheme reports
     its own outcome: one whose fit failed gets a NaN estimate and its own
     message, and one whose standard errors failed keeps its estimate with a
-    "standard errors: ..." message.
+    message that starts with SE_FAILURE_PREFIX.
     """
     d, x_true = gen_dataset(cfg, m)
     k = cfg.p + cfg.q + 1
@@ -151,7 +166,7 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
                 if not fit.converged:
                     errors.append((name, "optimizer did not converge"))
                 elif "se_error" in fit.diagnostics:
-                    errors.append((name, f"standard errors: {fit.diagnostics['se_error']}"))
+                    errors.append((name, SE_FAILURE_PREFIX + fit.diagnostics["se_error"]))
         except (EivError, np.linalg.LinAlgError) as exc:
             errors.append((name, str(exc)))
             est, se = nan_row, None

@@ -1,0 +1,105 @@
+"""Direct per-row formulas of the phase layer, kept as test oracles.
+
+These evaluate cos(t y) and sin(t y) at every quadrature node for every
+observation, with no node pairing and no collapsing of tied values, which is
+what the fast paths in `eivgmm.phase` must reproduce to rounding level.
+"""
+
+import numpy as np
+
+from eivgmm.errors import PhaseValueError
+from eivgmm.model_data import RegressionDesign, as_theta
+from eivgmm.phase import EcfOutcome, kernel
+
+
+def _as_design(design) -> np.ndarray:
+    return design.v if isinstance(design, RegressionDesign) else np.asarray(design, float)
+
+
+def _as_weights(weights) -> np.ndarray:
+    return np.asarray(getattr(weights, "q", weights), dtype=float)
+
+
+def ecf_from_counts(vals, counts, n: int, t):
+    """(mean cos(t y), mean sin(t y)) from the distinct values and their counts."""
+    ty = t[:, None] * vals[None, :]
+    return (np.cos(ty) @ counts) / n, (np.sin(ty) @ counts) / n
+
+
+def ecf_values(y, t):
+    """Empirical CF components of y: (mean cos(t y), mean sin(t y)) for each t.
+
+    Tied values are evaluated once and weighted by their counts.
+    """
+    y = np.asarray(y, dtype=float)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    vals, counts = np.unique(y, return_counts=True)
+    return ecf_from_counts(vals, counts.astype(float), y.size, t)
+
+
+def wepf(theta, design, weights, t: float) -> complex:
+    """Weighted empirical phase function of the fitted linear index at frequency t.
+
+    Equals (sum_j q_j exp(i t v_j)) normalized to unit modulus, with
+    v_j = w_bar_j' beta + z_j' gamma. Raises PhaseValueError when the
+    normalizing modulus vanishes (possible at large t).
+    """
+    v = _as_design(design) @ as_theta(theta)
+    q = _as_weights(weights)
+    re = q @ np.cos(t * v)
+    im = q @ np.sin(t * v)
+    mod = np.hypot(re, im)
+    if mod <= 1e-12:
+        raise PhaseValueError(
+            f"weighted phase function undefined at t={t:.6g}: modulus {mod:.3g}"
+        )
+    return complex(re / mod, im / mod)
+
+
+def phase_tables(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
+    """Node-by-observation trig tables over the whole grid.
+
+    q is one weight vector (n,) or S of them as the columns of an (n, S)
+    array; g is (n_quad,) or (n_quad, S) to match.
+    """
+    idx = v @ as_theta(theta)
+    tv = ecf.grid[:, None] * idx[None, :]
+    sin_tv = np.sin(tv)
+    cos_tv = np.cos(tv)
+    col = (-1,) + (1,) * (q.ndim - 1)
+    g = ecf.c_y.reshape(col) * (sin_tv @ q) - ecf.s_y.reshape(col) * (cos_tv @ q)
+    base_w = ecf.quad_w * kernel(ecf.grid, ecf.t_star)
+    return sin_tv, cos_tv, g, base_w
+
+
+def dtilde(theta, design, weights, ecf: EcfOutcome) -> float:
+    """Phase discrepancy: integral of the squared phase mismatch over [0, t*]."""
+    v = _as_design(design)
+    q = _as_weights(weights)
+    _, _, g, base_w = phase_tables(theta, v, q, ecf)
+    return float(base_w @ g**2)
+
+
+def grad_dtilde(theta, v, q, ecf: EcfOutcome) -> np.ndarray:
+    """Gradient of dtilde over every row: (k,) for q (n,), (S, k) for q (n, S)."""
+    sin_tv, cos_tv, g, base_w = phase_tables(theta, v, q, ecf)
+    n, k = v.shape
+    n_quad = ecf.grid.size
+    qv = (q.reshape(n, -1, 1) * v[:, None, :]).reshape(n, -1)
+    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * (cos_tv @ qv)
+                                + ecf.s_y[:, None] * (sin_tv @ qv))
+    wg = base_w[:, None] * g.reshape(n_quad, -1)
+    grad = 2.0 * np.einsum("ts,tsk->sk", wg, gmat.reshape(n_quad, -1, k))
+    return grad.reshape(q.shape[1:] + (k,))
+
+
+def grad_and_hessian(theta, v, q, ecf: EcfOutcome):
+    """Gradient and Hessian of dtilde over every row and every node."""
+    sin_tv, cos_tv, g, base_w = phase_tables(theta, v, q, ecf)
+    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * ((cos_tv * q) @ v)
+                                + ecf.s_y[:, None] * ((sin_tv * q) @ v))
+    grad = 2.0 * ((base_w * g) @ gmat)
+    term1 = 2.0 * gmat.T @ (base_w[:, None] * gmat)
+    wg = base_w * g * ecf.grid**2
+    coef = 2.0 * q * ((wg * ecf.s_y) @ cos_tv - (wg * ecf.c_y) @ sin_tv)
+    return grad, term1 + v.T @ (coef[:, None] * v)

@@ -17,9 +17,10 @@ from eivgmm.covariance import estimate_covariances, omega_matrices, pooled_error
 from eivgmm.gmm import fit_gmm_multi
 from eivgmm.model_data import CsvSchema, build_design, make_dataset, write_csv
 from eivgmm.moment_correction import fit_mc, grad_corrected_l2
-from eivgmm.phase import build_ecf, dtilde, ecf_values, grad_dtilde, kernel, wepf
+from eivgmm.phase import build_ecf, grad_dtilde, kernel
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.weights import make_weights, solve_ql_system
+from phase_oracles import dtilde, ecf_values, wepf
 
 SEED = 20250810
 M_REPS = 100

@@ -31,10 +31,11 @@ from eivgmm.gmm import (
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
-from eivgmm.phase import build_ecf, dtilde, grad_and_hessian, grad_dtilde
+from eivgmm.phase import build_ecf, grad_and_hessian, grad_dtilde
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import SCHEMES, make_weights
 from conftest import toy_dataset
+from phase_oracles import dtilde
 
 
 def prepared(rng, **kw):

@@ -4,20 +4,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eivgmm.errors import DegenerateInputError, PhaseValueError
 from eivgmm.phase import (
+    N_QUAD,
     T_CAP_SCALE,
     T_STEP_SCALE,
     EcfOutcome,
     _gl_rule,
     _scan_t_star,
     build_ecf,
-    dtilde,
-    ecf_values,
     grad_and_hessian,
     grad_dtilde,
     kernel,
-    wepf,
 )
 from eivgmm.simgen import SimConfig, gen_dataset
+import phase_oracles
+from phase_oracles import dtilde, ecf_values, wepf
 
 
 class TestSelectTStar:
@@ -435,3 +435,55 @@ class TestTiedFastPaths:
         full = grad_dtilde(theta, v[idx], q, ecf)
         folded = grad_dtilde(theta, v[rows], q[first] * counts, ecf)
         np.testing.assert_allclose(folded, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
+
+
+def _max_gap(got, want):
+    """Largest elementwise gap relative to the largest oracle component."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+#: node-pair tables against the direct per-row formulas: both round each
+#: sin/cos argument once, so they agree to a few ulps of the largest term
+PAIR_AGREEMENT = 1e-12
+
+
+class TestNodePairs:
+    """Half tables over the symmetric node pairs, and the tie collapse of the
+    phase gradient, against the direct 64-node formulas over every row."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(law=st.sampled_from(["normal", "t2_5", "contaminated", "lattice"]),
+           seed=st.integers(0, 2**16), n=st.integers(30, 2000), k=st.integers(1, 5),
+           n_schemes=st.integers(1, 3))
+    def test_matches_direct_formulas(self, law, seed, n, k, n_schemes):
+        rng = np.random.default_rng(seed + 1)
+        v = rng.normal(size=(n, k))
+        theta = rng.normal(size=k)
+        # a bootstrap resample: about a third of the rows are repeats, and
+        # lattice outcomes tie on top of that
+        y = v @ theta + _scan_sample(law, False, seed, n)
+        idx = rng.integers(0, n, size=n)
+        vb, yb = v[idx], y[idx]
+        ecf = build_ecf(yb)
+        tv = ecf.grid[:, None] * yb[None, :]
+        assert _max_gap(np.concatenate([ecf.c_y, ecf.s_y]),
+                        np.concatenate([np.cos(tv).mean(axis=1),
+                                        np.sin(tv).mean(axis=1)])) <= PAIR_AGREEMENT
+
+        q = rng.dirichlet(np.ones(n), size=n_schemes).T
+        batched = grad_dtilde(theta, vb, q, ecf)
+        assert _max_gap(batched, phase_oracles.grad_dtilde(theta, vb, q, ecf)) <= PAIR_AGREEMENT
+        for col in range(n_schemes):
+            single = grad_dtilde(theta, vb, q[:, col], ecf)
+            assert np.array_equal(single, batched[col])
+
+        grad, hess = grad_and_hessian(theta, vb, q[:, 0], ecf)
+        grad_ref, hess_ref = phase_oracles.grad_and_hessian(theta, vb, q[:, 0], ecf)
+        assert _max_gap(grad, grad_ref) <= PAIR_AGREEMENT
+        assert _max_gap(hess, hess_ref) <= PAIR_AGREEMENT
+
+    def test_nodes_pair_up_exactly(self):
+        nodes, quad_w = _gl_rule(N_QUAD)
+        half = N_QUAD // 2
+        assert np.array_equal(nodes[:half], -nodes[half:][::-1])
+        assert np.all(nodes[half:] > 0.0)

@@ -264,6 +264,26 @@ class TestCliSimulate:
         assert all(np.all(np.isfinite(report["estimates"][m]["mc"])) for m in ("0", "1"))
         assert all(np.all(np.isnan(report["estimates"][m]["gmm_mm"])) for m in ("0", "1"))
 
+    def test_standard_error_failures_are_not_failed_fits(self, monkeypatch, capsys, tmp_path):
+        # every gmm_mm estimate stands, so the study exits 0 and reports the
+        # failed sandwiches under their own count
+        def singular(jac, omega_inv):
+            raise StandardErrorError("forced failure")
+
+        monkeypatch.setattr(gmm_module, "gmm_standard_errors", singular)
+        json_path = tmp_path / "r.json"
+        code, *_ = run_cli([
+            "simulate", "--setting", "simple", "--n", "100", "--M", "2", "--b", "30",
+            "--seed", "1", "--estimators", "mc,gmm_mm", "--workers", "1",
+            "--json", str(json_path),
+        ], capsys)
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        assert (report["n_failed"], report["n_se_failed"]) == (0, 2)
+        assert report["failures"] == [[m, "gmm_mm", "standard errors: forced failure"]
+                                      for m in (0, 1)]
+        assert all(np.all(np.isfinite(report["estimates"][m]["gmm_mm"])) for m in ("0", "1"))
+
     def test_gmm_with_too_few_resamples_usage_error(self, capsys):
         code, _, err = run_cli(["simulate", "--M", "2", "--b", "10",
                                 "--estimators", "mc,gmm_mm"], capsys)
