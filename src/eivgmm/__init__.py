@@ -15,7 +15,6 @@ from .errors import (
     DegenerateInputError,
     EivError,
     EstimationError,
-    PhaseValueError,
     StandardErrorError,
     ValidationError,
     WeightSolveError,
@@ -34,7 +33,7 @@ from .model_data import (
 )
 from .moment_correction import McFit, corrected_l2, fit_mc, fit_ols
 from .phase import EcfOutcome, build_ecf, grad_dtilde
-from .simgen import SimConfig, draw_errors, gen_dataset, gen_error_matrices, gen_half_normal_copula
+from .simgen import SimConfig, gen_dataset, gen_error_matrices
 from .study import StudyResult, run_replication, run_study
 from .weights import WeightVector, make_weights, weights_equal, weights_minimax, weights_ql
 

@@ -97,6 +97,9 @@ def _fmt(x, nd=6):
 def cmd_fit(args) -> int:
     start = time.perf_counter()
     estimators = [tok.strip() for tok in args.estimators.split(",") if tok.strip()]
+    if not estimators:
+        print("error: no estimators given", file=sys.stderr)
+        return EXIT_USAGE
     unknown = [e for e in estimators if e not in ("naive", "mc", "gmm")]
     if unknown:
         print(f"error: unknown estimators {unknown}", file=sys.stderr)
@@ -107,6 +110,9 @@ def cmd_fit(args) -> int:
             _WEIGHT_TOKENS[tok.strip()] for tok in args.weights.split(",") if tok.strip()))
     except KeyError as exc:
         print(f"error: unknown weight scheme {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if "gmm" in estimators and not schemes:
+        print("error: the gmm estimator needs at least one --weights scheme", file=sys.stderr)
         return EXIT_USAGE
     if "gmm" in estimators and args.bootstrap < MIN_BOOTSTRAP:
         print(f"error: the gmm estimator needs --bootstrap >= {MIN_BOOTSTRAP} resamples",
@@ -148,9 +154,9 @@ def cmd_fit(args) -> int:
                     "converged": fit.converged,
                     "n_iter": fit.n_iter,
                     "t_star": fit.ecf.t_star,
-                    "weight_scheme": fit.scheme,
+                    "weight_scheme": fit.weights.scheme,
                     "max_q_times_n": fit.weights.max_q_times_n,
-                    "bootstrap_b": fit.bootstrap_b,
+                    "bootstrap_b": args.bootstrap,
                     "bootstrap_failed": fit.n_boot_failed,
                     **fit.diagnostics,
                 }
@@ -256,6 +262,9 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     estimators = tuple(tok.strip() for tok in args.estimators.split(",") if tok.strip())
+    if not estimators:
+        print("error: no estimators given", file=sys.stderr)
+        return EXIT_USAGE
     bad = [e for e in estimators if e not in ESTIMATORS]
     if bad:
         print(f"error: unknown estimators {bad}; known: {ESTIMATORS}", file=sys.stderr)
@@ -403,9 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _default_workers() -> int:
     env = os.environ.get("EIVGMM_WORKERS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        print(f"error: EIVGMM_WORKERS must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def main(argv=None) -> int:

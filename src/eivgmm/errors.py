@@ -30,10 +30,6 @@ class WeightSolveError(EivError):
     """The quasi-likelihood weight system is singular."""
 
 
-class PhaseValueError(EivError):
-    """The weighted empirical phase function is undefined at the requested frequency."""
-
-
 class DegenerateInputError(EivError):
     """Input with no variation where variation is required (e.g. constant outcomes)."""
 

@@ -17,7 +17,6 @@ bootstrap covariance.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +59,12 @@ class GmmFit:
     eigenvalue-floored bootstrap covariance omega_hat; se holds sandwich
     standard errors (None when not requested or when the fit did not
     converge). n_iter counts objective evaluations. diagnostics holds the
-    bootstrap event counts boot_capped (resamples whose t* scan hit its cap),
+    event counts ql_fallback and ql_clamped (0 or 1: the full-sample
+    quasi-likelihood weights fell back to equal or were clamped), the
+    bootstrap's boot_capped (resamples whose t* scan hit its cap),
     boot_ql_fallback and boot_ql_clamped (resamples whose quasi-likelihood
-    weights fell back to equal or were clamped), and se_error, the reason,
-    when standard errors were requested but se is None.
+    weights fell back or were clamped), and se_error, the reason, when
+    standard errors were requested but se is None.
     """
 
     theta: ParamVector
@@ -71,10 +72,8 @@ class GmmFit:
     omega_inv: np.ndarray
     se: np.ndarray | None
     q_value: float
-    bootstrap_b: int
     converged: bool
     n_iter: int
-    scheme: str
     theta_init: ParamVector
     weights: WeightVector
     ecf: EcfOutcome
@@ -122,10 +121,10 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     the same to the last bit as from a call with that column alone.
 
     Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
-    scheme instead of warned about once per resample. Returns {scheme:
-    (omega, omega_inv, failures, events)} with omega the eigenvalue-floored
-    covariance, omega_inv its inverse, failures a list of (resample, message)
-    and events the counts boot_capped, boot_ql_fallback and boot_ql_clamped.
+    scheme. Returns {scheme: (omega, omega_inv, failures, events)} with omega
+    the eigenvalue-floored covariance, omega_inv its inverse, failures a list
+    of (resample, message) and events the counts boot_capped,
+    boot_ql_fallback and boot_ql_clamped.
     A scheme with more than MAX_BOOT_FAILURE_FRAC of its resamples failed
     maps to a BootstrapInstabilityError instead; the other schemes keep
     their covariances.
@@ -159,10 +158,7 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         for scheme in schemes:
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
-                with warnings.catch_warnings():
-                    # counted in events below, not warned once per resample
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    q_b = make_weights(scheme, cov_b, w_bar_b, nr)
+                q_b = make_weights(scheme, cov_b, w_bar_b, nr)
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
                 continue
@@ -289,7 +285,9 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
                                       jac_mc=jac_mc, q=weights.q, ecf=ecf)
         x, q_val, n_iter, converged, jac = _levenberg_marquardt(
             resid_jac, omega_inv, mc.theta.theta)
-        se, diagnostics = None, dict(events)
+        se = None
+        diagnostics = {**events, "ql_fallback": int(weights.fallback),
+                       "ql_clamped": int(weights.max_clamp > 0.0)}
         if compute_se and not converged:
             diagnostics["se_error"] = "optimizer did not converge"
         elif compute_se:
@@ -303,10 +301,8 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
             omega_inv=omega_inv,
             se=se,
             q_value=q_val,
-            bootstrap_b=b,
             converged=converged,
             n_iter=n_iter,
-            scheme=weights.scheme,
             theta_init=mc.theta,
             weights=weights,
             ecf=ecf,

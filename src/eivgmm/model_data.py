@@ -58,7 +58,7 @@ class ParamVector:
         return self.beta.size + self.gamma.size
 
 
-def as_theta(theta_like, p: int | None = None) -> np.ndarray:
+def as_theta(theta_like) -> np.ndarray:
     """Coerce a ParamVector or array-like to a flat [beta, gamma] vector."""
     if isinstance(theta_like, ParamVector):
         return theta_like.theta

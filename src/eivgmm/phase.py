@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInputError
-from .model_data import RegressionDesign, as_theta
+from .model_data import as_theta
 
 __all__ = [
     "EcfOutcome",
@@ -184,16 +184,6 @@ def build_ecf(y) -> EcfOutcome:
                       t_star=t_star, capped=capped)
 
 
-def _as_weights(weights) -> np.ndarray:
-    return np.asarray(getattr(weights, "q", weights), dtype=float)
-
-
-def _as_design(design) -> np.ndarray:
-    if isinstance(design, RegressionDesign):
-        return design.v
-    return np.asarray(design, dtype=float)
-
-
 def _base_weights(ecf: EcfOutcome) -> np.ndarray:
     """Quadrature weights times the kernel at each node."""
     return ecf.quad_w * kernel(ecf.grid, ecf.t_star)
@@ -209,19 +199,20 @@ def _phase_terms(pairs: _NodePairs, qv1: np.ndarray, ecf: EcfOutcome):
     return g, gmat
 
 
-def grad_dtilde(theta, design, weights, ecf: EcfOutcome) -> np.ndarray:
+def grad_dtilde(theta, design: np.ndarray, weights: np.ndarray,
+                ecf: EcfOutcome) -> np.ndarray:
     """Exact gradient of the phase discrepancy with respect to [beta, gamma].
 
-    weights is one vector (n,), giving a (k,) gradient, or S weight vectors
-    as the columns of an (n, S) array, giving an (S, k) array of gradients
-    from one set of trig tables. Observations whose linear index ties are
-    summed first (a stable sort, then one reduction of [q | q v]), so a
-    bootstrap resample's duplicated rows cost nothing extra. Each weight
-    vector then takes its own products with the tables, so its gradient is
-    the same to the last bit whether it comes alone or with others.
+    design is the (n, k) array [w_bar | z]. weights is one vector (n,),
+    giving a (k,) gradient, or S weight vectors as the columns of an (n, S)
+    array, giving an (S, k) array of gradients from one set of trig tables.
+    Observations whose linear index ties are summed first (a stable sort,
+    then one reduction of [q | q v]), so a bootstrap resample's duplicated
+    rows cost nothing extra. Each weight vector then takes its own products
+    with the tables, so its gradient is the same to the last bit whether it
+    comes alone or with others.
     """
-    v = _as_design(design)
-    q = _as_weights(weights)
+    v, q = design, weights
     n, k = v.shape
     qs = q.reshape(n, -1)
     idx = v @ as_theta(theta)

@@ -20,9 +20,7 @@ from .model_data import make_dataset
 
 __all__ = [
     "SimConfig",
-    "gen_half_normal_copula",
     "gen_error_matrices",
-    "draw_errors",
     "gen_dataset",
     "SETTINGS",
     "ERROR_LAWS",
@@ -75,6 +73,12 @@ class SimConfig:
             raise ValidationError("need n_rep >= 2")
         if not 0.0 <= self.rho < 1.0:
             raise ValidationError("need rho in [0, 1)")
+        if self.m_reps < 0:
+            raise ValidationError("need m_reps >= 0")
+        if not (np.isfinite(self.u_scale) and self.u_scale > 0.0):
+            raise ValidationError("need a finite u_scale > 0")
+        if not (np.isfinite(self.sigma_eps_sq) and self.sigma_eps_sq >= 0.0):
+            raise ValidationError("need a finite sigma_eps_sq >= 0")
         p, q = _SETTING_DIMS[self.setting]
         beta0 = tuple(self.beta0) if self.beta0 is not None else _DEFAULT_BETA[self.setting]
         gamma0 = tuple(self.gamma0) if self.gamma0 is not None else _DEFAULT_GAMMA[self.setting]
@@ -97,12 +101,6 @@ class SimConfig:
         return np.array(self.beta0 + self.gamma0)
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def _equicorrelated_normal(rng, n, dim, corr):
     z = rng.standard_normal((n, dim))
     if dim == 1 or corr == 0.0:
@@ -117,14 +115,8 @@ def _half_normal_transform(z):
     return HALF_NORMAL_SCALE * stats.norm.ppf(0.5 * (1.0 + u))
 
 
-def gen_half_normal_copula(n, dim, corr, seed_or_rng) -> np.ndarray:
-    """Half-normal margins (scaled to unit variance) with Gaussian-copula
-    correlation ``corr`` between every pair of components."""
-    rng = _as_rng(seed_or_rng)
-    return _half_normal_transform(_equicorrelated_normal(rng, n, dim, corr))
-
-
-def gen_error_matrices(n, n_rep, p, rho, seed_or_rng, scale: float = 1.0) -> np.ndarray:
+def gen_error_matrices(n, n_rep, p, rho, rng: np.random.Generator,
+                       scale: float = 1.0) -> np.ndarray:
     """Per-observation error covariances sigma_j = D_j R D_j, stacked (n, p, p).
 
     The marginal standard deviations D_j are scale * sqrt(n_rep) *
@@ -132,7 +124,6 @@ def gen_error_matrices(n, n_rep, p, rho, seed_or_rng, scale: float = 1.0) -> np.
     off-diagonal rho. At scale 1 the averaged-replicate signal-to-noise ratio
     spans [2/3, 5] for any replicate count.
     """
-    rng = _as_rng(seed_or_rng)
     d = scale * np.sqrt(n_rep) * rng.uniform(np.sqrt(0.2), np.sqrt(1.5), size=(n, p))
     r = (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
     return np.einsum("ja,jb,ab->jab", d, d, r)
@@ -149,31 +140,14 @@ def _law_factors(law, rng, shape):
     raise ValidationError(f"unknown error law {law!r}")
 
 
-def _psd_factor(sigma):
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def draw_errors(law, sigma, count, seed_or_rng) -> np.ndarray:
-    """Draw ``count`` error vectors with covariance ``sigma`` under ``law``.
-
-    All three laws are symmetric about zero: the t draws share one chi-square
-    scale per vector, and the contaminated normal inflates a 10% subset of
-    vectors by a factor 10, with the base covariance shrunk by 10.9 so the
-    mixture covariance equals sigma.
-    """
-    rng = _as_rng(seed_or_rng)
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    factor = _psd_factor(sigma)
-    z = rng.standard_normal((count, sigma.shape[0]))
-    return (z @ factor.T) * _law_factors(law, rng, count)[:, None]
-
-
 def _draw_replicate_errors(law, sigmas, n_rep, rng):
-    """(n, n_rep, p) error draws, observation j using covariance sigmas[j]."""
+    """(n, n_rep, p) error draws, observation j using covariance sigmas[j].
+
+    All three laws are symmetric about zero: a t draw scales its whole vector
+    by one chi-square factor, and the contaminated normal inflates a 10%
+    subset of the vectors by a factor 10, with the base covariance shrunk by
+    10.9 so the mixture covariance equals sigmas[j].
+    """
     n, p = sigmas.shape[0], sigmas.shape[1]
     factors = np.linalg.cholesky(sigmas)
     z = rng.standard_normal((n, n_rep, p))

@@ -8,7 +8,6 @@ means, obtained from a penalized bordered linear system).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,6 @@ __all__ = [
 ]
 
 SCHEMES = ("equal", "minimax", "quasi_likelihood")
-
-#: clamped-weight magnitude above which the quasi-likelihood solve is suspect
-QL_CLAMP_ALERT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -127,40 +123,26 @@ def solve_ql_system(omega_inv: np.ndarray, w_bar: np.ndarray, gamma: float):
     return q, float(lam)
 
 
-def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep,
-               ridge_gamma: float | None = None) -> WeightVector:
+def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
     """Quasi-likelihood weights from the penalized bordered linear system.
 
-    ridge_gamma is the stabilizing penalty on squared weight differences;
-    defaults to 1/n. Negative solutions are clamped at zero and the vector
-    renormalized; a clamp larger than QL_CLAMP_ALERT triggers a warning. A
-    singular system falls back to equal weights with the fallback flag set.
+    The penalty on squared weight differences is 1/n. Negative solutions are
+    clamped at zero and the vector renormalized, with max_clamp recording the
+    largest magnitude clamped; a singular system falls back to equal weights
+    with fallback set. Both are reported through those fields only.
     """
     w_bar = np.asarray(w_bar, dtype=float)
     n = w_bar.shape[0]
     if n < 2:
         raise ValueError("need n >= 2")
-    if ridge_gamma is None:
-        ridge_gamma = 1.0 / n
     omega = omega_matrices(cov, np.asarray(n_rep))
     try:
         omega_inv = np.linalg.inv(omega)
-        q, _ = solve_ql_system(omega_inv, w_bar, ridge_gamma)
-    except (WeightSolveError, np.linalg.LinAlgError) as exc:
-        warnings.warn(
-            f"quasi-likelihood weight solve failed ({exc}); falling back to equal weights",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        q, _ = solve_ql_system(omega_inv, w_bar, 1.0 / n)
+    except (WeightSolveError, np.linalg.LinAlgError):
         return WeightVector(q=np.full(n, 1.0 / n), scheme="quasi_likelihood", fallback=True)
     max_clamp = float(max(0.0, -q.min()))
     if max_clamp > 0.0:
-        if max_clamp > QL_CLAMP_ALERT:
-            warnings.warn(
-                f"quasi-likelihood weights clamped by up to {max_clamp:.3g}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         q = np.clip(q, 0.0, None)
         q = q / q.sum()
     return WeightVector(q=q, scheme="quasi_likelihood", max_clamp=max_clamp)

@@ -7,17 +7,12 @@ what the fast paths in `eivgmm.phase` must reproduce to rounding level.
 
 import numpy as np
 
-from eivgmm.errors import PhaseValueError
-from eivgmm.model_data import RegressionDesign, as_theta
+from eivgmm.model_data import as_theta
 from eivgmm.phase import EcfOutcome, kernel
 
 
-def _as_design(design) -> np.ndarray:
-    return design.v if isinstance(design, RegressionDesign) else np.asarray(design, float)
-
-
-def _as_weights(weights) -> np.ndarray:
-    return np.asarray(getattr(weights, "q", weights), dtype=float)
+class PhaseUndefinedError(ArithmeticError):
+    """The weighted phase function has zero modulus at the requested frequency."""
 
 
 def ecf_from_counts(vals, counts, n: int, t):
@@ -37,20 +32,20 @@ def ecf_values(y, t):
     return ecf_from_counts(vals, counts.astype(float), y.size, t)
 
 
-def wepf(theta, design, weights, t: float) -> complex:
+def wepf(theta, v, q, t: float) -> complex:
     """Weighted empirical phase function of the fitted linear index at frequency t.
 
     Equals (sum_j q_j exp(i t v_j)) normalized to unit modulus, with
-    v_j = w_bar_j' beta + z_j' gamma. Raises PhaseValueError when the
-    normalizing modulus vanishes (possible at large t).
+    v_j = w_bar_j' beta + z_j' gamma the index of design row j. Raises
+    PhaseUndefinedError when the normalizing modulus vanishes (possible at
+    large t).
     """
-    v = _as_design(design) @ as_theta(theta)
-    q = _as_weights(weights)
+    v = v @ as_theta(theta)
     re = q @ np.cos(t * v)
     im = q @ np.sin(t * v)
     mod = np.hypot(re, im)
     if mod <= 1e-12:
-        raise PhaseValueError(
+        raise PhaseUndefinedError(
             f"weighted phase function undefined at t={t:.6g}: modulus {mod:.3g}"
         )
     return complex(re / mod, im / mod)
@@ -72,10 +67,8 @@ def phase_tables(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
     return sin_tv, cos_tv, g, base_w
 
 
-def dtilde(theta, design, weights, ecf: EcfOutcome) -> float:
+def dtilde(theta, v, q, ecf: EcfOutcome) -> float:
     """Phase discrepancy: integral of the squared phase mismatch over [0, t*]."""
-    v = _as_design(design)
-    q = _as_weights(weights)
     _, _, g, base_w = phase_tables(theta, v, q, ecf)
     return float(base_w @ g**2)
 

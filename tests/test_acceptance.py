@@ -76,7 +76,7 @@ class TestCriterion5Properties:
         for _ in range(50):
             theta = rng.normal(size=3)
             t = rng.uniform(0.05, 2.0)
-            ok &= abs(abs(wepf(theta, design, np.full(200, 1 / 200), t)) - 1.0) <= 1e-10
+            ok &= abs(abs(wepf(theta, design.v, np.full(200, 1 / 200), t)) - 1.0) <= 1e-10
         _report("5a |wepf| = 1", {"passed": ok, "summary": "unit modulus to 1e-10"})
         assert ok
 
@@ -112,14 +112,14 @@ class TestCriterion5Properties:
         worst = 0.0
         for _ in range(5):
             theta = np.array([1.0, 0.5, 2.0]) + 0.2 * rng.normal(size=3)
-            grad = grad_dtilde(theta, design, w, ecf)
+            grad = grad_dtilde(theta, design.v, w.q, ecf)
             fd = np.empty(3)
             for i in range(3):
                 h = 1e-6 * (1.0 + abs(theta[i]))
                 e = np.zeros(3)
                 e[i] = h
-                fd[i] = (dtilde(theta + e, design, w, ecf)
-                         - dtilde(theta - e, design, w, ecf)) / (2 * h)
+                fd[i] = (dtilde(theta + e, design.v, w.q, ecf)
+                         - dtilde(theta - e, design.v, w.q, ecf)) / (2 * h)
             worst = max(worst, np.max(np.abs(grad - fd)) / max(np.abs(fd).max(), 1e-12))
         ok = worst <= 1e-5
         _report("5d grad vs central differences",

@@ -192,9 +192,7 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
         for scheme in schemes:
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    q_b = make_weights(scheme, cov_b, w_bar_b, nr)
+                q_b = make_weights(scheme, cov_b, w_bar_b, nr)
                 s_vec = np.concatenate([s_mc, grad_dtilde(theta, vb, q_b.q, ecf_b)])
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
@@ -535,6 +533,33 @@ class TestSchemeFailures:
         forced = self.fit_all(d, cov, design, mc)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], DegenerateCovarianceError)
+
+    def test_full_sample_ql_events_are_counts_not_warnings(self, rng, monkeypatch):
+        # the quasi-likelihood solve fails on the full sample only: that fit
+        # runs on equal weights and says so in its diagnostics, silently
+        d, cov, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, cov, design, mc)
+        solve = weights_module.solve_ql_system
+        full_w_bar = design.v[:, :d.p]
+
+        def failing(omega_inv, w_bar, gamma):
+            if np.array_equal(w_bar, full_w_bar):
+                raise WeightSolveError("forced failure")
+            return solve(omega_inv, w_bar, gamma)
+
+        monkeypatch.setattr(weights_module, "solve_ql_system", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            forced = self.fit_all(d, cov, design, mc)
+        got, want = forced["quasi_likelihood"], ref["quasi_likelihood"]
+        assert got.weights.fallback and not want.weights.fallback
+        assert (got.diagnostics["ql_fallback"], got.diagnostics["ql_clamped"]) == (1, 0)
+        assert want.diagnostics["ql_fallback"] == 0
+        assert want.diagnostics["ql_clamped"] == int(want.weights.max_clamp > 0.0)
+        assert np.array_equal(got.omega_hat, want.omega_hat)
+        for scheme in ("equal", "minimax"):
+            assert forced[scheme].diagnostics == ref[scheme].diagnostics
+            assert forced[scheme].diagnostics["ql_fallback"] == 0
 
     def test_nonconverged_fit_says_why_se_is_missing(self, rng, monkeypatch):
         monkeypatch.setattr(gmm_module, "MAX_EVAL", 1)

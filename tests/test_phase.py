@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eivgmm.errors import DegenerateInputError, PhaseValueError
+from eivgmm.errors import DegenerateInputError
 from eivgmm.phase import (
     N_QUAD,
     T_CAP_SCALE,
@@ -17,7 +17,7 @@ from eivgmm.phase import (
 )
 from eivgmm.simgen import SimConfig, gen_dataset
 import phase_oracles
-from phase_oracles import dtilde, ecf_values, wepf
+from phase_oracles import PhaseUndefinedError, dtilde, ecf_values, wepf
 
 
 class TestSelectTStar:
@@ -114,7 +114,7 @@ class TestWepf:
         # two atoms half a period apart cancel exactly
         v = np.array([[0.0], [np.pi]])
         q = np.array([0.5, 0.5])
-        with pytest.raises(PhaseValueError):
+        with pytest.raises(PhaseUndefinedError):
             wepf(np.array([1.0]), v, q, 1.0)
 
 

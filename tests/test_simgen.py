@@ -4,27 +4,46 @@ import pytest
 from eivgmm.errors import ValidationError
 from eivgmm.simgen import (
     SimConfig,
-    draw_errors,
+    _draw_replicate_errors,
+    _equicorrelated_normal,
+    _half_normal_transform,
     gen_dataset,
     gen_error_matrices,
-    gen_half_normal_copula,
 )
+
+
+def half_normal_copula(n, dim, corr, seed):
+    """The covariate draw gen_dataset makes: Gaussian-copula half-normals."""
+    rng = np.random.default_rng(seed)
+    return _half_normal_transform(_equicorrelated_normal(rng, n, dim, corr))
+
+
+def replicate_errors(law, sigma, n, n_rep, rng):
+    """gen_dataset's (n, n_rep, p) error draw with every observation's
+    covariance equal to sigma."""
+    sigma = np.atleast_2d(sigma)
+    return _draw_replicate_errors(law, np.broadcast_to(sigma, (n,) + sigma.shape), n_rep, rng)
+
+
+def draw_vectors(law, sigma, count, seed):
+    """count error vectors with covariance sigma, one replicate each."""
+    return replicate_errors(law, sigma, count, 1, np.random.default_rng(seed))[:, 0, :]
 
 
 class TestHalfNormalCopula:
     def test_moments(self):
-        x = gen_half_normal_copula(100_000, 2, 0.5, 99)
+        x = half_normal_copula(100_000, 2, 0.5, 99)
         # scaled half-normal: variance 1, mean sqrt(2/pi)/sqrt(1-2/pi)
         target_mean = np.sqrt(2 / np.pi) / np.sqrt(1 - 2 / np.pi)
         assert np.all(np.abs(x.var(axis=0, ddof=1) - 1.0) < 0.02)
         assert np.all(np.abs(x.mean(axis=0) / target_mean - 1.0) < 0.01)
 
     def test_positive_support(self):
-        x = gen_half_normal_copula(5000, 3, 0.3, 1)
+        x = half_normal_copula(5000, 3, 0.3, 1)
         assert np.all(x > 0)
 
     def test_correlation_induced(self):
-        x = gen_half_normal_copula(200_000, 2, 0.5, 2)
+        x = half_normal_copula(200_000, 2, 0.5, 2)
         # Gaussian-copula corr 0.5 maps to a nearby positive Pearson corr
         r = np.corrcoef(x, rowvar=False)[0, 1]
         assert 0.3 < r < 0.6
@@ -32,25 +51,25 @@ class TestHalfNormalCopula:
 
 class TestErrorMatrices:
     def test_diagonal_when_uncorrelated(self):
-        sig = gen_error_matrices(50, 2, 2, 0.0, 3)
+        sig = gen_error_matrices(50, 2, 2, 0.0, np.random.default_rng(3))
         assert np.allclose(sig[:, 0, 1], 0.0)
 
     def test_variance_range(self):
         for n_rep in (2, 3):
-            sig = gen_error_matrices(2000, n_rep, 2, 0.5, 4)
+            sig = gen_error_matrices(2000, n_rep, 2, 0.5, np.random.default_rng(4))
             diag = np.diagonal(sig, axis1=1, axis2=2) / n_rep
             assert diag.min() >= 0.2 - 1e-12
             assert diag.max() <= 1.5 + 1e-12
 
     def test_signal_to_noise_band(self):
         # averaged-replicate noise variance in [0.2, 1.5] means SNR in [2/3, 5]
-        sig = gen_error_matrices(5000, 2, 2, 0.0, 5)
+        sig = gen_error_matrices(5000, 2, 2, 0.0, np.random.default_rng(5))
         snr = 1.0 / (np.diagonal(sig, axis1=1, axis2=2) / 2)
         assert snr.min() >= 2 / 3 - 1e-9
         assert snr.max() <= 5 + 1e-9
 
     def test_scale_multiplier(self):
-        sig = gen_error_matrices(1000, 2, 1, 0.0, 6, scale=0.5)
+        sig = gen_error_matrices(1000, 2, 1, 0.0, np.random.default_rng(6), scale=0.5)
         diag = sig[:, 0, 0] / 2
         assert diag.min() >= 0.25 * 0.2 - 1e-12
         assert diag.max() <= 0.25 * 1.5 + 1e-12
@@ -60,28 +79,28 @@ class TestDrawErrors:
     @pytest.mark.parametrize("law", ["normal", "t2_5", "contaminated_normal"])
     def test_symmetric_zero_mean(self, law):
         sigma = np.array([[1.0, 0.3], [0.3, 0.8]])
-        u = draw_errors(law, sigma, 200_000, 11)
+        u = draw_vectors(law, sigma, 200_000, 11)
         tol = 0.05 if law == "t2_5" else 0.02
         assert np.all(np.abs(u.mean(axis=0)) < tol)
         assert abs(np.median(u[:, 0])) < 0.01
 
     def test_normal_covariance(self):
         sigma = np.eye(2)
-        u = draw_errors("normal", sigma, 1_000_000, 12)
+        u = draw_vectors("normal", sigma, 1_000_000, 12)
         cov = np.cov(u, rowvar=False)
         assert np.all(np.abs(cov - sigma) < 0.03)
 
     def test_contaminated_mixture_scaling(self):
         # mixture variance factor 0.9 + 0.1*100 = 10.9 is divided out
         sigma = np.array([[2.0]])
-        u = draw_errors("contaminated_normal", sigma, 400_000, 13)
+        u = draw_vectors("contaminated_normal", sigma, 400_000, 13)
         assert abs(u.var() - 2.0) < 0.1
         # the 10x component leaves a visibly heavy tail
         assert np.mean(np.abs(u) > 3 * np.sqrt(2.0 / 10.9) * 3) > 0.01
 
     def test_t_covariance(self):
         sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
-        u = draw_errors("t2_5", sigma, 2_000_000, 14)
+        u = draw_vectors("t2_5", sigma, 2_000_000, 14)
         cov = np.cov(u, rowvar=False)
         # t_2.5 variance converges slowly; generous band
         assert np.all(np.abs(cov / sigma - 1.0) < 0.2)
@@ -140,7 +159,7 @@ class TestGenDataset:
         sigma = np.array([[1.2, 0.4], [0.4, 0.8]])
         rng = np.random.default_rng(88)
         m, n_rep = 40_000, 2
-        u = draw_errors(law, sigma, m * n_rep, rng).reshape(m, n_rep, 2)
+        u = replicate_errors(law, sigma, m, n_rep, rng)
         diff = u[:, 0, :] - u[:, 1, :]
         est = np.einsum("ja,jb->ab", diff, diff) / (2 * m)
         tol = 0.25 if law == "t2_5" else 0.06
@@ -165,3 +184,9 @@ class TestGenDataset:
             SimConfig(setting="I", error_law="cauchy")
         with pytest.raises(ValidationError):
             SimConfig(setting="I", beta0=(1.0,))
+        for bad in ({"u_scale": 0.0}, {"u_scale": -1.0}, {"u_scale": np.inf},
+                    {"u_scale": np.nan}, {"sigma_eps_sq": -1.0},
+                    {"sigma_eps_sq": np.nan}, {"sigma_eps_sq": np.inf}, {"m_reps": -1}):
+            with pytest.raises(ValidationError):
+                SimConfig(setting="I", **bad)
+        assert SimConfig(setting="I", m_reps=0, sigma_eps_sq=0.0).m_reps == 0

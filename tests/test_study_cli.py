@@ -146,6 +146,8 @@ class TestCliFit:
         events = {key: report["diagnostics"]["gmm_minimax"][key]
                   for key in ("boot_capped", "boot_ql_fallback", "boot_ql_clamped")}
         assert events == {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
+        assert {key: report["diagnostics"]["gmm_minimax"][key]
+                for key in ("ql_fallback", "ql_clamped")} == {"ql_fallback": 0, "ql_clamped": 0}
 
     def test_repeated_weight_scheme_fit_once(self, csv_path, tmp_path, capsys):
         # "mm" and "minimax" name one scheme: one column, one fit, and the
@@ -202,6 +204,20 @@ class TestCliFit:
         code, *_ = run_cli(["fit", "--data", csv_path, "--y", "y",
                             "--estimators", "gmm", "--bootstrap", "0"], capsys)
         assert code == 2
+
+    def test_empty_estimator_list_usage_error(self, csv_path, capsys):
+        code, out, err = run_cli(["fit", "--data", csv_path, "--y", "y",
+                                  "--estimators", ","], capsys)
+        assert code == 2
+        assert "no estimators" in err
+        assert out == ""
+
+    def test_gmm_with_empty_weight_list_usage_error(self, csv_path, capsys):
+        code, out, err = run_cli(["fit", "--data", csv_path, "--y", "y",
+                                  "--estimators", "mc,gmm", "--weights", ","], capsys)
+        assert code == 2
+        assert "--weights" in err
+        assert out == ""
 
     def test_naive_needs_no_corrected_fit(self, tmp_path, capsys):
         # the corrected normal equations of this file are singular; naive
@@ -330,8 +346,25 @@ class TestCliSimulate:
         assert (d.n, d.p) == (60, 2)
 
     def test_unknown_estimator_usage_error(self, capsys):
-        code, *_ = run_cli(["simulate", "--estimators", "bogus", "--M", "2"], capsys)
-        assert code == 2
+        for estimators in ("bogus", ","):
+            code, *_ = run_cli(["simulate", "--estimators", estimators, "--M", "2"], capsys)
+            assert code == 2, estimators
+
+    def test_bad_scalars_usage_error(self, capsys):
+        for flag, value in (("--u-scale", "0"), ("--eps-var", "-1"), ("--M", "-1")):
+            code, out, err = run_cli(["simulate", "--setting", "I", "--n", "60", "--M", "2",
+                                      "--estimators", "naive", "--workers", "1",
+                                      flag, value], capsys)
+            assert code == 2, flag
+            assert err.startswith("error: need"), flag
+            assert out == ""
+
+    def test_non_integer_workers_env_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("EIVGMM_WORKERS", "two")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", "unused.csv", "--y", "y"])
+        assert exc.value.code == 2
+        assert "error: EIVGMM_WORKERS" in capsys.readouterr().err
 
 
 class TestCliReproduce:
