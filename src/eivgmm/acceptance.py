@@ -31,6 +31,12 @@ def _cfg(setting, n, error_law, rho, m_reps, seed, calibrated=True):
                      error_law=error_law, rho=rho, seed=seed, **kwargs)
 
 
+def _fit_counts(res):
+    """Failed fits, SE-only failures and det metrics on the MAD fallback."""
+    return {"n_failed": res.n_failed, "n_se_failed": res.n_se_failed,
+            "det_fallback": res.det_fallback}
+
+
 def run_naive_ordering(m_reps=100, b=100, seed=20250810, workers=1):
     """Setting I, rho=0.5, normal, n=1000: naive det at least 10x every
     corrected estimator's det."""
@@ -46,8 +52,7 @@ def run_naive_ordering(m_reps=100, b=100, seed=20250810, workers=1):
         "summary": (f"naive {det['naive']:.3f} vs worst corrected {worst:.3f} "
                     f"(ratio {det['naive'] / worst:.1f}x, need >= 10x)"),
         "det_metrics": det,
-        "n_failed": res.n_failed,
-        "n_se_failed": res.n_se_failed,
+        **_fit_counts(res),
     }
 
 
@@ -68,8 +73,7 @@ def run_heavy_tails(m_reps=100, b=100, seed=20250810, workers=1):
         "det_metrics": det,
         "ratio": ratio,
         "magnitudes_in_band": bool(in_band),
-        "n_failed": res.n_failed,
-        "n_se_failed": res.n_se_failed,
+        **_fit_counts(res),
     }
 
 
@@ -88,8 +92,7 @@ def run_contaminated_simple(m_reps=100, b=100, seed=20250810, workers=1):
                     f"(ratio {ratio:.3f}, need <= 0.2; reference 0.48 vs 14.27)"),
         "det_metrics": det,
         "ratio": ratio,
-        "n_failed": res.n_failed,
-        "n_se_failed": res.n_se_failed,
+        **_fit_counts(res),
     }
 
 
@@ -111,8 +114,7 @@ def run_se_calibration(m_reps=100, b=100, seed=20250810, workers=1):
                     f"(reference 0.030 vs 0.031; need +/-30% and both in [0.02, 0.045])"),
         "mc_se": summary.mc_se.tolist(),
         "avg_se": summary.avg_se.tolist(),
-        "n_failed": res.n_failed,
-        "n_se_failed": res.n_se_failed,
+        **_fit_counts(res),
     }
 
 

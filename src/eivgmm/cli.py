@@ -248,6 +248,7 @@ def _study_report(result, estimators, command, args):
         "n_converged": result.n_converged,
         "n_failed": result.n_failed,
         "n_se_failed": result.n_se_failed,
+        "det_fallback": result.det_fallback,
         "failures": [[m, name, msg] for m, name, msg in result.failures[:50]],
         "provenance": _provenance(cfg.seed),
         "_text": text,

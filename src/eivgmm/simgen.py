@@ -80,6 +80,8 @@ class SimConfig:
         if not (np.isfinite(self.sigma_eps_sq) and self.sigma_eps_sq >= 0.0):
             raise ValidationError("need a finite sigma_eps_sq >= 0")
         p, q = _SETTING_DIMS[self.setting]
+        if self.n < p + q + 2:
+            raise ValidationError(f"need n >= p+q+2 = {p + q + 2}, got n = {self.n}")
         beta0 = tuple(self.beta0) if self.beta0 is not None else _DEFAULT_BETA[self.setting]
         gamma0 = tuple(self.gamma0) if self.gamma0 is not None else _DEFAULT_GAMMA[self.setting]
         if len(beta0) != p or len(gamma0) != q + 1:

@@ -47,6 +47,8 @@ class StudyResult:
     se_summary: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     n_converged: dict = field(default_factory=dict)
+    #: estimators whose det metric used the diagonal squared-MAD scatter
+    det_fallback: list = field(default_factory=list)
 
     def _failed_fits(self, se_only: bool) -> int:
         return len({(m, name) for m, name, msg in self.failures
@@ -214,7 +216,10 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
         ok = np.all(np.isfinite(rows), axis=1)
         result.n_converged[name] = int(ok.sum())
         if ok.sum() >= 20:
-            result.det_metrics[name] = robust_mse(rows[ok], theta0, seed=cfg.seed).det_metric
+            rob = robust_mse(rows[ok], theta0, seed=cfg.seed)
+            result.det_metrics[name] = rob.det_metric
+            if rob.mad_fallback:
+                result.det_fallback.append(name)
         if compute_se and name in GMM_SCHEMES:
             se_ok = ok & np.all(np.isfinite(ses[name]), axis=1)
             if se_ok.sum() >= 2:

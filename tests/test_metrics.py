@@ -1,7 +1,89 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from eivgmm import metrics
 from eivgmm.metrics import fast_mcd, mc_se_summary, robust_mse
+
+
+def _c_step(a, support, h):
+    """One concentration step: refit on support, keep the h closest rows."""
+    loc = a[support].mean(axis=0)
+    centered = a[support] - loc
+    scatter = centered.T @ centered / (support.size - 1)
+    try:
+        dist = np.einsum("ij,ij->i", (a - loc) @ np.linalg.inv(scatter), a - loc)
+    except np.linalg.LinAlgError:
+        return None, None, None
+    new_support = np.argsort(dist, kind="stable")[:h]
+    sign, logdet = np.linalg.slogdet(scatter)
+    return np.sort(new_support), (sign, logdet), scatter
+
+
+def _loop_chain(a, support, h):
+    """Oracle for one start's chain: ((sign, logdet), support), or None when
+    its first scatter is singular."""
+    result = None
+    for _ in range(metrics.MCD_MAX_C_STEPS):
+        new_support, obj, _ = _c_step(a, support, h)
+        if new_support is None:
+            break
+        if np.array_equal(new_support, support):
+            return obj, support
+        support = new_support
+        result = (obj, support)
+    return result
+
+
+def _mcd_starts(m, k, seed):
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    return [np.sort(rng.choice(m, size=k + 1, replace=False)) for _ in range(metrics.MCD_STARTS)]
+
+
+def _mcd_h(m, k):
+    return min(max(int(np.ceil(metrics.MCD_SUPPORT_FRACTION * m)), k + 1), m)
+
+
+def _loop_fast_mcd(a, seed=0):
+    """Oracle for fast_mcd: one start at a time, one C-step at a time."""
+    a = np.asarray(a, dtype=float)
+    m, k = a.shape
+    h = _mcd_h(m, k)
+    best = None
+    for support in _mcd_starts(m, k, seed):
+        result = _loop_chain(a, support, h)
+        if result is None:
+            continue
+        (sign, logdet), support = result
+        if sign <= 0:
+            continue
+        if best is None or logdet < best[0] - 1e-12:
+            best = (logdet, support)
+    if best is None:
+        return None, None
+    support = best[1]
+    loc = a[support].mean(axis=0)
+    centered = a[support] - loc
+    scatter = centered.T @ centered / (support.size - 1)
+    return loc, scatter
+
+
+def _mcd_rows(kind, m, k, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal((m, k))
+    if kind == "t2_5":
+        return rng.standard_t(2.5, size=(m, k))
+    if kind == "lattice":
+        return rng.integers(-2, 3, size=(m, k)).astype(float)
+    if kind == "duplicated":
+        # few distinct rows: supports with repeated rows give exactly singular scatters
+        pool = rng.integers(0, 2, size=(max(2, m // 6), k)).astype(float)
+        return pool[rng.integers(0, pool.shape[0], size=m)]
+    # rank-deficient: a zero column makes every scatter exactly singular
+    a = rng.standard_normal((m, k))
+    a[:, rng.integers(0, k)] = 0.0
+    return a
 
 
 class TestRobustMse:
@@ -106,6 +188,47 @@ class TestFastMcd:
         l2, s2 = fast_mcd(a, seed=11)
         assert np.array_equal(l1, l2)
         assert np.array_equal(s1, s2)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 5), extra=st.integers(2, 150),
+           kind=st.sampled_from(["normal", "t2_5", "lattice", "duplicated", "rank_deficient"]),
+           max_steps=st.sampled_from([1, 2, 3, metrics.MCD_MAX_C_STEPS]),
+           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 1000))
+    # chains that reach an exactly singular scatter after some steps, among
+    # them the best start's
+    @example(k=1, extra=40, kind="duplicated", max_steps=metrics.MCD_MAX_C_STEPS,
+             data_seed=5, seed=0)
+    @example(k=4, extra=60, kind="duplicated", max_steps=metrics.MCD_MAX_C_STEPS,
+             data_seed=0, seed=0)
+    def test_matches_loop_oracle(self, k, extra, kind, max_steps, data_seed, seed):
+        # a small step cap leaves chains unconverged: each keeps the scatter
+        # of its last refit beside the support that refit selected
+        m = min(k + extra, 150)
+        a = _mcd_rows(kind, m, k, data_seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "MCD_MAX_C_STEPS", max_steps)
+            h = _mcd_h(m, k)
+            starts = _mcd_starts(m, k, seed)
+            sign, logdet, supports = metrics._run_chains(a, np.array(starts), h)
+            for i, start in enumerate(starts):
+                result = _loop_chain(a, start, h)
+                if result is None:
+                    assert sign[i] == 0
+                else:
+                    assert (sign[i], logdet[i]) == result[0]
+                    assert np.array_equal(supports[i], result[1])
+            loc, scatter = fast_mcd(a, seed=seed)
+            loc_ref, scatter_ref = _loop_fast_mcd(a, seed=seed)
+        if scatter_ref is None:
+            assert loc is None and scatter is None
+        else:
+            assert np.array_equal(loc, loc_ref)
+            assert np.array_equal(scatter, scatter_ref)
+        if kind == "rank_deficient":
+            assert scatter is None
+            if m >= 20:
+                with pytest.warns(RuntimeWarning, match="MAD"):
+                    assert robust_mse(a, np.zeros(k), seed=seed).mad_fallback
 
 
 class TestMcSeSummary:

@@ -9,6 +9,7 @@ import pytest
 import eivgmm.gmm as gmm_module
 import eivgmm.study as study_module
 import eivgmm.weights as weights_module
+from eivgmm.acceptance import run_criterion
 from eivgmm.cli import main
 from eivgmm.errors import BootstrapInstabilityError, DegenerateCovarianceError, StandardErrorError
 from eivgmm.model_data import CsvSchema, write_csv
@@ -111,6 +112,15 @@ class TestStudy:
         assert set(est) == {"true", "naive", "mc"}
         assert all(v.shape == (3,) for v in est.values())
         assert errors == []
+
+
+def constant_last_estimator(cfg, m, estimators, b, compute_se):
+    """Stand-in for run_replication: the last estimator returns theta0 exactly
+    (an exactly singular MCD scatter), the others a unit-normal error."""
+    k = cfg.p + cfg.q + 1
+    noise = np.random.default_rng(m).normal(size=k)
+    est = {name: cfg.theta0 + (noise if name != estimators[-1] else 0.0) for name in estimators}
+    return est, {name: np.full(k, np.nan) for name in estimators}, []
 
 
 def run_cli(argv, capsys):
@@ -300,6 +310,18 @@ class TestCliSimulate:
                                       for m in (0, 1)]
         assert all(np.all(np.isfinite(report["estimates"][m]["gmm_mm"])) for m in ("0", "1"))
 
+    def test_det_fallback_reported(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)
+        json_path = tmp_path / "r.json"
+        with pytest.warns(RuntimeWarning, match="MAD"):
+            code, *_ = run_cli(["simulate", "--setting", "simple", "--M", "20", "--seed", "1",
+                                "--estimators", "naive,mc", "--workers", "1",
+                                "--json", str(json_path)], capsys)
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        assert report["det_fallback"] == ["mc"]
+        assert report["det_metrics"]["mc"] == 0.0
+
     def test_gmm_with_too_few_resamples_usage_error(self, capsys):
         code, _, err = run_cli(["simulate", "--M", "2", "--b", "10",
                                 "--estimators", "mc,gmm_mm"], capsys)
@@ -359,6 +381,14 @@ class TestCliSimulate:
             assert err.startswith("error: need"), flag
             assert out == ""
 
+    def test_too_small_n_usage_error(self, capsys):
+        # rejected with the other scalars, before any dataset is drawn
+        code, out, err = run_cli(["simulate", "--n", "3", "--M", "20",
+                                  "--estimators", "naive,mc", "--workers", "1"], capsys)
+        assert code == 2
+        assert err.startswith("error: need n >= p+q+2 = 4, got n = 3")
+        assert out == ""
+
     def test_non_integer_workers_env_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("EIVGMM_WORKERS", "two")
         with pytest.raises(SystemExit) as exc:
@@ -376,3 +406,10 @@ class TestCliReproduce:
         code, _, err = run_cli(["reproduce", "--M", "2", "--b", "10"], capsys)
         assert code == 2
         assert "--b >= 25" in err
+
+    def test_criterion_reports_det_fallback(self, monkeypatch):
+        monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)
+        with pytest.warns(RuntimeWarning, match="MAD"):
+            outcome = run_criterion("heavy-tails", m_reps=20, b=25, seed=3)
+        assert outcome["det_fallback"] == ["gmm_mm"]
+        assert (outcome["n_failed"], outcome["n_se_failed"]) == (0, 0)
