@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import time
 
+from .errors import EstimationError
+from .metrics import MIN_DET_REPS
 from .simgen import SimConfig
 from .study import run_study
 
@@ -31,6 +33,17 @@ def _cfg(setting, n, error_law, rho, m_reps, seed, calibrated=True):
                      error_law=error_law, rho=rho, seed=seed, **kwargs)
 
 
+def _det_metrics(res, names):
+    """res.det_metrics; raises EstimationError when an estimator in names has
+    none, having fewer than MIN_DET_REPS successful replications."""
+    missing = [name for name in names if name not in res.det_metrics]
+    if missing:
+        got = ", ".join(str(res.n_converged[name]) for name in missing)
+        raise EstimationError(f"no det metric for {missing}: it needs {MIN_DET_REPS} "
+                              f"successful replications, got {got}")
+    return res.det_metrics
+
+
 def _fit_counts(res):
     """Failed fits, SE-only failures and det metrics on the MAD fallback."""
     return {"n_failed": res.n_failed, "n_se_failed": res.n_se_failed,
@@ -41,9 +54,9 @@ def run_naive_ordering(m_reps=100, b=100, seed=20250810, workers=1):
     """Setting I, rho=0.5, normal, n=1000: naive det at least 10x every
     corrected estimator's det."""
     cfg = _cfg("I", 1000, "normal", 0.5, m_reps, seed)
-    res = run_study(cfg, estimators=("naive", "mc", "gmm_equal", "gmm_mm", "gmm_ql"),
-                    b=b, workers=workers, compute_se=False)
-    det = res.det_metrics
+    estimators = ("naive", "mc", "gmm_equal", "gmm_mm", "gmm_ql")
+    res = run_study(cfg, estimators=estimators, b=b, workers=workers, compute_se=False)
+    det = _det_metrics(res, estimators)
     corrected = {k: det[k] for k in ("mc", "gmm_equal", "gmm_mm", "gmm_ql")}
     worst = max(corrected.values())
     passed = det["naive"] >= 10.0 * worst
@@ -62,7 +75,7 @@ def run_heavy_tails(m_reps=100, b=100, seed=20250810, workers=1):
     cfg = _cfg("I", 1000, "t2_5", 0.0, m_reps, seed)
     res = run_study(cfg, estimators=("mc", "gmm_mm"), b=b, workers=workers,
                     compute_se=False)
-    det = res.det_metrics
+    det = _det_metrics(res, ("mc", "gmm_mm"))
     ratio = det["gmm_mm"] / det["mc"]
     in_band = (0.021 / 3 <= det["mc"] <= 0.021 * 3) and (0.011 / 3 <= det["gmm_mm"] <= 0.011 * 3)
     passed = ratio <= 0.75 and in_band
@@ -83,7 +96,7 @@ def run_contaminated_simple(m_reps=100, b=100, seed=20250810, workers=1):
                     error_law="contaminated_normal", seed=seed)
     res = run_study(cfg, estimators=("mc", "gmm_ql"), b=b, workers=workers,
                     compute_se=False)
-    det = res.det_metrics
+    det = _det_metrics(res, ("mc", "gmm_ql"))
     ratio = det["gmm_ql"] / det["mc"]
     passed = ratio <= 0.2
     return {
@@ -103,6 +116,10 @@ def run_se_calibration(m_reps=100, b=100, seed=20250810, workers=1):
     cfg = _cfg("I", 500, "normal", 0.5, m_reps, seed)
     res = run_study(cfg, estimators=("gmm_mm",), b=b, workers=workers,
                     compute_se=True)
+    if "gmm_mm" not in res.se_summary:
+        raise EstimationError("no SE summary for gmm_mm: it needs 2 replications with "
+                              f"standard errors, got {res.n_converged['gmm_mm']} "
+                              "successful replications")
     summary = res.se_summary["gmm_mm"]
     mc_se, avg_se = float(summary.mc_se[0]), float(summary.avg_se[0])
     within = abs(avg_se - mc_se) <= 0.30 * mc_se

@@ -22,6 +22,7 @@ from . import __version__
 from .covariance import estimate_covariances
 from .errors import EivError
 from .gmm import MIN_BOOTSTRAP, fit_gmm_multi
+from .metrics import MIN_DET_REPS
 from .model_data import CsvSchema, build_design, load_csv, write_csv
 from .moment_correction import fit_mc, fit_ols
 from .simgen import SimConfig, gen_dataset
@@ -274,6 +275,9 @@ def cmd_simulate(args) -> int:
         print(f"error: the gmm_* estimators need --b >= {MIN_BOOTSTRAP} bootstrap resamples",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.workers < 1:
+        print(f"error: need --workers >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.dump_data:
         os.makedirs(args.dump_data, exist_ok=True)
@@ -284,9 +288,10 @@ def cmd_simulate(args) -> int:
     result = run_study(cfg, estimators=estimators, b=args.b, workers=args.workers,
                        compute_se=not args.no_se)
     report = _study_report(result, estimators, "simulate", args)
-    if cfg.m_reps < 20:
+    if cfg.m_reps < MIN_DET_REPS:
         # too few replications for the trimmed metric; add the raw estimates
-        report["note"] = "M < 20: trimmed det metric skipped, raw estimates reported"
+        report["note"] = (f"M < {MIN_DET_REPS}: trimmed det metric skipped, "
+                          "raw estimates reported")
         report["estimates"] = {m: {name: result.estimates[name][m].tolist() for name in estimators}
                                for m in range(cfg.m_reps)}
         rows = [[m, DISPLAY_NAMES[name], *[_fmt(x, 4) for x in result.estimates[name][m]]]
@@ -323,6 +328,13 @@ def cmd_reproduce(args) -> int:
     if args.b < MIN_BOOTSTRAP:
         print(f"error: every criterion fits gmm estimators and needs --b >= {MIN_BOOTSTRAP} "
               "bootstrap resamples", file=sys.stderr)
+        return EXIT_USAGE
+    if args.M < MIN_DET_REPS:
+        print(f"error: every criterion needs --M >= {MIN_DET_REPS} replications for its "
+              "trimmed det metric or SE summary", file=sys.stderr)
+        return EXIT_USAGE
+    if args.workers < 1:
+        print(f"error: need --workers >= 1, got {args.workers}", file=sys.stderr)
         return EXIT_USAGE
     outcomes = {}
     all_pass = True

@@ -69,12 +69,15 @@ def estimate_covariances(d: Dataset) -> CovarianceSet:
 
 
 def psd_project(m: np.ndarray) -> np.ndarray:
-    """Project a symmetric matrix onto the PSD cone by zeroing negative eigenvalues."""
-    sym = 0.5 * (m + m.T)
+    """Project a symmetric matrix, or each matrix of a (..., p, p) stack, onto
+    the PSD cone by zeroing negative eigenvalues."""
+    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
     vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= 0.0:
+    psd = vals[..., 0] >= 0.0
+    if np.all(psd):
         return sym
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    proj = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return np.where(psd[..., None, None], sym, proj)
 
 
 def pooled_error_covariance(sigma_j: np.ndarray, n_rep: np.ndarray) -> np.ndarray:
@@ -86,11 +89,13 @@ def omega_matrices(cov: CovarianceSet, n_rep: np.ndarray) -> np.ndarray:
     """Per-observation omega_j = psd(sigma_x) + n_j^{-1} sigma_j, ridge-stabilized.
 
     The ridge OMEGA_RIDGE * trace(omega_j)/p keeps the inverses well-posed when
-    sigma_x is degenerate; it is negligible for well-conditioned inputs.
+    sigma_x is degenerate; it is negligible for well-conditioned inputs. A
+    (p, p) sigma_x gives the (n, p, p) stack; a (B, p, p) stack of sigma_x
+    gives one (n, p, p) stack per matrix, (B, n, p, p).
     """
-    p = cov.sigma_x.shape[0]
+    p = cov.sigma_x.shape[-1]
     sx = psd_project(cov.sigma_x)
-    omega = sx[None, :, :] + cov.sigma_j / np.asarray(n_rep, dtype=float)[:, None, None]
-    ridge = OMEGA_RIDGE * np.trace(omega, axis1=1, axis2=2) / p
-    omega = omega + ridge[:, None, None] * np.eye(p)
+    omega = sx[..., None, :, :] + cov.sigma_j / np.asarray(n_rep, dtype=float)[:, None, None]
+    diag = np.arange(p)
+    omega[..., diag, diag] += (OMEGA_RIDGE * np.trace(omega, axis1=-2, axis2=-1) / p)[..., None]
     return omega

@@ -7,11 +7,15 @@ an estimating-function bootstrap: observations are resampled with replacement
 (replicate groups kept intact), all data-dependent ingredients (per-observation
 covariances, pooled covariance, phase weights, frequency cutoff) are recomputed
 per resample, and the stacked gradient is re-evaluated at a fixed consistent
-initial estimate. The phase gradients of every weight scheme come from one
-set of trig tables over the resample's distinct linear-index values, and the
-outcome ECF and its t* scan evaluate tied outcomes once. The final estimate
-minimizes the quadratic form in the stacked equations weighted by the inverse
-bootstrap covariance.
+initial estimate. A resample is its vector of row multiplicities, so every
+ingredient that is linear in them (pooled covariance, covariate covariance,
+corrected-LS gradient) is one matrix product per block of resamples over the
+original rows, and the weights of every scheme are formed for the block at
+once. The phase gradients of every weight scheme come from one set of trig
+tables over the rows a resample holds, and the outcome ECF and its t* scan
+evaluate its distinct outcomes once. The final estimate minimizes the
+quadratic form in the stacked equations weighted by the inverse bootstrap
+covariance.
 """
 
 from __future__ import annotations
@@ -21,17 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (
-    CovarianceSet,
-    estimate_covariances,
-    pooled_error_covariance,
-    sigma_x_from_parts,
-)
+from .covariance import CovarianceSet, estimate_covariances, pooled_error_covariance
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
-from .phase import EcfOutcome, build_ecf, grad_and_hessian, grad_dtilde
-from .weights import WeightVector, make_weights
+from .phase import EcfOutcome, build_ecf, ecf_from_counts, grad_and_hessian, grad_dtilde
+from .weights import WeightVector, block_weights, make_weights
 
 __all__ = [
     "GmmFit",
@@ -49,6 +48,9 @@ MAX_EVAL = 500
 MAX_BOOT_FAILURE_FRAC = 0.10
 #: fewest bootstrap resamples fit_gmm_multi accepts
 MIN_BOOTSTRAP = 25
+#: resample rows per bootstrap block: a block holds about this many / n
+#: resamples, which bounds its stacked (block, n, ...) weight temporaries
+_BOOT_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -106,19 +108,33 @@ def _floor_eigh(omega: np.ndarray):
     return floored, inv
 
 
+def _resample_counts(seed: int, first: int, last: int, n: int) -> np.ndarray:
+    """(last - first, n) row multiplicities of resamples first .. last-1;
+    resample i draws n row indices from the stream keyed by (seed, i)."""
+    idx = np.stack([
+        np.random.default_rng(np.random.SeedSequence([int(seed), i])).integers(0, n, size=n)
+        for i in range(first, last)
+    ])
+    flat = (idx + n * np.arange(last - first)[:, None]).ravel()
+    return np.bincount(flat, minlength=flat.size).reshape(-1, n).astype(float)
+
+
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                           design: RegressionDesign, cov: CovarianceSet):
     """Shared bootstrap pass: one set of resamples, one gradient per scheme.
 
-    Resample i draws n row indices from the stream keyed by (seed, i). Its
-    covariances, frequency cutoff, corrected-LS gradient and weights are
-    computed on the n resampled rows, once per resample, and shared by every
-    scheme. The phase gradient, the costly part, comes from one grad_dtilde
-    call on the n resampled rows and a weight matrix with one column per
-    scheme whose weights could be formed; it gives those phase gradients
-    from one set of trig tables over the distinct index values, since
-    grad_dtilde sums the weights of tied rows, and each column's gradient is
-    the same to the last bit as from a call with that column alone.
+    Resample i draws n row indices from the stream keyed by (seed, i) and is
+    kept as its row multiplicities c. The resamples go in blocks of about
+    _BOOT_BLOCK_ROWS / n. Per block, one product of the (block, n)
+    multiplicities with a per-row table gives every resample's pooled error
+    covariance sum_j c_j sigma_j / n_j, covariate covariance (from second
+    moments of the globally centered w_bar) and corrected-LS gradient (theta
+    is fixed, so the residuals are computed once); each scheme's weights
+    come from one block_weights call.
+    Per resample, the outcome ECF comes from its
+    distinct outcomes and their counts, and one grad_dtilde call on the rows
+    it holds, with one weight column per scheme whose weights could be
+    formed, gives those phase gradients from one set of trig tables.
 
     Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
     scheme. Returns {scheme: (omega, omega_inv, failures, events)} with omega
@@ -131,51 +147,71 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     """
     theta = as_theta(theta)
     v, y = design.v, d.y
-    n, p = d.n, d.p
-    sigma_j = cov.sigma_j
+    n, p, k = d.n, d.p, design.k
+    pp = p * p
     n_rep = d.n_rep.astype(float)
-    dim = 2 * design.k
+    w_bar = v[:, :p]
+    wc = w_bar - w_bar.mean(axis=0)
+    # per-row terms whose count-weighted sums the block needs, in column
+    # blocks [sigma_j / n_j | wc wc' | wc | v resid]
+    table = np.hstack([
+        (cov.sigma_j / n_rep[:, None, None]).reshape(n, pp),
+        (wc[:, :, None] * wc[:, None, :]).reshape(n, pp),
+        wc,
+        v * (y - v @ theta)[:, None],
+    ])
+    y_vals, y_inv = np.unique(y, return_inverse=True)
+    dim = 2 * k
     acc = {s: np.zeros((dim, dim)) for s in schemes}
     mean_acc = {s: np.zeros(dim) for s in schemes}
     failures = {s: [] for s in schemes}
     events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
               for s in schemes}
-    for idx_b in range(b):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx_b]))
-        idx = rng.integers(0, n, size=n)
-        vb, yb = v[idx], y[idx]
-        sj, nr = sigma_j[idx], n_rep[idx]
-        w_bar_b = vb[:, :p]
-        try:
-            cov_b = CovarianceSet(sigma_j=sj, sigma_x=sigma_x_from_parts(w_bar_b, sj, nr))
-            ecf_b = build_ecf(yb)
-            s_mc = grad_corrected_l2(theta, vb, yb, pooled_error_covariance(sj, nr))
-        except EivError as exc:
-            for s in schemes:
-                failures[s].append((idx_b, str(exc)))
-            continue
-        ok, q_cols = [], []
-        for scheme in schemes:
-            events[scheme]["boot_capped"] += int(ecf_b.capped)
+    block = max(1, _BOOT_BLOCK_ROWS // n)
+    for first in range(0, b, block):
+        counts = _resample_counts(seed, first, min(first + block, b), n)
+        sums = counts @ table
+        sig_w = sums[:, :pp].reshape(-1, p, p)
+        w_mean = sums[:, 2 * pp:2 * pp + p] / n
+        sigma_x = ((sums[:, pp:2 * pp].reshape(-1, p, p)
+                    - n * w_mean[:, :, None] * w_mean[:, None, :]) / (n - 1) - sig_w / n)
+        s_mc = sums[:, 2 * pp + p:].copy()
+        s_mc[:, :p] += sig_w @ theta[:p]
+        s_mc *= -2.0 / n
+        cov_block = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=sigma_x)
+        weights = {s: block_weights(s, counts, cov_block, w_bar, n_rep) for s in schemes}
+        for i, c in enumerate(counts):
+            idx_b = first + i
+            y_counts = np.bincount(y_inv, weights=c, minlength=y_vals.size)
+            held = y_counts > 0.0
             try:
-                q_b = make_weights(scheme, cov_b, w_bar_b, nr)
+                ecf_b = ecf_from_counts(y_vals[held], y_counts[held])
             except EivError as exc:
-                failures[scheme].append((idx_b, str(exc)))
+                for s in schemes:
+                    failures[s].append((idx_b, str(exc)))
                 continue
-            events[scheme]["boot_ql_fallback"] += int(q_b.fallback)
-            events[scheme]["boot_ql_clamped"] += int(q_b.max_clamp > 0.0)
-            ok.append(scheme)
-            q_cols.append(q_b.q)
-        if not ok:
-            continue
-        s_ph = grad_dtilde(theta, vb, np.column_stack(q_cols), ecf_b)
-        for scheme, s_ph_scheme in zip(ok, s_ph):
-            s_vec = np.concatenate([s_mc, s_ph_scheme])
-            if not np.all(np.isfinite(s_vec)):
-                failures[scheme].append((idx_b, "non-finite stacked gradient"))
+            ok = []
+            for scheme in schemes:
+                events[scheme]["boot_capped"] += int(ecf_b.capped)
+                w = weights[scheme]
+                if w.errors[i] is not None:
+                    failures[scheme].append((idx_b, str(w.errors[i])))
+                    continue
+                events[scheme]["boot_ql_fallback"] += int(w.fallback[i])
+                events[scheme]["boot_ql_clamped"] += int(w.max_clamp[i] > 0.0)
+                ok.append(scheme)
+            if not ok:
                 continue
-            acc[scheme] += np.outer(s_vec, s_vec)
-            mean_acc[scheme] += s_vec
+            rows = np.flatnonzero(c)
+            q_cols = np.stack([weights[s].q[i, rows] for s in ok], axis=1)
+            s_ph = grad_dtilde(theta, v[rows], q_cols, ecf_b)
+            for scheme, s_ph_scheme in zip(ok, s_ph):
+                s_vec = np.concatenate([s_mc[i], s_ph_scheme])
+                if not np.all(np.isfinite(s_vec)):
+                    failures[scheme].append((idx_b, "non-finite stacked gradient"))
+                    continue
+                acc[scheme] += np.outer(s_vec, s_vec)
+                mean_acc[scheme] += s_vec
     out = {}
     for scheme in schemes:
         n_bad = len(failures[scheme])

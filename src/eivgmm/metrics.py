@@ -22,6 +22,8 @@ MCD_SUPPORT_FRACTION = 0.75
 MCD_STARTS = 500
 MCD_MAX_C_STEPS = 100
 TRIM_QUANTILE = 0.90
+#: fewest replications the trimmed det metric is computed from
+MIN_DET_REPS = 20
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,8 @@ def robust_mse(estimates, truth, seed=0) -> RobustMse:
     """
     estimates = np.asarray(estimates, dtype=float)
     m, k = estimates.shape
-    if m < 20:
-        raise ValueError("need at least 20 replications for the trimmed metric")
+    if m < MIN_DET_REPS:
+        raise ValueError(f"need at least {MIN_DET_REPS} replications for the trimmed metric")
     a = estimates - as_theta(truth)
     a_med = np.median(a, axis=0)
     _, scatter = fast_mcd(a, seed=seed)

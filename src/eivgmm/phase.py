@@ -24,10 +24,8 @@ cos(t a) and sin(t a) at both nodes of a pair follow from cos/sin(h a) and
 cos/sin(h x a), so the sin/cos tables over a vector a hold half the nodes,
 and every quadrature sum over the grid is formed from products with those
 half tables. The outcome ECF evaluates tied outcomes once, weighted by their
-counts; the phase gradient likewise collapses observations whose linear
-index ties (the resampled duplicates of a bootstrap resample) into one
-column carrying their summed weights, since the phase terms depend on an
-observation only through its index.
+counts, so a sample given as distinct values and multiplicities (a bootstrap
+resample) costs no more than its distinct values.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ from .model_data import as_theta
 __all__ = [
     "EcfOutcome",
     "build_ecf",
+    "ecf_from_counts",
     "kernel",
     "grad_dtilde",
     "grad_and_hessian",
@@ -166,14 +165,24 @@ def build_ecf(y) -> EcfOutcome:
     outcomes.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 2:
+    if y.size < 2:
         raise DegenerateInputError("need at least 2 outcome values")
-    sd = y.std(ddof=1)
+    vals, counts = np.unique(y, return_counts=True)
+    return ecf_from_counts(vals, counts.astype(float))
+
+
+def ecf_from_counts(vals: np.ndarray, counts: np.ndarray) -> EcfOutcome:
+    """build_ecf for the sample that holds the sorted distinct values vals
+    with multiplicities counts (float). sd(y) (ddof=1) is taken from the
+    values and counts too, so a sample's ECF depends only on them, not on
+    the order of its observations."""
+    if vals.size < 2:
+        raise DegenerateInputError("outcome is constant; characteristic function never decays")
+    n = counts.sum()
+    d = vals - (counts @ vals) / n
+    sd = np.sqrt((counts @ d**2) / (n - 1.0))
     if sd == 0.0 or not np.isfinite(sd):
         raise DegenerateInputError("outcome is constant; characteristic function never decays")
-    vals, counts = np.unique(y, return_counts=True)
-    counts = counts.astype(float)
     t_star, capped = _scan_t_star(vals, counts, n, T_STEP_SCALE / sd, T_CAP_SCALE / sd)
     nodes, quad_w = _gl_rule(N_QUAD)
     grid = 0.5 * t_star * (nodes + 1.0)
@@ -206,28 +215,22 @@ def grad_dtilde(theta, design: np.ndarray, weights: np.ndarray,
     design is the (n, k) array [w_bar | z]. weights is one vector (n,),
     giving a (k,) gradient, or S weight vectors as the columns of an (n, S)
     array, giving an (S, k) array of gradients from one set of trig tables.
-    Observations whose linear index ties are summed first (a stable sort,
-    then one reduction of [q | q v]), so a bootstrap resample's duplicated
-    rows cost nothing extra. Each weight vector then takes its own products
-    with the tables, so its gradient is the same to the last bit whether it
-    comes alone or with others.
+    Each weight vector takes its own products with the tables, so its
+    gradient is the same to the last bit whether it comes alone or with
+    others. A row that a sample holds several times enters once, with its
+    weight multiplied by its multiplicity.
     """
     v, q = design, weights
     n, k = v.shape
     qs = q.reshape(n, -1)
-    idx = v @ as_theta(theta)
-    order = np.argsort(idx, kind="stable")
-    sorted_idx = idx[order]
-    starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
     # columns s (k+1) .. s (k+1) + k hold [q_s | q_s v] for weight vector s
     v1 = np.column_stack([np.ones(n), v])
-    qv1 = (qs[:, :, None] * v1[:, None, :]).reshape(n, -1)[order]
-    summed = np.add.reduceat(qv1, starts, axis=0)
-    pairs = _NodePairs(ecf.t_star, sorted_idx[starts])
+    qv1 = (qs[:, :, None] * v1[:, None, :]).reshape(n, -1)
+    pairs = _NodePairs(ecf.t_star, v @ as_theta(theta))
     base_w = _base_weights(ecf)
     grad = np.empty((qs.shape[1], k))
     for col in range(qs.shape[1]):
-        g, gmat = _phase_terms(pairs, summed[:, col * (k + 1):(col + 1) * (k + 1)], ecf)
+        g, gmat = _phase_terms(pairs, qv1[:, col * (k + 1):(col + 1) * (k + 1)], ecf)
         grad[col] = 2.0 * ((base_w * g) @ gmat)
     return grad.reshape(q.shape[1:] + (k,))
 

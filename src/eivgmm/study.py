@@ -17,7 +17,7 @@ import numpy as np
 from .covariance import estimate_covariances
 from .errors import EivError
 from .gmm import fit_gmm_multi
-from .metrics import mc_se_summary, robust_mse
+from .metrics import MIN_DET_REPS, mc_se_summary, robust_mse
 from .model_data import build_design
 from .moment_correction import fit_mc, fit_ols
 from .simgen import SimConfig, gen_dataset
@@ -186,8 +186,8 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
               compute_se: bool = True) -> StudyResult:
     """Run cfg.m_reps replications and summarize.
 
-    Trimmed det metrics need at least 20 successful replications per
-    estimator; SE summaries cover the GMM variants when compute_se is set.
+    Trimmed det metrics need at least MIN_DET_REPS successful replications
+    per estimator; SE summaries cover the GMM variants when compute_se is set.
     """
     m_reps = cfg.m_reps
     k = cfg.p + cfg.q + 1
@@ -215,7 +215,7 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
         rows = estimates[name]
         ok = np.all(np.isfinite(rows), axis=1)
         result.n_converged[name] = int(ok.sum())
-        if ok.sum() >= 20:
+        if ok.sum() >= MIN_DET_REPS:
             rob = robust_mse(rows[ok], theta0, seed=cfg.seed)
             result.det_metrics[name] = rob.det_metric
             if rob.mad_fallback:

@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import eivgmm.gmm as gmm_module
+import eivgmm.weights as weights_module
+from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.model_data import make_dataset
 from eivgmm.simgen import SimConfig, gen_dataset
+from eivgmm.weights import solve_ql_system
 
 
 @pytest.fixture
@@ -35,3 +41,29 @@ def setting1_dataset():
                     rho=0.5, seed=2024)
     d, x = gen_dataset(cfg, 0)
     return d, x, cfg
+
+
+def solve_ql_one(omega_inv, w_bar, gamma):
+    """solve_ql_system for one sample holding every row once: (q, multiplier)."""
+    q, lam, errors = solve_ql_system(np.ones((1, len(w_bar))), omega_inv[None], w_bar, gamma)
+    if errors[0] is not None:
+        raise errors[0]
+    return q[0], lam[0]
+
+
+def fail_minimax(monkeypatch, fails=lambda sigma_x: True):
+    """Make minimax weighting fail with "forced failure" on every sample whose
+    covariate covariance satisfies fails, in the bootstrap's blocks and the
+    full-sample weights alike."""
+    block_weights = weights_module.block_weights
+
+    def flaky(scheme, counts, cov, w_bar, n_rep):
+        out = block_weights(scheme, counts, cov, w_bar, n_rep)
+        if scheme != "minimax":
+            return out
+        errors = tuple(DegenerateCovarianceError("forced failure") if fails(sx) else err
+                       for sx, err in zip(cov.sigma_x, out.errors))
+        return dataclasses.replace(out, errors=errors)
+
+    monkeypatch.setattr(weights_module, "block_weights", flaky)
+    monkeypatch.setattr(gmm_module, "block_weights", flaky)

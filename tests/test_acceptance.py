@@ -19,7 +19,8 @@ from eivgmm.model_data import CsvSchema, build_design, make_dataset, write_csv
 from eivgmm.moment_correction import fit_mc, grad_corrected_l2
 from eivgmm.phase import build_ecf, grad_dtilde, kernel
 from eivgmm.simgen import SimConfig, gen_dataset
-from eivgmm.weights import make_weights, solve_ql_system
+from eivgmm.weights import make_weights
+from conftest import solve_ql_one
 from phase_oracles import dtilde, ecf_values, wepf
 
 SEED = 20250810
@@ -162,7 +163,7 @@ class TestCriterion5Properties:
         w_bar = design.v[:, :d.p]
         gamma = 1.0 / d.n
         omega_inv = np.linalg.inv(omega_matrices(cov, d.n_rep))
-        q, lam = solve_ql_system(omega_inv, w_bar, gamma)
+        q, lam = solve_ql_one(omega_inv, w_bar, gamma)
         a2 = omega_inv.sum(axis=0)
         a1 = np.einsum("jab,jb->a", omega_inv, w_bar)
         m = w_bar @ a2 @ w_bar.T + gamma * (d.n * np.eye(d.n) - np.ones((d.n, d.n)))
@@ -226,7 +227,7 @@ class TestCriterion6Oracles:
         omega_inv = np.array([[[2.0]], [[1.0]], [[0.5]]])
         w_bar = np.array([[0.5], [1.5], [2.5]])
         gamma = 1.0 / 3.0
-        q, lam = solve_ql_system(omega_inv, w_bar, gamma)
+        q, lam = solve_ql_one(omega_inv, w_bar, gamma)
         a2 = omega_inv.sum()
         a1 = (omega_inv[:, 0, 0] * w_bar[:, 0]).sum()
         m = np.zeros((4, 4))

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -31,10 +32,10 @@ from eivgmm.gmm import (
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
-from eivgmm.phase import build_ecf, grad_and_hessian, grad_dtilde
+from eivgmm.phase import build_ecf, ecf_from_counts, grad_and_hessian, grad_dtilde
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import SCHEMES, make_weights
-from conftest import toy_dataset
+from conftest import fail_minimax, toy_dataset
 from phase_oracles import dtilde
 
 
@@ -161,9 +162,9 @@ class TestBootstrapOmega:
 
 
 def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
-    """Reference: every resample's full n rows, one weight vector and one
-    phase gradient per scheme. Returns ({scheme: (omega, omega_inv, failures,
-    events)}, per-resample t*)."""
+    """Reference: every resample's full n rows, gathered, one weight vector
+    and one phase gradient per scheme. Returns ({scheme: (omega, omega_inv,
+    failures, events)}, per-resample (t*, capped))."""
     v, y = design.v, d.y
     n, p = d.n, d.p
     n_rep = d.n_rep.astype(float)
@@ -188,7 +189,7 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
             for s in schemes:
                 failures[s].append((idx_b, str(exc)))
             continue
-        t_stars.append(ecf_b.t_star)
+        t_stars.append((ecf_b.t_star, ecf_b.capped))
         for scheme in schemes:
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
@@ -208,7 +209,11 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
     for scheme in schemes:
         n_bad = len(failures[scheme])
         if n_bad > MAX_BOOT_FAILURE_FRAC * b:
-            raise BootstrapInstabilityError(f"{n_bad}/{b} failed for {scheme!r}")
+            out[scheme] = BootstrapInstabilityError(
+                f"{n_bad}/{b} bootstrap resamples failed for scheme {scheme!r}; "
+                f"first: {failures[scheme][0][1]}"
+            )
+            continue
         n_ok = b - n_bad
         mean = mean_acc[scheme] / n_ok
         omega, omega_inv = _floor_eigh(acc[scheme] / n_ok - np.outer(mean, mean))
@@ -217,47 +222,83 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
 
 
 def batched_with_t_stars(monkeypatch, *args):
-    """_bootstrap_accumulate plus the t* of every resample whose ECF it built."""
+    """_bootstrap_accumulate plus the (t*, capped) of every resample whose ECF
+    it built."""
     t_stars = []
 
-    def recording_build_ecf(y):
-        ecf = build_ecf(y)
-        t_stars.append(ecf.t_star)
+    def recording_ecf(vals, counts):
+        ecf = ecf_from_counts(vals, counts)
+        t_stars.append((ecf.t_star, ecf.capped))
         return ecf
 
     with monkeypatch.context() as patch:
-        patch.setattr(gmm_module, "build_ecf", recording_build_ecf)
+        patch.setattr(gmm_module, "ecf_from_counts", recording_ecf)
         out = _bootstrap_accumulate(*args)
     return out, t_stars
 
 
+#: the batched bootstrap sums over multiplicities, and over globally centered
+#: second moments, where the oracle sums over gathered rows: the same terms
+#: in another order, so the two agree to rounding. Tolerances are normwise,
+#: relative to the largest entry of the oracle's matrix: entries of omega
+#: span six orders of magnitude, and its smallest ones carry the absolute
+#: rounding of its largest. Equal and minimax weights are closed forms
+#: (measured at most 4e-15); the quasi-likelihood weights come from a
+#: Woodbury solve whose conditioning amplifies the rounding (measured at most
+#: 4e-8). The inverse is held to the same tolerance times cond(omega), the
+#: factor by which inversion can amplify a relative perturbation.
+BOOT_RTOL = {"equal": 1e-12, "minimax": 1e-12, "quasi_likelihood": 1e-7}
+
+
+def assert_normwise_close(got, want, rtol):
+    gap = np.max(np.abs(got - want))
+    assert gap <= rtol * np.max(np.abs(want)), (gap, np.max(np.abs(want)), rtol)
+
+
 def assert_same_bootstrap(batched, oracle):
     (got, got_t), (ref, ref_t) = batched, oracle
+    # a resample's ECF comes from its distinct outcomes and their counts on
+    # both sides, so every t* and capped flag is the same to the last bit
     assert got_t == ref_t
     assert set(got) == set(ref)
-    for scheme, (omega, omega_inv, fails, events) in ref.items():
-        np.testing.assert_allclose(got[scheme][0], omega, rtol=1e-10, atol=0.0)
-        np.testing.assert_allclose(got[scheme][1], omega_inv, rtol=1e-10, atol=0.0)
+    for scheme, want in ref.items():
+        if isinstance(want, EivError):
+            assert type(got[scheme]) is type(want) and str(got[scheme]) == str(want)
+            continue
+        omega, omega_inv, fails, events = want
+        rtol = BOOT_RTOL[scheme]
+        assert_normwise_close(got[scheme][0], omega, rtol)
+        assert_normwise_close(got[scheme][1], omega_inv, rtol * np.linalg.cond(omega))
         assert got[scheme][2] == fails
         assert got[scheme][3] == events
 
 
 class TestBatchedBootstrap:
-    """The distinct-row bootstrap against the per-resample, per-scheme loop."""
+    """The multiplicity bootstrap against the per-resample, per-scheme loop
+    over gathered rows."""
 
     @staticmethod
-    def inputs(setting, law, seed=31):
+    def inputs(setting, law, seed=31, b=30):
         cfg = SimConfig(setting=setting, n=200, n_rep=2, m_reps=1, error_law=law, seed=seed)
         d, _ = gen_dataset(cfg, 0)
         cov = estimate_covariances(d)
         design = build_design(d)
         mc = fit_mc(d, cov, design)
-        return d, mc.theta.theta, 30, seed, SCHEMES, design, cov
+        return d, mc.theta.theta, b, seed, SCHEMES, design, cov
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
     def test_matches_loop(self, monkeypatch, setting, law):
         args = self.inputs(setting, law)
+        assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args),
+                              loop_bootstrap(*args))
+
+    @pytest.mark.parametrize("block", [1, 16])
+    def test_matches_loop_partial_last_block(self, monkeypatch, block):
+        # 37 resamples in blocks of 16 (a last block of 5) or of 1
+        args = self.inputs("I", "t2_5", b=37)
+        d = args[0]
+        monkeypatch.setattr(gmm_module, "_BOOT_BLOCK_ROWS", block * d.n)
         assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args),
                               loop_bootstrap(*args))
 
@@ -268,25 +309,60 @@ class TestBatchedBootstrap:
         args = self.inputs("I", "t2_5")
         d, design = args[0], args[5]
         cut = design.v[:, 0].mean()
-        solve, minimax = weights_module.solve_ql_system, weights_module.weights_minimax
+        solve = weights_module.solve_ql_system
 
-        def flaky_solve(omega_inv, w_bar, gamma):
-            if w_bar[:, 0].mean() > cut:
-                raise WeightSolveError("forced failure")
-            return solve(omega_inv, w_bar, gamma)
-
-        def flaky_minimax(cov, n_rep):
-            if int(cov.sigma_x[0, 0] * 1e9) % 11 == 0:
-                raise DegenerateCovarianceError("forced failure")
-            return minimax(cov, n_rep)
+        def flaky_solve(counts, omega_inv, w_bar, gamma):
+            q, lam, errors = solve(counts, omega_inv, w_bar, gamma)
+            means = counts @ w_bar[:, 0] / counts.sum(axis=1)
+            return q, lam, tuple(WeightSolveError("forced failure") if m > cut else err
+                                 for m, err in zip(means, errors))
 
         monkeypatch.setattr(weights_module, "solve_ql_system", flaky_solve)
-        monkeypatch.setattr(weights_module, "weights_minimax", flaky_minimax)
+        fail_minimax(monkeypatch, lambda sx: int(sx[0, 0] * 1e9) % 11 == 0)
         oracle = loop_bootstrap(*args)
         ref = oracle[0]
         assert 0 < len(ref["minimax"][2]) <= MAX_BOOT_FAILURE_FRAC * args[2]
         assert ref["equal"][2] == [] and ref["quasi_likelihood"][2] == []
         assert 0 < ref["quasi_likelihood"][3]["boot_ql_fallback"] < args[2]
+        assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args), oracle)
+
+    def test_matches_loop_with_nonfinite_gradient(self, monkeypatch):
+        # the phase gradient is NaN on the three resamples with the largest
+        # t*: every scheme fails there with a non-finite stacked gradient
+        args = self.inputs("simple", "normal")
+        t_sorted = sorted(t for t, _ in loop_bootstrap(*args)[1])
+        t_cut = 0.5 * (t_sorted[-3] + t_sorted[-4])
+        original = grad_dtilde
+
+        def flaky_grad(theta, design, weights, ecf):
+            grad = original(theta, design, weights, ecf)
+            return grad * np.nan if ecf.t_star > t_cut else grad
+
+        monkeypatch.setattr(gmm_module, "grad_dtilde", flaky_grad)
+        monkeypatch.setattr(sys.modules[__name__], "grad_dtilde", flaky_grad)
+        oracle = loop_bootstrap(*args)
+        for scheme in SCHEMES:
+            fails = oracle[0][scheme][2]
+            assert [msg for _, msg in fails] == ["non-finite stacked gradient"] * 3
+        assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args), oracle)
+
+    def test_matches_loop_with_constant_outcome_resamples(self, monkeypatch):
+        # outcomes 0 on all rows but three: a resample that misses those
+        # three has a constant outcome, and every scheme fails on it
+        rng = np.random.default_rng(5)
+        n = 60
+        x = rng.exponential(1.0, size=(n, 1))
+        w = x[:, None, :] + 0.3 * rng.normal(size=(n, 2, 1))
+        y = np.zeros(n)
+        y[:3] = [1.0, 2.0, 3.0]
+        d = make_dataset(y, np.empty((n, 0)), list(w))
+        cov, design = estimate_covariances(d), build_design(d)
+        args = (d, np.array([0.5, 0.1]), 60, 4, SCHEMES, design, cov)
+        oracle = loop_bootstrap(*args)
+        for scheme in SCHEMES:
+            fails = oracle[0][scheme][2]
+            assert 0 < len(fails) <= MAX_BOOT_FAILURE_FRAC * args[2]
+            assert all(msg.startswith("outcome is constant") for _, msg in fails)
         assert_same_bootstrap(batched_with_t_stars(monkeypatch, *args), oracle)
 
 
@@ -509,11 +585,7 @@ class TestSchemeFailures:
     def test_bootstrap_over_limit_fails_alone(self, rng, monkeypatch):
         d, cov, design, mc, _, _ = prepared(rng, n=60)
         ref = self.fit_all(d, cov, design, mc)
-
-        def failing(cov_b, n_rep):
-            raise DegenerateCovarianceError("forced failure")
-
-        monkeypatch.setattr(weights_module, "weights_minimax", failing)
+        fail_minimax(monkeypatch)
         forced = self.fit_all(d, cov, design, mc)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], BootstrapInstabilityError)
@@ -540,12 +612,12 @@ class TestSchemeFailures:
         d, cov, design, mc, _, _ = prepared(rng, n=60)
         ref = self.fit_all(d, cov, design, mc)
         solve = weights_module.solve_ql_system
-        full_w_bar = design.v[:, :d.p]
 
-        def failing(omega_inv, w_bar, gamma):
-            if np.array_equal(w_bar, full_w_bar):
-                raise WeightSolveError("forced failure")
-            return solve(omega_inv, w_bar, gamma)
+        def failing(counts, omega_inv, w_bar, gamma):
+            q, lam, errors = solve(counts, omega_inv, w_bar, gamma)
+            if counts.shape[0] == 1 and np.all(counts == 1.0):
+                errors = (WeightSolveError("forced failure"),)
+            return q, lam, errors
 
         monkeypatch.setattr(weights_module, "solve_ql_system", failing)
         with warnings.catch_warnings():

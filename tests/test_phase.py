@@ -290,6 +290,16 @@ def _chunked_t_star(y, step, cap, chunk=512):
     return float(n_steps * step), True
 
 
+def _ecf_sd(y):
+    """sd(y) (ddof=1) as build_ecf takes it: from the distinct values and
+    their counts."""
+    vals, counts = np.unique(y, return_counts=True)
+    counts = counts.astype(float)
+    n = counts.sum()
+    d = vals - (counts @ vals) / n
+    return np.sqrt((counts @ d**2) / (n - 1.0))
+
+
 def _skip_t_star(y, step, cap):
     vals, counts = np.unique(y, return_counts=True)
     return _scan_t_star(vals, counts.astype(float), y.size, step, cap)
@@ -344,7 +354,7 @@ class TestSkipScan:
            tied=st.booleans(), seed=st.integers(0, 2**16), n=st.integers(30, 2000))
     def test_matches_chunked_and_plain_oracles(self, law, tied, seed, n):
         y = _scan_sample(law, tied, seed, n)
-        sd = y.std(ddof=1)
+        sd = _ecf_sd(y)
         step, cap = T_STEP_SCALE / sd, T_CAP_SCALE / sd
         got = _skip_t_star(y, step, cap)
         assert got == _chunked_t_star(y, step, cap) == _plain_t_star(y, step, cap)
@@ -370,7 +380,7 @@ class TestSkipScan:
         for b in range(200):
             rng = np.random.default_rng(np.random.SeedSequence([5, b]))
             y = d.y[rng.integers(0, d.n, size=d.n)]
-            sd = y.std(ddof=1)
+            sd = _ecf_sd(y)
             ecf = build_ecf(y)
             assert (ecf.t_star, ecf.capped) == _chunked_t_star(
                 y, T_STEP_SCALE / sd, T_CAP_SCALE / sd)

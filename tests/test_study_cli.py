@@ -8,13 +8,13 @@ import pytest
 
 import eivgmm.gmm as gmm_module
 import eivgmm.study as study_module
-import eivgmm.weights as weights_module
 from eivgmm.acceptance import run_criterion
 from eivgmm.cli import main
-from eivgmm.errors import BootstrapInstabilityError, DegenerateCovarianceError, StandardErrorError
+from eivgmm.errors import BootstrapInstabilityError, EstimationError, StandardErrorError
 from eivgmm.model_data import CsvSchema, write_csv
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.study import _OPENBLAS_SET_THREADS, _pin_blas_threads, run_replication, run_study
+from conftest import fail_minimax
 
 
 def openblas_threads():
@@ -87,10 +87,7 @@ class TestStudy:
 
             monkeypatch.setattr(gmm_module, "gmm_standard_errors", failing_se)
         else:
-            def failing_weights(cov, n_rep):
-                raise DegenerateCovarianceError("forced failure")
-
-            monkeypatch.setattr(weights_module, "weights_minimax", failing_weights)
+            fail_minimax(monkeypatch)
         est, ses, errors = run_replication(cfg, 0, b=30)
         for name in ("true", "naive", "mc", "gmm_equal", "gmm_ql"):
             assert np.array_equal(est[name], ref_est[name])
@@ -121,6 +118,17 @@ def constant_last_estimator(cfg, m, estimators, b, compute_se):
     noise = np.random.default_rng(m).normal(size=k)
     est = {name: cfg.theta0 + (noise if name != estimators[-1] else 0.0) for name in estimators}
     return est, {name: np.full(k, np.nan) for name in estimators}, []
+
+
+def failing_last_estimator(cfg, m, estimators, b, compute_se):
+    """Stand-in for run_replication: the last estimator fails in every
+    replication, the others return a unit-normal error."""
+    k = cfg.p + cfg.q + 1
+    noise = np.random.default_rng(m).normal(size=k)
+    est = {name: cfg.theta0 + noise for name in estimators}
+    est[estimators[-1]] = np.full(k, np.nan)
+    return (est, {name: np.full(k, np.nan) for name in estimators},
+            [(estimators[-1], "forced failure")])
 
 
 def run_cli(argv, capsys):
@@ -183,10 +191,7 @@ class TestCliFit:
         code, _, _ = run_cli(argv + [str(tmp_path / "ref.json")], capsys)
         assert code == 0
 
-        def failing_weights(cov, n_rep):
-            raise DegenerateCovarianceError("forced failure")
-
-        monkeypatch.setattr(weights_module, "weights_minimax", failing_weights)
+        fail_minimax(monkeypatch)
         code, out, err = run_cli(argv + [str(tmp_path / "forced.json")], capsys)
         assert code == 1
         assert "error: gmm_minimax: 30/30 bootstrap resamples failed" in err
@@ -389,6 +394,14 @@ class TestCliSimulate:
         assert err.startswith("error: need n >= p+q+2 = 4, got n = 3")
         assert out == ""
 
+    def test_workers_below_one_usage_error(self, capsys):
+        for workers in ("0", "-2"):
+            code, out, err = run_cli(["simulate", "--n", "60", "--M", "2",
+                                      "--estimators", "naive", "--workers", workers], capsys)
+            assert code == 2, workers
+            assert err.startswith(f"error: need --workers >= 1, got {workers}")
+            assert out == ""
+
     def test_non_integer_workers_env_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("EIVGMM_WORKERS", "two")
         with pytest.raises(SystemExit) as exc:
@@ -406,6 +419,34 @@ class TestCliReproduce:
         code, _, err = run_cli(["reproduce", "--M", "2", "--b", "10"], capsys)
         assert code == 2
         assert "--b >= 25" in err
+
+    def test_too_few_replications_usage_error(self, capsys):
+        code, out, err = run_cli(["reproduce", "--M", "5"], capsys)
+        assert code == 2
+        assert "--M >= 20" in err
+        assert out == ""
+
+    def test_workers_below_one_usage_error(self, capsys):
+        for workers in ("0", "-2"):
+            code, out, err = run_cli(["reproduce", "--workers", workers], capsys)
+            assert code == 2, workers
+            assert err.startswith(f"error: need --workers >= 1, got {workers}")
+            assert out == ""
+
+    @pytest.mark.parametrize("criterion", ["naive-ordering", "heavy-tails",
+                                           "contaminated-simple", "se"])
+    def test_missing_metric_is_an_estimation_error(self, monkeypatch, criterion):
+        # the last estimator of every criterion fails in all 20 replications
+        monkeypatch.setattr(study_module, "run_replication", failing_last_estimator)
+        with pytest.raises(EstimationError, match=r"gmm_\w+.*: it needs .*, got 0"):
+            run_criterion(criterion, m_reps=20, b=25, seed=3)
+
+    def test_missing_metric_json_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(study_module, "run_replication", failing_last_estimator)
+        code, out, _ = run_cli(["reproduce", "--only", "heavy-tails", "--M", "20",
+                                "--b", "25", "--workers", "1"], capsys)
+        assert code == 1
+        assert "no det metric for ['gmm_mm']" in json.loads(out)["error"]
 
     def test_criterion_reports_det_fallback(self, monkeypatch):
         monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)

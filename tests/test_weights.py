@@ -6,13 +6,13 @@ import pytest
 from eivgmm.covariance import CovarianceSet, estimate_covariances, omega_matrices
 from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.weights import (
+    block_weights,
     make_weights,
-    solve_ql_system,
     weights_equal,
     weights_minimax,
     weights_ql,
 )
-from conftest import toy_dataset
+from conftest import solve_ql_one, toy_dataset
 
 
 def random_cov_set(rng, n, p):
@@ -99,7 +99,7 @@ class TestQuasiLikelihood:
         omega_inv = 1.0 / omega
         w_bar = np.array([[1.0], [2.0], [3.0]])
         gamma = 1.0 / n
-        q, lam = solve_ql_system(omega_inv, w_bar, gamma)
+        q, lam = solve_ql_one(omega_inv, w_bar, gamma)
 
         a2 = omega_inv.sum()
         a1 = (omega_inv[:, 0, 0] * w_bar[:, 0]).sum()
@@ -120,7 +120,7 @@ class TestQuasiLikelihood:
         n_rep = np.full(n, 2)
         gamma = 1.0 / n
         omega_inv = np.linalg.inv(omega_matrices(cov, n_rep))
-        q, lam = solve_ql_system(omega_inv, w_bar, gamma)
+        q, lam = solve_ql_one(omega_inv, w_bar, gamma)
 
         a2 = omega_inv.sum(axis=0)
         a1 = np.einsum("jab,jb->a", omega_inv, w_bar)
@@ -140,7 +140,7 @@ class TestQuasiLikelihood:
         w_bar = rng.normal(size=(n, p))
         gamma = 1.0 / n
         omega_inv = np.linalg.inv(omega_matrices(cov, np.full(n, 2)))
-        q, lam = solve_ql_system(omega_inv, w_bar, gamma)
+        q, lam = solve_ql_one(omega_inv, w_bar, gamma)
         a2 = omega_inv.sum(axis=0)
         a1 = np.einsum("jab,jb->a", omega_inv, w_bar)
         m = w_bar @ a2 @ w_bar.T + gamma * (n * np.eye(n) - np.ones((n, n)))
@@ -157,7 +157,7 @@ class TestQuasiLikelihood:
         w_bar = rng.normal(size=(n, p))
         gamma = 1.0 / n
         omega_inv = np.linalg.inv(omega_matrices(cov, np.full(n, 2)))
-        q, _ = solve_ql_system(omega_inv, w_bar, gamma)
+        q, _ = solve_ql_one(omega_inv, w_bar, gamma)
         a2 = omega_inv.sum(axis=0)
         a1 = np.einsum("jab,jb->a", omega_inv, w_bar)
 
@@ -178,15 +178,15 @@ class TestQuasiLikelihood:
         w_bar = rng.normal(size=(n, p))
         n_rep = np.full(n, 2)
         omega_inv = np.linalg.inv(omega_matrices(cov, n_rep))
-        q1, _ = solve_ql_system(omega_inv, w_bar, 0.1)
-        q2, _ = solve_ql_system(omega_inv, w_bar, 0.1001)
+        q1, _ = solve_ql_one(omega_inv, w_bar, 0.1)
+        q2, _ = solve_ql_one(omega_inv, w_bar, 0.1001)
         assert np.max(np.abs(q1 - q2)) < 1e-2
         # at fully symmetric inputs the solution is gamma-free
         cov_sym = CovarianceSet(sigma_j=np.tile(np.eye(p), (n, 1, 1)), sigma_x=np.eye(p))
         w_same = np.tile([0.3, -0.7], (n, 1))
         omega_inv_sym = np.linalg.inv(omega_matrices(cov_sym, n_rep))
-        qa, _ = solve_ql_system(omega_inv_sym, w_same, 0.01)
-        qb, _ = solve_ql_system(omega_inv_sym, w_same, 10.0)
+        qa, _ = solve_ql_one(omega_inv_sym, w_same, 0.01)
+        qb, _ = solve_ql_one(omega_inv_sym, w_same, 10.0)
         assert np.allclose(qa, qb, atol=1e-10)
 
     def test_fallback_on_singular_system(self, rng):
@@ -221,3 +221,59 @@ class TestSchemes:
         cov = estimate_covariances(d)
         with pytest.raises(ValueError, match="unknown weight scheme"):
             make_weights("bogus", cov, d.w_bar, d.n_rep)
+
+
+class TestBlockWeights:
+    """Weights over row multiplicities against the weights of the gathered
+    rows, summed over each row's copies."""
+
+    @staticmethod
+    def block_and_gathered(rng, scheme, n=30, p=2, n_samples=5):
+        cov = random_cov_set(rng, n, p)
+        w_bar = rng.normal(size=(n, p))
+        n_rep = rng.integers(2, 4, size=n)
+        idx = rng.integers(0, n, size=(n_samples, n))
+        counts = np.stack([np.bincount(row, minlength=n) for row in idx])
+        sigma_x = np.stack([cov.sigma_x + 0.1 * s * np.eye(p) for s in range(n_samples)])
+        block = block_weights(scheme, counts, CovarianceSet(cov.sigma_j, sigma_x), w_bar, n_rep)
+        gathered = []
+        for row, sx in zip(idx, sigma_x):
+            cov_b = CovarianceSet(sigma_j=cov.sigma_j[row], sigma_x=sx)
+            w = make_weights(scheme, cov_b, w_bar[row], n_rep[row])
+            gathered.append((np.bincount(row, weights=w.q, minlength=n), w))
+        return counts, block, gathered
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["equal", "minimax", "quasi_likelihood"])
+    def test_matches_gathered_rows(self, rng, scheme, p):
+        counts, block, gathered = self.block_and_gathered(rng, scheme, p=p)
+        for b, (folded, w) in enumerate(gathered):
+            assert block.errors[b] is None
+            np.testing.assert_allclose(block.q[b], folded, rtol=1e-12, atol=1e-15)
+            assert np.all(block.q[b][counts[b] == 0] == 0.0)
+            assert (block.fallback[b], block.max_clamp[b] > 0.0) == (w.fallback,
+                                                                     w.max_clamp > 0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_singular_sample_fails_alone(self, p):
+        # row 0 is degenerate: the sample that holds it fails minimax and
+        # falls back to equal quasi-likelihood weights; the sample without it
+        # is untouched
+        n = 6
+        sigma_j = np.tile(np.eye(p), (n, 1, 1))
+        sigma_j[0] = 0.0
+        cov = CovarianceSet(sigma_j=sigma_j, sigma_x=np.zeros((2, p, p)))
+        counts = np.array([[2, 1, 1, 1, 1, 0], [0, 2, 1, 1, 1, 1]])
+        w_bar = np.linspace(0.0, 1.0, n * p).reshape(p, n).T
+        n_rep = np.full(n, 2)
+        minimax = block_weights("minimax", counts, cov, w_bar, n_rep)
+        assert isinstance(minimax.errors[0], DegenerateCovarianceError)
+        assert "observations [0]" in str(minimax.errors[0])
+        assert minimax.errors[1] is None
+        np.testing.assert_allclose(minimax.q[1], counts[1] / 6.0, rtol=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ql = block_weights("quasi_likelihood", counts, cov, w_bar, n_rep)
+        assert ql.fallback.tolist() == [True, False]
+        np.testing.assert_allclose(ql.q[0], counts[0] / 6.0, rtol=1e-15)
+        assert ql.errors == (None, None)
