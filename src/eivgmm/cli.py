@@ -330,8 +330,9 @@ def cmd_reproduce(args) -> int:
               "bootstrap resamples", file=sys.stderr)
         return EXIT_USAGE
     if args.M < MIN_DET_REPS:
-        print(f"error: every criterion needs --M >= {MIN_DET_REPS} replications for its "
-              "trimmed det metric or SE summary", file=sys.stderr)
+        print(f"error: need --M >= {MIN_DET_REPS}: every criterion's study computes "
+              f"the trimmed det metric, which needs {MIN_DET_REPS} replications",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.workers < 1:
         print(f"error: need --workers >= 1, got {args.workers}", file=sys.stderr)

@@ -29,8 +29,8 @@ from .covariance import CovarianceSet, estimate_covariances, pooled_error_covari
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
-from .phase import EcfOutcome, build_ecf, ecf_from_counts, grad_and_hessian, grad_dtilde
-from .weights import WeightVector, block_weights, make_weights
+from .phase import EcfOutcome, _ecf_from_counts, build_ecf, grad_and_hessian, grad_dtilde
+from .weights import WeightVector, _block_weights, make_weights
 
 __all__ = [
     "GmmFit",
@@ -130,7 +130,7 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     covariance sum_j c_j sigma_j / n_j, covariate covariance (from second
     moments of the globally centered w_bar) and corrected-LS gradient (theta
     is fixed, so the residuals are computed once); each scheme's weights
-    come from one block_weights call.
+    come from one _block_weights call.
     Per resample, the outcome ECF comes from its
     distinct outcomes and their counts, and one grad_dtilde call on the rows
     it holds, with one weight column per scheme whose weights could be
@@ -179,13 +179,13 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         s_mc[:, :p] += sig_w @ theta[:p]
         s_mc *= -2.0 / n
         cov_block = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=sigma_x)
-        weights = {s: block_weights(s, counts, cov_block, w_bar, n_rep) for s in schemes}
+        weights = {s: _block_weights(s, counts, cov_block, w_bar, n_rep) for s in schemes}
         for i, c in enumerate(counts):
             idx_b = first + i
             y_counts = np.bincount(y_inv, weights=c, minlength=y_vals.size)
             held = y_counts > 0.0
             try:
-                ecf_b = ecf_from_counts(y_vals[held], y_counts[held])
+                ecf_b = _ecf_from_counts(y_vals[held], y_counts[held])
             except EivError as exc:
                 for s in schemes:
                     failures[s].append((idx_b, str(exc)))

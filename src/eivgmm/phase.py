@@ -41,7 +41,6 @@ from .model_data import as_theta
 __all__ = [
     "EcfOutcome",
     "build_ecf",
-    "ecf_from_counts",
     "kernel",
     "grad_dtilde",
     "grad_and_hessian",
@@ -168,10 +167,10 @@ def build_ecf(y) -> EcfOutcome:
     if y.size < 2:
         raise DegenerateInputError("need at least 2 outcome values")
     vals, counts = np.unique(y, return_counts=True)
-    return ecf_from_counts(vals, counts.astype(float))
+    return _ecf_from_counts(vals, counts.astype(float))
 
 
-def ecf_from_counts(vals: np.ndarray, counts: np.ndarray) -> EcfOutcome:
+def _ecf_from_counts(vals: np.ndarray, counts: np.ndarray) -> EcfOutcome:
     """build_ecf for the sample that holds the sorted distinct values vals
     with multiplicities counts (float). sd(y) (ddof=1) is taken from the
     values and counts too, so a sample's ECF depends only on them, not on

@@ -23,12 +23,10 @@ from .errors import DegenerateCovarianceError, WeightSolveError
 
 __all__ = [
     "WeightVector",
-    "WeightBlock",
     "weights_equal",
     "weights_minimax",
     "weights_ql",
     "make_weights",
-    "block_weights",
     "solve_ql_system",
     "SCHEMES",
 ]
@@ -57,7 +55,7 @@ class WeightVector:
 
 
 @dataclass(frozen=True)
-class WeightBlock:
+class _WeightBlock:
     """One scheme's weights for a block of B samples over the same n rows.
 
     q : (B, n) weight of each sample on each row, its multiplicity times the
@@ -73,9 +71,9 @@ class WeightBlock:
     max_clamp: np.ndarray
 
 
-def _block(q, errors=None, fallback=None, max_clamp=None) -> WeightBlock:
+def _block(q, errors=None, fallback=None, max_clamp=None) -> _WeightBlock:
     b = q.shape[0]
-    return WeightBlock(
+    return _WeightBlock(
         q=q,
         errors=tuple(errors) if errors is not None else (None,) * b,
         fallback=np.zeros(b, dtype=bool) if fallback is None else fallback,
@@ -83,7 +81,7 @@ def _block(q, errors=None, fallback=None, max_clamp=None) -> WeightBlock:
     )
 
 
-def _single(block: WeightBlock, scheme: str) -> WeightVector:
+def _single(block: _WeightBlock, scheme: str) -> WeightVector:
     """The one sample of a one-row block; raises the error that stopped it."""
     if block.errors[0] is not None:
         raise block.errors[0]
@@ -91,7 +89,7 @@ def _single(block: WeightBlock, scheme: str) -> WeightVector:
                         max_clamp=float(block.max_clamp[0]))
 
 
-def _equal(counts: np.ndarray) -> WeightBlock:
+def _equal(counts: np.ndarray) -> _WeightBlock:
     return _block(counts / counts.sum(axis=1, keepdims=True))
 
 
@@ -107,7 +105,7 @@ def _top_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., -1]
 
 
-def _minimax(counts: np.ndarray, cov: CovarianceSet, n_rep: np.ndarray) -> WeightBlock:
+def _minimax(counts: np.ndarray, cov: CovarianceSet, n_rep: np.ndarray) -> _WeightBlock:
     """Minimax weights of every sample; cov.sigma_x is the (B, p, p) stack of
     the samples' covariate covariances. A sample fails when a row it holds
     has a zero top eigenvalue."""
@@ -181,21 +179,22 @@ def _inv_held(omega: np.ndarray, counts: np.ndarray):
 
 
 def solve_ql_system(counts: np.ndarray, omega_inv: np.ndarray, w_bar: np.ndarray,
-                    gamma: float):
+                    gamma):
     """Solve the bordered quasi-likelihood weight system of every sample in a
     block; returns (q, multiplier, errors).
 
     Sample b holds row j of w_bar (n, p) counts[b, j] times, with omega_inv
-    the (B, n, p, p) inverse covariances of the rows. Its system, over its
-    N_b = sum_j counts[b, j] copies, has coefficient matrix G + gamma (N_b I
-    - 11') bordered by the sum-to-one constraint, where G[k, l] =
-    w_bar_k' A2 w_bar_l with A2 = sum over copies of omega^{-1}, and
-    right-hand side w_bar A1 with A1 = sum over copies of omega^{-1} w_bar.
-    G has rank at most p, so the solve uses the Woodbury identity on
-    alpha I + U C U' (alpha = gamma N_b, U = [1 | w_bar], C = diag(-gamma) (+)
-    A2). Every sum over copies is a count-weighted sum over rows, and the
-    cost is O(n p^2) per sample instead of O(N_b^3). The result matches a
-    dense solve of the explicit (N_b+1) x (N_b+1) system to rounding.
+    the (B, n, p, p) inverse covariances of the rows and gamma the penalty,
+    one value or one per sample. Its system, over its N_b = sum_j counts[b, j]
+    copies, has coefficient matrix G + gamma_b (N_b I - 11') bordered by the sum-to-one
+    constraint, where G[k, l] = w_bar_k' A2 w_bar_l with A2 = sum over copies
+    of omega^{-1}, and right-hand side w_bar A1 with A1 = sum over copies of
+    omega^{-1} w_bar. G has rank at most p, so the solve uses the Woodbury
+    identity on alpha I + U C U' (alpha = gamma_b N_b, U = [1 | w_bar],
+    C = diag(-gamma_b) (+) A2). Every sum over copies is a count-weighted sum
+    over rows, and the cost is O(n p^2) per sample instead of O(N_b^3). The
+    result matches a dense solve of the explicit (N_b+1) x (N_b+1) system to
+    rounding.
 
     q (B, n) is the solution at one copy of each row and multiplier (B,) the
     constraint's multiplier. errors holds, per sample, the WeightSolveError
@@ -237,16 +236,15 @@ def solve_ql_system(counts: np.ndarray, omega_inv: np.ndarray, w_bar: np.ndarray
 
 
 def _quasi_likelihood(counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
-                      n_rep: np.ndarray) -> WeightBlock:
+                      n_rep: np.ndarray) -> _WeightBlock:
     """Quasi-likelihood weights of every sample; cov.sigma_x is the (B, p, p)
     stack of the samples' covariate covariances. The penalty on squared
     weight differences is 1/N_b for a sample of N_b copies. A sample whose
     system is singular falls back to equal weights; negative solutions on
     held rows are clamped at zero and the weights renormalized."""
     n_copies = counts.sum(axis=1)
-    gamma = 1.0 / n_copies[0]
     omega_inv, singular = _inv_held(omega_matrices(cov, n_rep), counts)
-    q, _, errors = solve_ql_system(counts, omega_inv, w_bar, gamma)
+    q, _, errors = solve_ql_system(counts, omega_inv, w_bar, 1.0 / n_copies)
     fallback = singular | np.array([e is not None for e in errors])
     held = counts > 0.0
     max_clamp = np.maximum(0.0, -np.min(np.where(held, q, np.inf), axis=1))
@@ -258,12 +256,12 @@ def _quasi_likelihood(counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
     return _block(q, fallback=fallback, max_clamp=max_clamp)
 
 
-def block_weights(scheme: str, counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
-                  n_rep) -> WeightBlock:
+def _block_weights(scheme: str, counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
+                   n_rep) -> _WeightBlock:
     """One scheme's weights for B samples over the rows of cov.sigma_j (n, p, p),
     w_bar (n, p) and n_rep (n,): sample b holds row j counts[b, j] times and
     has covariate covariance cov.sigma_x[b] (a (B, p, p) stack). Dispatches on
-    scheme name, one of SCHEMES; every sample holds the same number of copies.
+    scheme name, one of SCHEMES.
     """
     counts = np.asarray(counts, dtype=float)
     n_rep = np.asarray(n_rep, dtype=float)
@@ -277,11 +275,9 @@ def block_weights(scheme: str, counts: np.ndarray, cov: CovarianceSet, w_bar: np
     raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def _full_sample(scheme: str, cov: CovarianceSet, w_bar, n_rep) -> WeightVector:
-    """block_weights for one sample holding every row once."""
-    n = len(np.asarray(n_rep))
-    full = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
-    return _single(block_weights(scheme, np.ones((1, n)), full, w_bar, n_rep), scheme)
+def _one_row(cov: CovarianceSet) -> CovarianceSet:
+    """The full sample's covariances as a block of one sample."""
+    return CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
 
 
 def weights_equal(n: int) -> WeightVector:
@@ -294,7 +290,8 @@ def weights_equal(n: int) -> WeightVector:
 def weights_minimax(cov: CovarianceSet, n_rep) -> WeightVector:
     """Weights proportional to 1/lambda_j, lambda_j the top eigenvalue of
     psd(sigma_x) + n_j^{-1} sigma_j. Downweights high-noise observations."""
-    return _full_sample("minimax", cov, None, n_rep)
+    n_rep = np.asarray(n_rep, dtype=float)
+    return _single(_minimax(np.ones((1, n_rep.size)), _one_row(cov), n_rep), "minimax")
 
 
 def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
@@ -305,9 +302,12 @@ def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
     largest magnitude clamped; a singular system falls back to equal weights
     with fallback set. Both are reported through those fields only.
     """
-    if np.asarray(w_bar).shape[0] < 2:
+    w_bar = np.asarray(w_bar, dtype=float)
+    if w_bar.shape[0] < 2:
         raise ValueError("need n >= 2")
-    return _full_sample("quasi_likelihood", cov, w_bar, n_rep)
+    block = _quasi_likelihood(np.ones((1, w_bar.shape[0])), _one_row(cov), w_bar,
+                              np.asarray(n_rep, dtype=float))
+    return _single(block, "quasi_likelihood")
 
 
 def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import eivgmm.gmm as gmm_module
 import eivgmm.weights as weights_module
 from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.model_data import make_dataset
@@ -55,15 +54,12 @@ def fail_minimax(monkeypatch, fails=lambda sigma_x: True):
     """Make minimax weighting fail with "forced failure" on every sample whose
     covariate covariance satisfies fails, in the bootstrap's blocks and the
     full-sample weights alike."""
-    block_weights = weights_module.block_weights
+    minimax = weights_module._minimax
 
-    def flaky(scheme, counts, cov, w_bar, n_rep):
-        out = block_weights(scheme, counts, cov, w_bar, n_rep)
-        if scheme != "minimax":
-            return out
+    def flaky(counts, cov, n_rep):
+        out = minimax(counts, cov, n_rep)
         errors = tuple(DegenerateCovarianceError("forced failure") if fails(sx) else err
                        for sx, err in zip(cov.sigma_x, out.errors))
         return dataclasses.replace(out, errors=errors)
 
-    monkeypatch.setattr(weights_module, "block_weights", flaky)
-    monkeypatch.setattr(gmm_module, "block_weights", flaky)
+    monkeypatch.setattr(weights_module, "_minimax", flaky)

@@ -6,7 +6,7 @@ import pytest
 from eivgmm.covariance import CovarianceSet, estimate_covariances, omega_matrices
 from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.weights import (
-    block_weights,
+    _block_weights,
     make_weights,
     weights_equal,
     weights_minimax,
@@ -228,14 +228,14 @@ class TestBlockWeights:
     rows, summed over each row's copies."""
 
     @staticmethod
-    def block_and_gathered(rng, scheme, n=30, p=2, n_samples=5):
+    def block_and_gathered(rng, scheme, n=30, p=2, n_samples=5, shrink=0):
         cov = random_cov_set(rng, n, p)
         w_bar = rng.normal(size=(n, p))
         n_rep = rng.integers(2, 4, size=n)
-        idx = rng.integers(0, n, size=(n_samples, n))
+        idx = [rng.integers(0, n, size=n - shrink * b) for b in range(n_samples)]
         counts = np.stack([np.bincount(row, minlength=n) for row in idx])
         sigma_x = np.stack([cov.sigma_x + 0.1 * s * np.eye(p) for s in range(n_samples)])
-        block = block_weights(scheme, counts, CovarianceSet(cov.sigma_j, sigma_x), w_bar, n_rep)
+        block = _block_weights(scheme, counts, CovarianceSet(cov.sigma_j, sigma_x), w_bar, n_rep)
         gathered = []
         for row, sx in zip(idx, sigma_x):
             cov_b = CovarianceSet(sigma_j=cov.sigma_j[row], sigma_x=sx)
@@ -255,6 +255,20 @@ class TestBlockWeights:
                                                                      w.max_clamp > 0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_samples_of_different_sizes(self, rng, p):
+        # samples of 30, 26, ..., 14 copies: each takes the quasi-likelihood
+        # penalty 1/N_b of its own size. The Woodbury solve leaves gaps up to
+        # 1.9e-12 against the gathered rows (SkylakeX, Haswell and
+        # Sandybridge kernels); the first sample's penalty for all of them
+        # moves the weights by 1.7e-5 to 4e-2.
+        counts, block, gathered = self.block_and_gathered(rng, "quasi_likelihood", p=p,
+                                                          shrink=4)
+        assert len(set(counts.sum(axis=1))) == counts.shape[0]
+        for b, (folded, w) in enumerate(gathered):
+            assert block.errors[b] is None
+            np.testing.assert_allclose(block.q[b], folded, rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_singular_sample_fails_alone(self, p):
         # row 0 is degenerate: the sample that holds it fails minimax and
         # falls back to equal quasi-likelihood weights; the sample without it
@@ -266,14 +280,14 @@ class TestBlockWeights:
         counts = np.array([[2, 1, 1, 1, 1, 0], [0, 2, 1, 1, 1, 1]])
         w_bar = np.linspace(0.0, 1.0, n * p).reshape(p, n).T
         n_rep = np.full(n, 2)
-        minimax = block_weights("minimax", counts, cov, w_bar, n_rep)
+        minimax = _block_weights("minimax", counts, cov, w_bar, n_rep)
         assert isinstance(minimax.errors[0], DegenerateCovarianceError)
         assert "observations [0]" in str(minimax.errors[0])
         assert minimax.errors[1] is None
         np.testing.assert_allclose(minimax.q[1], counts[1] / 6.0, rtol=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ql = block_weights("quasi_likelihood", counts, cov, w_bar, n_rep)
+            ql = _block_weights("quasi_likelihood", counts, cov, w_bar, n_rep)
         assert ql.fallback.tolist() == [True, False]
         np.testing.assert_allclose(ql.q[0], counts[0] / 6.0, rtol=1e-15)
         assert ql.errors == (None, None)
