@@ -32,7 +32,7 @@ from .model_data import (
     write_csv,
 )
 from .moment_correction import McFit, corrected_l2, fit_mc, fit_ols
-from .phase import EcfOutcome, build_ecf, grad_dtilde
+from .phase import EcfOutcome, build_ecf
 from .simgen import SimConfig, gen_dataset, gen_error_matrices
 from .study import StudyResult, run_replication, run_study
 from .weights import WeightVector, make_weights, weights_equal, weights_minimax, weights_ql

@@ -11,11 +11,13 @@ initial estimate. A resample is its vector of row multiplicities, so every
 ingredient that is linear in them (pooled covariance, covariate covariance,
 corrected-LS gradient) is one matrix product per block of resamples over the
 original rows, and the weights of every scheme are formed for the block at
-once. The phase gradients of every weight scheme come from one set of trig
-tables over the rows a resample holds, and the outcome ECF and its t* scan
-evaluate its distinct outcomes once. The final estimate minimizes the
-quadratic form in the stacked equations weighted by the inverse bootstrap
-covariance.
+once. The bootstrap takes two passes over the resamples. The first runs
+each resample's exact t* scan over its distinct outcomes and their counts.
+The second forms the outcome ECFs and the phase gradients of every resample
+and weight scheme at the quadrature nodes of each resample's own band, from
+one set of trig tables shared by all resamples (see phase._BootstrapPhase).
+The final estimate minimizes the quadratic form in the stacked equations
+weighted by the inverse bootstrap covariance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .covariance import CovarianceSet, estimate_covariances, pooled_error_covari
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
-from .phase import EcfOutcome, _ecf_from_counts, build_ecf, grad_and_hessian, grad_dtilde
+from .phase import EcfOutcome, _BootstrapPhase, _t_star_from_counts, build_ecf, grad_and_hessian
 from .weights import WeightVector, _block_weights, make_weights
 
 __all__ = [
@@ -65,8 +67,10 @@ class GmmFit:
     quasi-likelihood weights fell back to equal or were clamped), the
     bootstrap's boot_capped (resamples whose t* scan hit its cap),
     boot_ql_fallback and boot_ql_clamped (resamples whose quasi-likelihood
-    weights fell back or were clamped), and se_error, the reason, when
-    standard errors were requested but se is None.
+    weights fell back or were clamped) and boot_trig_nodes (Chebyshev points
+    of the trig tables the resamples shared, 0 when each built its own),
+    and se_error, the reason, when standard errors were requested but se is
+    None.
     """
 
     theta: ParamVector
@@ -119,28 +123,39 @@ def _resample_counts(seed: int, first: int, last: int, n: int) -> np.ndarray:
     return np.bincount(flat, minlength=flat.size).reshape(-1, n).astype(float)
 
 
+def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarray:
+    """(b, n_y) multiplicities of the distinct outcomes from the (b, n) row
+    multiplicities; y_inv maps each row to its distinct outcome."""
+    b = counts.shape[0]
+    flat = (y_inv + n_y * np.arange(b)[:, None]).ravel()
+    return np.bincount(flat, weights=counts.ravel(), minlength=b * n_y).reshape(b, n_y)
+
+
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                           design: RegressionDesign, cov: CovarianceSet):
     """Shared bootstrap pass: one set of resamples, one gradient per scheme.
 
     Resample i draws n row indices from the stream keyed by (seed, i) and is
     kept as its row multiplicities c. The resamples go in blocks of about
-    _BOOT_BLOCK_ROWS / n. Per block, one product of the (block, n)
-    multiplicities with a per-row table gives every resample's pooled error
-    covariance sum_j c_j sigma_j / n_j, covariate covariance (from second
-    moments of the globally centered w_bar) and corrected-LS gradient (theta
-    is fixed, so the residuals are computed once); each scheme's weights
-    come from one _block_weights call.
-    Per resample, the outcome ECF comes from its
-    distinct outcomes and their counts, and one grad_dtilde call on the rows
-    it holds, with one weight column per scheme whose weights could be
-    formed, gives those phase gradients from one set of trig tables.
+    _BOOT_BLOCK_ROWS / n, twice. The first pass runs every resample's exact
+    t* scan over its distinct outcomes and their counts. The second draws
+    the same blocks again, rather than keeping b x n multiplicities. Per
+    block, one product of the (block, n) multiplicities with a per-row
+    table gives every resample's pooled error covariance
+    sum_j c_j sigma_j / n_j, covariate covariance (from second moments of
+    the globally centered w_bar) and corrected-LS gradient (theta is fixed,
+    so the residuals are computed once); each scheme's weights come from
+    one _block_weights call, and one _BootstrapPhase.block call gives every
+    resample's phase gradients under every scheme, from trig tables shared
+    by all resamples when the largest t* allows it.
 
     Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
     scheme. Returns {scheme: (omega, omega_inv, failures, events)} with omega
     the eigenvalue-floored covariance, omega_inv its inverse, failures a list
     of (resample, message) and events the counts boot_capped,
-    boot_ql_fallback and boot_ql_clamped.
+    boot_ql_fallback and boot_ql_clamped, plus boot_trig_nodes, the
+    Chebyshev point count of the shared tables (0 when each resample built
+    its own).
     A scheme with more than MAX_BOOT_FAILURE_FRAC of its resamples failed
     maps to a BootstrapInstabilityError instead; the other schemes keep
     their covariances.
@@ -161,15 +176,32 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         v * (y - v @ theta)[:, None],
     ])
     y_vals, y_inv = np.unique(y, return_inverse=True)
+    block = max(1, _BOOT_BLOCK_ROWS // n)
+    starts = range(0, b, block)
+    # the scan's first crossing is a discontinuous decision, so every
+    # resample scans exactly, before the phase tables are sized from the
+    # largest t*
+    t_stars = np.full(b, np.nan)
+    capped = np.zeros(b, dtype=bool)
+    scan_errors = {}
+    for first in starts:
+        counts = _resample_counts(seed, first, min(first + block, b), n)
+        for i, y_counts in enumerate(_outcome_counts(counts, y_inv, y_vals.size), first):
+            held = y_counts > 0.0
+            try:
+                t_stars[i], capped[i] = _t_star_from_counts(y_vals[held], y_counts[held])
+            except EivError as exc:
+                scan_errors[i] = str(exc)
+    phase = _BootstrapPhase(v, theta, y_vals, t_stars)
     dim = 2 * k
     acc = {s: np.zeros((dim, dim)) for s in schemes}
     mean_acc = {s: np.zeros(dim) for s in schemes}
     failures = {s: [] for s in schemes}
-    events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
-              for s in schemes}
-    block = max(1, _BOOT_BLOCK_ROWS // n)
-    for first in range(0, b, block):
-        counts = _resample_counts(seed, first, min(first + block, b), n)
+    events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0,
+                  "boot_trig_nodes": phase.n_cheb} for s in schemes}
+    for first in starts:
+        last = min(first + block, b)
+        counts = _resample_counts(seed, first, last, n)
         sums = counts @ table
         sig_w = sums[:, :pp].reshape(-1, p, p)
         w_mean = sums[:, 2 * pp:2 * pp + p] / n
@@ -179,34 +211,30 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         s_mc[:, :p] += sig_w @ theta[:p]
         s_mc *= -2.0 / n
         cov_block = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=sigma_x)
-        weights = {s: _block_weights(s, counts, cov_block, w_bar, n_rep) for s in schemes}
-        for i, c in enumerate(counts):
+        weights = [_block_weights(s, counts, cov_block, w_bar, n_rep) for s in schemes]
+        # a failed scheme's weights are undefined; zeros keep them finite
+        failed = np.array([[w.errors[i] is not None for w in weights]
+                           for i in range(last - first)])
+        q = np.where(failed[:, :, None], 0.0, np.stack([w.q for w in weights], axis=1))
+        live = np.flatnonzero(np.isfinite(t_stars[first:last]))
+        s_ph = np.full((last - first, len(schemes), k), np.nan)
+        if live.size:
+            y_w = _outcome_counts(counts[live], y_inv, y_vals.size) / n
+            s_ph[live] = phase.block(t_stars[first:last][live], counts[live], y_w, q[live])[2]
+        for i in range(last - first):
             idx_b = first + i
-            y_counts = np.bincount(y_inv, weights=c, minlength=y_vals.size)
-            held = y_counts > 0.0
-            try:
-                ecf_b = _ecf_from_counts(y_vals[held], y_counts[held])
-            except EivError as exc:
+            if idx_b in scan_errors:
                 for s in schemes:
-                    failures[s].append((idx_b, str(exc)))
+                    failures[s].append((idx_b, scan_errors[idx_b]))
                 continue
-            ok = []
-            for scheme in schemes:
-                events[scheme]["boot_capped"] += int(ecf_b.capped)
-                w = weights[scheme]
-                if w.errors[i] is not None:
+            for col, (scheme, w) in enumerate(zip(schemes, weights)):
+                events[scheme]["boot_capped"] += int(capped[idx_b])
+                if failed[i, col]:
                     failures[scheme].append((idx_b, str(w.errors[i])))
                     continue
                 events[scheme]["boot_ql_fallback"] += int(w.fallback[i])
                 events[scheme]["boot_ql_clamped"] += int(w.max_clamp[i] > 0.0)
-                ok.append(scheme)
-            if not ok:
-                continue
-            rows = np.flatnonzero(c)
-            q_cols = np.stack([weights[s].q[i, rows] for s in ok], axis=1)
-            s_ph = grad_dtilde(theta, v[rows], q_cols, ecf_b)
-            for scheme, s_ph_scheme in zip(ok, s_ph):
-                s_vec = np.concatenate([s_mc[i], s_ph_scheme])
+                s_vec = np.concatenate([s_mc[i], s_ph[i, col]])
                 if not np.all(np.isfinite(s_vec)):
                     failures[scheme].append((idx_b, "non-finite stacked gradient"))
                     continue

@@ -24,8 +24,19 @@ cos(t a) and sin(t a) at both nodes of a pair follow from cos/sin(h a) and
 cos/sin(h x a), so the sin/cos tables over a vector a hold half the nodes,
 and every quadrature sum over the grid is formed from products with those
 half tables. The outcome ECF evaluates tied outcomes once, weighted by their
-counts, so a sample given as distinct values and multiplicities (a bootstrap
-resample) costs no more than its distinct values.
+counts.
+
+The bootstrap needs the same sums for every resample, at one fixed theta,
+over subsets of the same index values a = v theta and distinct outcomes;
+only the band [0, t*_b] differs. Each sum sum_j m_j exp(i t c_j) is an
+entire function of t, so _BootstrapPhase evaluates cos/sin(tau c) of the
+centered values once, at Chebyshev points tau of [0, max_b t*_b]; one matrix
+product with a block's weight columns gives every resample's sums there, and
+barycentric interpolation (stable for Chebyshev points, and accurate to
+rounding once their count passes the band's frequency) carries them to each
+resample's own nodes, where the rotation by the center is applied exactly.
+When the shared tables would take more sin/cos evaluations than the
+resamples' own half tables, each resample builds its own instead.
 """
 
 from __future__ import annotations
@@ -42,7 +53,6 @@ __all__ = [
     "EcfOutcome",
     "build_ecf",
     "kernel",
-    "grad_dtilde",
     "grad_and_hessian",
 ]
 
@@ -52,6 +62,13 @@ assert N_QUAD % 2 == 0
 #: the t* scan uses step = T_STEP_SCALE / sd(y) and cap = T_CAP_SCALE / sd(y)
 T_STEP_SCALE = 0.01
 T_CAP_SCALE = 50.0
+#: scan grid points j = 1 .. _N_SCAN_STEPS; a fixed count, so the cap does
+#: not move by a step with the last bit of sd(y)
+_N_SCAN_STEPS = round(T_CAP_SCALE / T_STEP_SCALE)
+#: Chebyshev points of the shared bootstrap tables beyond T max|c|
+_CHEB_MARGIN = 16
+#: share of the n rows a bootstrap resample holds, about 1 - 1/e
+_HELD_FRAC = 1.0 - np.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -124,8 +141,8 @@ class _NodePairs:
         return self.ca * both - self.sa * diff, self.sa * both + self.ca * diff
 
 
-def _scan_t_star(vals, counts, n: int, step: float, cap: float):
-    """First grid point t = j step, 1 <= j <= floor(cap/step), where the ECF of
+def _scan_t_star(vals, counts, n: int, step: float):
+    """First grid point t = j step, 1 <= j <= _N_SCAN_STEPS, where the ECF of
     the sample with distinct values vals and multiplicities counts has
     re^2 + im^2 <= 1/n. Returns (t*, capped): (that point, False), or (the
     last grid point, True) when no point crosses.
@@ -139,9 +156,8 @@ def _scan_t_star(vals, counts, n: int, step: float, cap: float):
     basis = np.column_stack([counts, counts * d]) / n
     floor_sq = 1.0 / n
     floor = np.sqrt(floor_sq)
-    n_steps = int(np.floor(cap / step))
     j = 1
-    while j <= n_steps:
+    while j <= _N_SCAN_STEPS:
         # phi(t) and -i phi'(t) of the centered sample
         phi, dphi = np.exp(1j * (j * step) * d) @ basis
         mod_sq = phi.real**2 + phi.imag**2
@@ -151,7 +167,7 @@ def _scan_t_star(vals, counts, n: int, step: float, cap: float):
         a = abs(dphi)
         h = 2.0 * gap / (a + np.sqrt(a * a + 2.0 * m2 * gap))
         j += max(1, int(h / step * (1.0 - 1e-9)))
-    return float(n_steps * step), True
+    return float(_N_SCAN_STEPS * step), True
 
 
 def build_ecf(y) -> EcfOutcome:
@@ -167,14 +183,19 @@ def build_ecf(y) -> EcfOutcome:
     if y.size < 2:
         raise DegenerateInputError("need at least 2 outcome values")
     vals, counts = np.unique(y, return_counts=True)
-    return _ecf_from_counts(vals, counts.astype(float))
+    counts = counts.astype(float)
+    t_star, capped = _t_star_from_counts(vals, counts)
+    grid, quad_w = _quad_rule(t_star)
+    cos_m, sin_m = _NodePairs(t_star, vals).times(counts[:, None] / y.size)
+    return EcfOutcome(grid=grid, quad_w=quad_w, c_y=cos_m[:, 0], s_y=sin_m[:, 0],
+                      t_star=t_star, capped=capped)
 
 
-def _ecf_from_counts(vals: np.ndarray, counts: np.ndarray) -> EcfOutcome:
-    """build_ecf for the sample that holds the sorted distinct values vals
+def _t_star_from_counts(vals: np.ndarray, counts: np.ndarray):
+    """(t*, capped) of the sample that holds the sorted distinct values vals
     with multiplicities counts (float). sd(y) (ddof=1) is taken from the
-    values and counts too, so a sample's ECF depends only on them, not on
-    the order of its observations."""
+    values and counts too, so t* depends only on them, not on the order of
+    the observations. Raises DegenerateInputError for a constant sample."""
     if vals.size < 2:
         raise DegenerateInputError("outcome is constant; characteristic function never decays")
     n = counts.sum()
@@ -182,63 +203,33 @@ def _ecf_from_counts(vals: np.ndarray, counts: np.ndarray) -> EcfOutcome:
     sd = np.sqrt((counts @ d**2) / (n - 1.0))
     if sd == 0.0 or not np.isfinite(sd):
         raise DegenerateInputError("outcome is constant; characteristic function never decays")
-    t_star, capped = _scan_t_star(vals, counts, n, T_STEP_SCALE / sd, T_CAP_SCALE / sd)
+    return _scan_t_star(vals, counts, n, T_STEP_SCALE / sd)
+
+
+def _quad_rule(t_star):
+    """Gauss-Legendre nodes and weights of [0, t*]; a (b, 1) array of t* gives
+    (b, N_QUAD) arrays."""
     nodes, quad_w = _gl_rule(N_QUAD)
-    grid = 0.5 * t_star * (nodes + 1.0)
-    weights = 0.5 * t_star * quad_w
-    cos_m, sin_m = _NodePairs(t_star, vals).times(counts[:, None] / n)
-    c_y, s_y = cos_m[:, 0], sin_m[:, 0]
-    return EcfOutcome(grid=grid, quad_w=weights, c_y=c_y, s_y=s_y,
-                      t_star=t_star, capped=capped)
+    return 0.5 * t_star * (nodes + 1.0), 0.5 * t_star * quad_w
 
 
-def _base_weights(ecf: EcfOutcome) -> np.ndarray:
-    """Quadrature weights times the kernel at each node."""
-    return ecf.quad_w * kernel(ecf.grid, ecf.t_star)
-
-
-def _phase_terms(pairs: _NodePairs, qv1: np.ndarray, ecf: EcfOutcome):
-    """Mismatch g (n_quad,) and its index derivative gmat (n_quad, k) at each
-    node, from the columns [q | q v] of one weight vector."""
-    cos_m, sin_m = pairs.times(qv1)
-    g = ecf.c_y * sin_m[:, 0] - ecf.s_y * cos_m[:, 0]
-    gmat = ecf.grid[:, None] * (ecf.c_y[:, None] * cos_m[:, 1:]
-                                + ecf.s_y[:, None] * sin_m[:, 1:])
+def _phase_terms(cos_m, sin_m, c_y, s_y, grid):
+    """Mismatch g and its index derivative gmat at each node, from the sums
+    cos_m, sin_m of cos/sin(t a) against the columns [q | q v] of one weight
+    vector, on the last axis. c_y, s_y and grid broadcast against
+    cos_m[..., 0]; g has that shape and gmat one more axis of length k."""
+    g = c_y * sin_m[..., 0] - s_y * cos_m[..., 0]
+    gmat = grid[..., None] * (c_y[..., None] * cos_m[..., 1:]
+                              + s_y[..., None] * sin_m[..., 1:])
     return g, gmat
-
-
-def grad_dtilde(theta, design: np.ndarray, weights: np.ndarray,
-                ecf: EcfOutcome) -> np.ndarray:
-    """Exact gradient of the phase discrepancy with respect to [beta, gamma].
-
-    design is the (n, k) array [w_bar | z]. weights is one vector (n,),
-    giving a (k,) gradient, or S weight vectors as the columns of an (n, S)
-    array, giving an (S, k) array of gradients from one set of trig tables.
-    Each weight vector takes its own products with the tables, so its
-    gradient is the same to the last bit whether it comes alone or with
-    others. A row that a sample holds several times enters once, with its
-    weight multiplied by its multiplicity.
-    """
-    v, q = design, weights
-    n, k = v.shape
-    qs = q.reshape(n, -1)
-    # columns s (k+1) .. s (k+1) + k hold [q_s | q_s v] for weight vector s
-    v1 = np.column_stack([np.ones(n), v])
-    qv1 = (qs[:, :, None] * v1[:, None, :]).reshape(n, -1)
-    pairs = _NodePairs(ecf.t_star, v @ as_theta(theta))
-    base_w = _base_weights(ecf)
-    grad = np.empty((qs.shape[1], k))
-    for col in range(qs.shape[1]):
-        g, gmat = _phase_terms(pairs, qv1[:, col * (k + 1):(col + 1) * (k + 1)], ecf)
-        grad[col] = 2.0 * ((base_w * g) @ gmat)
-    return grad.reshape(q.shape[1:] + (k,))
 
 
 def grad_and_hessian(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
     """Gradient and Hessian of the discrepancy from one set of trig tables."""
     pairs = _NodePairs(ecf.t_star, v @ as_theta(theta))
-    g, gmat = _phase_terms(pairs, np.column_stack([q, q[:, None] * v]), ecf)
-    base_w = _base_weights(ecf)
+    cos_m, sin_m = pairs.times(np.column_stack([q, q[:, None] * v]))
+    g, gmat = _phase_terms(cos_m, sin_m, ecf.c_y, ecf.s_y, ecf.grid)
+    base_w = ecf.quad_w * kernel(ecf.grid, ecf.t_star)
     grad = 2.0 * ((base_w * g) @ gmat)
     term1 = 2.0 * gmat.T @ (base_w[:, None] * gmat)
     wg = base_w * g * ecf.grid**2
@@ -246,3 +237,112 @@ def grad_and_hessian(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
     coef = 2.0 * q * (r_cos[0] - r_sin[1])
     term2 = v.T @ (coef[:, None] * v)
     return grad, term1 + term2
+
+
+def _cheb_rule(t_max: float, n_cheb: int):
+    """Second-kind Chebyshev points of [0, t_max], ascending, and their
+    barycentric weights (-1)^m, halved at the two ends."""
+    m = np.arange(n_cheb)
+    tau = t_max * np.sin(0.5 * np.pi * m / (n_cheb - 1)) ** 2
+    bary_w = np.where(m % 2 == 0, 1.0, -1.0)
+    bary_w[[0, -1]] *= 0.5
+    return tau, bary_w
+
+
+def _barycentric(tau: np.ndarray, bary_w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(..., len(tau)) matrices whose row r carries values at the points tau
+    to the point t[..., r], by the barycentric formula; a t on a point takes
+    its value."""
+    diff = t[..., None] - tau
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        c = bary_w / diff
+    c = np.where(hit.any(axis=-1, keepdims=True), hit, c)
+    return c / c.sum(axis=-1, keepdims=True)
+
+
+class _BootstrapPhase:
+    """Outcome ECF and phase gradients of bootstrap resamples at one theta,
+    each resample on the quadrature grid of its own band [0, t*_b].
+
+    v is the (n, k) design, y_vals the distinct outcomes and t_stars the
+    resamples' t* (NaN where a scan failed). With T the largest t*, the
+    shared tables hold cos/sin(tau c) for c = a - mean(a), a = v theta, and
+    c = y_vals - mean(y_vals), at n_cheb = ceil(T max|c|) + _CHEB_MARGIN
+    Chebyshev points tau of [0, T]: on [-1, 1] the sums oscillate at
+    frequency up to T max|c| / 2, and the points number twice that plus a
+    margin. The tables take n_cheb sin/cos pairs per value of c; the
+    resamples' own half tables take about _HELD_FRAC * len(t_stars) *
+    N_QUAD / 2 (a resample holds that share of the values). The shared
+    tables are built only when they take fewer; otherwise n_cheb is 0 and
+    each resample builds _NodePairs tables over what it holds.
+    """
+
+    def __init__(self, v: np.ndarray, theta, y_vals: np.ndarray, t_stars: np.ndarray):
+        self.a = v @ as_theta(theta)
+        self.v1 = np.column_stack([np.ones(v.shape[0]), v])
+        self.y_vals = y_vals
+        self.centers = (self.a.mean(), y_vals.mean())
+        t_max = np.max(t_stars, initial=0.0, where=np.isfinite(t_stars))
+        span = max(np.abs(self.a - self.centers[0]).max(),
+                   np.abs(y_vals - self.centers[1]).max())
+        n_cheb = np.ceil(t_max * span) + _CHEB_MARGIN
+        self.n_cheb = 0
+        if t_max > 0.0 and n_cheb < _HELD_FRAC * t_stars.size * N_QUAD / 2:
+            self.n_cheb = int(n_cheb)
+            self.tau, self.bary_w = _cheb_rule(t_max, self.n_cheb)
+            self.tables = [self._table(vals - mid)
+                           for vals, mid in zip((self.a, y_vals), self.centers)]
+
+    def _table(self, c: np.ndarray) -> np.ndarray:
+        """(2 n_cheb, len(c)): cos(tau c) stacked over sin(tau c)."""
+        arg = self.tau[:, None] * c[None, :]
+        return np.vstack([np.cos(arg), np.sin(arg)])
+
+    def block(self, t_star: np.ndarray, counts: np.ndarray, y_w: np.ndarray,
+              q: np.ndarray):
+        """ECF and phase gradients of a block of resamples.
+
+        t_star (b,) holds their finite t*, counts (b, n) their row
+        multiplicities, y_w (b, n_y) their outcome counts over y_vals divided
+        by n, and q (b, S, n) their weights under S schemes. Returns c_y, s_y
+        (b, N_QUAD) on each resample's grid and the gradients (b, S, k).
+        """
+        b, n_s, n = q.shape
+        width = self.v1.shape[1]
+        grid, quad_w = _quad_rule(t_star[:, None])
+        # columns [q_s | q_s v] of every resample and scheme
+        cols = np.multiply(q.transpose(2, 0, 1)[..., None], self.v1[:, None, None, :],
+                           out=np.empty((n, b, n_s, width))).reshape(n, -1)
+        if self.n_cheb:
+            interp = _barycentric(self.tau, self.bary_w, grid)
+            # each resample's sums at its own nodes, (2, b, N_QUAD, columns),
+            # cos over sin, from the sums at the Chebyshev points
+            at_a, at_y = [interp @ (tab @ m).reshape(2, self.n_cheb, b, -1).transpose(0, 2, 1, 3)
+                          for tab, m in zip(self.tables, (cols, y_w.T))]
+            cos_m, sin_m = self._rotate(at_a, grid[..., None] * self.centers[0])
+            c_y, s_y = self._rotate(at_y[..., 0], grid * self.centers[1])
+        else:
+            cols = cols.reshape(n, b, -1)
+            cos_m = np.empty((b, N_QUAD, n_s * width))
+            sin_m = np.empty_like(cos_m)
+            c_y, s_y = np.empty((2, b, N_QUAD))
+            for i in range(b):
+                rows, held = np.flatnonzero(counts[i]), np.flatnonzero(y_w[i])
+                cos_m[i], sin_m[i] = _NodePairs(t_star[i], self.a[rows]).times(cols[rows, i])
+                ecf_i = _NodePairs(t_star[i], self.y_vals[held]).times(y_w[i, held, None])
+                c_y[i], s_y[i] = ecf_i[0][:, 0], ecf_i[1][:, 0]
+        shape = (b, N_QUAD, n_s, width)
+        g, gmat = _phase_terms(cos_m.reshape(shape), sin_m.reshape(shape),
+                               c_y[..., None], s_y[..., None], grid[..., None])
+        base_w = quad_w * kernel(grid, t_star[:, None])
+        grads = 2.0 * np.einsum("bts,btsk->bsk", base_w[..., None] * g, gmat)
+        return c_y, s_y, grads
+
+    @staticmethod
+    def _rotate(at_nodes: np.ndarray, angle: np.ndarray):
+        """Sums of cos/sin(t c) from those of the centered values, given as
+        at_nodes[0], at_nodes[1], and the angle t times the center."""
+        cos_c, sin_c = at_nodes
+        ca, sa = np.cos(angle), np.sin(angle)
+        return ca * cos_c - sa * sin_c, sa * cos_c + ca * sin_c

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .errors import ValidationError
 from .model_data import make_dataset
@@ -113,8 +113,7 @@ def _equicorrelated_normal(rng, n, dim, corr):
 
 def _half_normal_transform(z):
     """Map standard-normal margins to the scaled half-normal (unit variance)."""
-    u = stats.norm.cdf(z)
-    return HALF_NORMAL_SCALE * stats.norm.ppf(0.5 * (1.0 + u))
+    return HALF_NORMAL_SCALE * ndtri(0.5 * (1.0 + ndtr(z)))
 
 
 def gen_error_matrices(n, n_rep, p, rho, rng: np.random.Generator,

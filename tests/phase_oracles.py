@@ -3,12 +3,22 @@
 These evaluate cos(t y) and sin(t y) at every quadrature node for every
 observation, with no node pairing and no collapsing of tied values, which is
 what the fast paths in `eivgmm.phase` must reproduce to rounding level.
+`node_pair_grad` is the exception: the node-pair path over a resample's own
+rows, the oracle of the bootstrap's shared tables.
 """
 
 import numpy as np
 
 from eivgmm.model_data import as_theta
-from eivgmm.phase import EcfOutcome, kernel
+from eivgmm.phase import EcfOutcome, _NodePairs, _phase_terms, kernel
+
+
+#: the bootstrap's shared Chebyshev tables against each resample's own
+#: node-pair tables: ECF components absolutely, phase gradients relative to
+#: their largest component (the interpolation is accurate to rounding times
+#: the Lebesgue constant, and a gradient is a small difference of such sums)
+SHARED_ECF_ATOL = 1e-14
+SHARED_GRAD_RTOL = 1e-11
 
 
 class PhaseUndefinedError(ArithmeticError):
@@ -96,3 +106,20 @@ def grad_and_hessian(theta, v, q, ecf: EcfOutcome):
     wg = base_w * g * ecf.grid**2
     coef = 2.0 * q * ((wg * ecf.s_y) @ cos_tv - (wg * ecf.c_y) @ sin_tv)
     return grad, term1 + v.T @ (coef[:, None] * v)
+
+
+def node_pair_grad(theta, v, q, ecf: EcfOutcome) -> np.ndarray:
+    """Gradient of dtilde from node-pair half tables over the rows given, as
+    the bootstrap formed it per resample before its tables were shared:
+    (k,) for q (n,), (S, k) for q (n, S), each column from its own products
+    with one set of tables."""
+    n, k = v.shape
+    qs = q.reshape(n, -1)
+    pairs = _NodePairs(ecf.t_star, v @ as_theta(theta))
+    base_w = ecf.quad_w * kernel(ecf.grid, ecf.t_star)
+    grad = np.empty((qs.shape[1], k))
+    for col in range(qs.shape[1]):
+        cos_m, sin_m = pairs.times(np.column_stack([qs[:, col], qs[:, col, None] * v]))
+        g, gmat = _phase_terms(cos_m, sin_m, ecf.c_y, ecf.s_y, ecf.grid)
+        grad[col] = 2.0 * ((base_w * g) @ gmat)
+    return grad.reshape(q.shape[1:] + (k,))

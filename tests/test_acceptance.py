@@ -17,7 +17,7 @@ from eivgmm.covariance import estimate_covariances, omega_matrices, pooled_error
 from eivgmm.gmm import fit_gmm_multi
 from eivgmm.model_data import CsvSchema, build_design, make_dataset, write_csv
 from eivgmm.moment_correction import fit_mc, grad_corrected_l2
-from eivgmm.phase import build_ecf, grad_dtilde, kernel
+from eivgmm.phase import build_ecf, grad_and_hessian, kernel
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.weights import make_weights
 from conftest import solve_ql_one
@@ -113,7 +113,7 @@ class TestCriterion5Properties:
         worst = 0.0
         for _ in range(5):
             theta = np.array([1.0, 0.5, 2.0]) + 0.2 * rng.normal(size=3)
-            grad = grad_dtilde(theta, design.v, w.q, ecf)
+            grad = grad_and_hessian(theta, design.v, w.q, ecf)[0]
             fd = np.empty(3)
             for i in range(3):
                 h = 1e-6 * (1.0 + abs(theta[i]))
@@ -135,7 +135,7 @@ class TestCriterion5Properties:
         sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
         s = np.concatenate([
             grad_corrected_l2(fit.theta_init, design.v, d.y, sig_w),
-            grad_dtilde(fit.theta_init, design.v, fit.weights.q, fit.ecf),
+            grad_and_hessian(fit.theta_init, design.v, fit.weights.q, fit.ecf)[0],
         ])
         q_mc = s @ fit.omega_inv @ s
         ok = fit.q_value <= q_mc + 1e-12

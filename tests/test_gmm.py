@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 import eivgmm.gmm as gmm_module
+import eivgmm.phase as phase_module
 import eivgmm.weights as weights_module
 from eivgmm.covariance import (
     CovarianceSet,
@@ -33,11 +34,19 @@ from eivgmm.gmm import (
 )
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import corrected_l2, fit_mc, fit_ols, grad_corrected_l2
-from eivgmm.phase import _ecf_from_counts, build_ecf, grad_and_hessian, grad_dtilde
+from eivgmm.phase import (
+    N_QUAD,
+    EcfOutcome,
+    _BootstrapPhase,
+    _NodePairs,
+    _t_star_from_counts,
+    build_ecf,
+    grad_and_hessian,
+)
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import SCHEMES, make_weights
 from conftest import fail_minimax, toy_dataset
-from phase_oracles import dtilde
+from phase_oracles import SHARED_ECF_ATOL, SHARED_GRAD_RTOL, dtilde, node_pair_grad
 
 
 def prepared(rng, **kw):
@@ -195,7 +204,7 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
                 q_b = make_weights(scheme, cov_b, w_bar_b, nr)
-                s_vec = np.concatenate([s_mc, grad_dtilde(theta, vb, q_b.q, ecf_b)])
+                s_vec = np.concatenate([s_mc, node_pair_grad(theta, vb, q_b.q, ecf_b)])
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
                 continue
@@ -223,17 +232,17 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
 
 
 def batched_with_t_stars(monkeypatch, *args):
-    """_bootstrap_accumulate plus the (t*, capped) of every resample whose ECF
-    it built."""
+    """_bootstrap_accumulate plus the (t*, capped) of every resample whose t*
+    scan succeeded."""
     t_stars = []
 
-    def recording_ecf(vals, counts):
-        ecf = _ecf_from_counts(vals, counts)
-        t_stars.append((ecf.t_star, ecf.capped))
-        return ecf
+    def recording_scan(vals, counts):
+        out = _t_star_from_counts(vals, counts)
+        t_stars.append(out)
+        return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(gmm_module, "_ecf_from_counts", recording_ecf)
+        patch.setattr(gmm_module, "_t_star_from_counts", recording_scan)
         out = _bootstrap_accumulate(*args)
     return out, t_stars
 
@@ -272,7 +281,11 @@ def gmm_estimate(args, scheme, omega_inv):
     return x
 
 
-def assert_same_bootstrap(args, batched, oracle):
+def assert_same_bootstrap(args, batched, oracle, shared=True, refit=True):
+    """The batched bootstrap matches the loop oracle; shared says whether
+    its phase sums came from the shared Chebyshev tables or from each
+    resample's own tables, and refit whether the estimates fitted with
+    either inverse covariance are compared too."""
     (got, got_t), (ref, ref_t) = batched, oracle
     # a resample's ECF comes from its distinct outcomes and their counts on
     # both sides, so every t* and capped flag is the same to the last bit
@@ -286,7 +299,10 @@ def assert_same_bootstrap(args, batched, oracle):
         assert_normwise_close(got[scheme][0], omega, OMEGA_RTOL[scheme])
         assert_normwise_close(got[scheme][1], omega_inv, OMEGA_INV_RTOL[scheme])
         assert got[scheme][2] == fails
+        assert (got[scheme][3].pop("boot_trig_nodes") > 0) == shared
         assert got[scheme][3] == events
+        if not refit:
+            continue
         # the estimate fitted with either inverse, to perfbench's estimate
         # tolerance; the measured gaps (up to 2e-8) are the optimizer's
         # STEP_TOL stopping point, not the weighting matrix
@@ -354,14 +370,19 @@ class TestBatchedBootstrap:
         args = self.inputs("simple", "normal")
         t_sorted = sorted(t for t, _ in loop_bootstrap(*args)[1])
         t_cut = 0.5 * (t_sorted[-3] + t_sorted[-4])
-        original = grad_dtilde
+        original_block, original_grad = _BootstrapPhase.block, node_pair_grad
+
+        def flaky_block(self, t_star, counts, y_w, q):
+            c_y, s_y, grads = original_block(self, t_star, counts, y_w, q)
+            grads[t_star > t_cut] = np.nan
+            return c_y, s_y, grads
 
         def flaky_grad(theta, design, weights, ecf):
-            grad = original(theta, design, weights, ecf)
+            grad = original_grad(theta, design, weights, ecf)
             return grad * np.nan if ecf.t_star > t_cut else grad
 
-        monkeypatch.setattr(gmm_module, "grad_dtilde", flaky_grad)
-        monkeypatch.setattr(sys.modules[__name__], "grad_dtilde", flaky_grad)
+        monkeypatch.setattr(_BootstrapPhase, "block", flaky_block)
+        monkeypatch.setattr(sys.modules[__name__], "node_pair_grad", flaky_grad)
         oracle = loop_bootstrap(*args)
         for scheme in SCHEMES:
             fails = oracle[0][scheme][2]
@@ -386,6 +407,72 @@ class TestBatchedBootstrap:
             assert 0 < len(fails) <= MAX_BOOT_FAILURE_FRAC * args[2]
             assert all(msg.startswith("outcome is constant") for _, msg in fails)
         assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args), oracle)
+
+    def test_matches_loop_past_break_even(self, monkeypatch):
+        # one row's surrogates shifted by 1e4 puts an index value a = v theta
+        # near 1e4: T max|a - mean a| then calls for far more Chebyshev
+        # points than 30 resamples' own tables take, so each resample
+        # builds its own. Omega then sits on its eigenvalue floor (cond 6e10),
+        # where a 1e-13 relative change of the oracle's own inverse moves the
+        # fitted estimate by 0.1, so the fits are not compared.
+        d0, theta, b, seed, schemes, _, _ = self.inputs("I", "normal")
+        w = d0.w.copy()
+        w[0, :, 0] += 1e4
+        d = make_dataset(d0.y, d0.z[:, 1:], w)
+        args = (d, theta, b, seed, schemes, build_design(d), estimate_covariances(d))
+        assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args),
+                              loop_bootstrap(*args), shared=False, refit=False)
+
+
+def recorded_blocks(monkeypatch, args):
+    """Inputs and outputs of every _BootstrapPhase.block call that
+    _bootstrap_accumulate makes, with the phase object it was made on."""
+    calls = []
+    original = _BootstrapPhase.block
+
+    def recording_block(self, *block_args):
+        out = original(self, *block_args)
+        calls.append((self, block_args, out))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_BootstrapPhase, "block", recording_block)
+        _bootstrap_accumulate(*args)
+    return calls
+
+
+class TestSharedTrigTables:
+    """Each resample's outcome ECF and phase gradients from the shared
+    Chebyshev tables, and from the per-resample fallback, against its own
+    node-pair tables over the rows and outcomes it holds; each gradient
+    relative to its own largest component."""
+
+    @pytest.mark.parametrize("path", ["shared", "own"])
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_each_resample_matches_node_pairs(self, monkeypatch, setting, law, path):
+        if path == "own":
+            # no budget for shared tables
+            monkeypatch.setattr(phase_module, "_HELD_FRAC", 0.0)
+        args = TestBatchedBootstrap.inputs(setting, law)
+        d, theta, design = args[0], args[1], args[5]
+        y_vals = np.unique(d.y)
+        nodes, quad_w = phase_module._gl_rule(N_QUAD)
+        calls = recorded_blocks(monkeypatch, args)
+        assert sum(len(call[1][0]) for call in calls) == args[2]
+        for phase, (t_star, counts, y_w, q), (c_y, s_y, grads) in calls:
+            assert (phase.n_cheb > 0) == (path == "shared")
+            for i, t in enumerate(t_star):
+                rows, held = np.flatnonzero(counts[i]), np.flatnonzero(y_w[i])
+                cos_y, sin_y = _NodePairs(t, y_vals[held]).times(y_w[i, held, None])
+                assert np.max(np.abs(c_y[i] - cos_y[:, 0])) <= SHARED_ECF_ATOL
+                assert np.max(np.abs(s_y[i] - sin_y[:, 0])) <= SHARED_ECF_ATOL
+                ecf = EcfOutcome(grid=0.5 * t * (nodes + 1.0), quad_w=0.5 * t * quad_w,
+                                 c_y=cos_y[:, 0], s_y=sin_y[:, 0], t_star=t)
+                want = node_pair_grad(theta, design.v[rows], q[i][:, rows].T, ecf)
+                for got_s, want_s in zip(grads[i], want):
+                    gap = np.max(np.abs(got_s - want_s))
+                    assert gap <= SHARED_GRAD_RTOL * np.max(np.abs(want_s)), (gap, want_s)
 
 
 class TestMinimizeQ:
@@ -525,7 +612,7 @@ class TestFitGmm:
         def q_of(theta):
             s = np.concatenate([
                 grad_corrected_l2(theta, design.v, d.y, sig_w),
-                grad_dtilde(theta, design.v, weights.q, ecf),
+                grad_and_hessian(theta, design.v, weights.q, ecf)[0],
             ])
             return s @ omega_inv @ s
 
@@ -725,8 +812,9 @@ class TestStandardErrors:
             h = 1e-5 * (1.0 + abs(theta[i]))
             e = np.zeros(k)
             e[i] = h
-            jac_ph[:, i] = (grad_dtilde(theta + e, design.v, fit.weights.q, fit.ecf)
-                            - grad_dtilde(theta - e, design.v, fit.weights.q, fit.ecf)) / (2 * h)
+            jac_ph[:, i] = (grad_and_hessian(theta + e, design.v, fit.weights.q, fit.ecf)[0]
+                            - grad_and_hessian(theta - e, design.v, fit.weights.q, fit.ecf)[0]
+                            ) / (2 * h)
         jac_ph = 0.5 * (jac_ph + jac_ph.T)
         p1 = np.hstack([corrected_ls_jacobian(d, cov, design).T, jac_ph.T])
         se_fd = np.sqrt(np.diag(np.linalg.inv(p1 @ fit.omega_inv @ p1.T)))

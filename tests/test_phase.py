@@ -8,16 +8,41 @@ from eivgmm.phase import (
     T_CAP_SCALE,
     T_STEP_SCALE,
     EcfOutcome,
+    _BootstrapPhase,
     _gl_rule,
     _scan_t_star,
     build_ecf,
     grad_and_hessian,
-    grad_dtilde,
     kernel,
 )
 from eivgmm.simgen import SimConfig, gen_dataset
 import phase_oracles
-from phase_oracles import PhaseUndefinedError, dtilde, ecf_values, wepf
+from phase_oracles import (
+    SHARED_ECF_ATOL,
+    SHARED_GRAD_RTOL,
+    PhaseUndefinedError,
+    dtilde,
+    ecf_values,
+    wepf,
+)
+
+#: grid points of every t* scan: t = j step, j = 1 .. N_SCAN_STEPS
+N_SCAN_STEPS = round(T_CAP_SCALE / T_STEP_SCALE)
+
+
+def phase_grad(theta, v, q, ecf):
+    """Gradient of the phase discrepancy, as the optimizer evaluates it."""
+    return grad_and_hessian(theta, v, q, ecf)[0]
+
+
+def _max_gap(got, want):
+    """Largest elementwise gap relative to the largest oracle component."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+#: node-pair tables against the direct per-row formulas: both round each
+#: sin/cos argument once, so they agree to a few ulps of the largest term
+PAIR_AGREEMENT = 1e-12
 
 
 class TestSelectTStar:
@@ -55,6 +80,15 @@ class TestSelectTStar:
         assert ecf.capped
         assert np.isclose(ecf.t_star, 50.0 / y.std(ddof=1), rtol=1e-6)
         assert not build_ecf(np.arange(100.0)).capped
+
+    @pytest.mark.parametrize("scale", [0.5025, 0.50625, 1.0, 2.0])
+    def test_cap_is_a_fixed_step_count(self, scale):
+        # the cap is grid point N_SCAN_STEPS whatever the last bit of sd;
+        # counted as floor(cap / step), it lost a step at the first two scales
+        y = scale * np.array([0.0] * 90 + [1.0] * 10)
+        ecf = build_ecf(y)
+        assert ecf.capped
+        assert ecf.t_star == N_SCAN_STEPS * (T_STEP_SCALE / _ecf_sd(y))
 
     def test_constant_outcome_raises(self):
         with pytest.raises(DegenerateInputError):
@@ -195,7 +229,7 @@ class TestGradDtilde:
         for _ in range(5):
             v, y, q, ecf, theta0 = _random_problem(rng)
             theta = theta0 + 0.3 * rng.normal(size=3)
-            grad = grad_dtilde(theta, v, q, ecf)
+            grad = phase_grad(theta, v, q, ecf)
             fd = np.empty(3)
             for i in range(3):
                 h = 1e-6 * (1.0 + abs(theta[i]))
@@ -219,7 +253,7 @@ class TestGradDtilde:
         res = minimize_scalar(lambda b: dtilde(np.array([b]), v, q, ecf),
                               bounds=(b0 - 0.01, b0 + 0.01), method="bounded",
                               options={"xatol": 1e-12})
-        grad = grad_dtilde(np.array([res.x]), v, q, ecf)
+        grad = phase_grad(np.array([res.x]), v, q, ecf)
         assert abs(grad[0]) <= 1e-6
 
     def test_dead_direction(self, rng):
@@ -228,7 +262,7 @@ class TestGradDtilde:
         y = v @ [1.0, 0.0, -0.5] + 0.1 * rng.normal(size=12)
         q = np.full(12, 1.0 / 12)
         ecf = build_ecf(y)
-        grad = grad_dtilde(rng.normal(size=3), v, q, ecf)
+        grad = phase_grad(rng.normal(size=3), v, q, ecf)
         assert grad[1] == 0.0
 
     def test_hessian_matches_gradient_differences(self, rng):
@@ -240,8 +274,8 @@ class TestGradDtilde:
             h = 1e-6
             e = np.zeros(3)
             e[i] = h
-            fd[:, i] = (grad_dtilde(theta0 + e, v, q, ecf)
-                        - grad_dtilde(theta0 - e, v, q, ecf)) / (2 * h)
+            fd[:, i] = (phase_grad(theta0 + e, v, q, ecf)
+                        - phase_grad(theta0 - e, v, q, ecf)) / (2 * h)
         assert np.max(np.abs(hess - fd)) <= 1e-4 * max(np.abs(fd).max(), 1e-12)
 
 
@@ -252,17 +286,16 @@ def _tied_sample(seed, n0, heavy):
     return base, rng.integers(0, n0, size=n0), rng
 
 
-def _plain_t_star(y, step, cap):
+def _plain_t_star(y, step):
     """First t = j step with |mean exp(i t y)| <= n^{-1/2}, by direct evaluation
     over every row, 256 grid points at a time; returns (t*, capped)."""
-    n_steps = int(np.floor(cap / step))
-    for start in range(1, n_steps + 1, 256):
-        t = np.arange(start, min(start + 256, n_steps + 1)) * step
+    for start in range(1, N_SCAN_STEPS + 1, 256):
+        t = np.arange(start, min(start + 256, N_SCAN_STEPS + 1)) * step
         mod = np.abs(np.exp(1j * t[:, None] * y[None, :]).mean(axis=1))
         hit = np.nonzero(mod <= y.size ** -0.5)[0]
         if hit.size:
             return float(t[hit[0]]), False
-    return float(n_steps * step), True
+    return float(N_SCAN_STEPS * step), True
 
 
 def _rotation_block(vals, step, start, length):
@@ -274,20 +307,19 @@ def _rotation_block(vals, step, start, length):
     return block
 
 
-def _chunked_t_star(y, step, cap, chunk=512):
+def _chunked_t_star(y, step, chunk=512):
     """The dense scan: whole 512-point chunks of rotated distinct values,
     count-weighted, tested as re^2 + im^2 <= 1/n; returns (t*, capped)."""
     n = y.size
-    n_steps = int(np.floor(cap / step))
     vals, counts = np.unique(y, return_counts=True)
     counts = counts.astype(float)
-    for start in range(1, n_steps + 1, chunk):
-        mean = (_rotation_block(vals, step, start, min(chunk, n_steps + 1 - start))
+    for start in range(1, N_SCAN_STEPS + 1, chunk):
+        mean = (_rotation_block(vals, step, start, min(chunk, N_SCAN_STEPS + 1 - start))
                 @ counts) / n
         hit = np.nonzero(mean.real**2 + mean.imag**2 <= 1.0 / n)[0]
         if hit.size:
             return float((start + hit[0]) * step), False
-    return float(n_steps * step), True
+    return float(N_SCAN_STEPS * step), True
 
 
 def _ecf_sd(y):
@@ -300,9 +332,9 @@ def _ecf_sd(y):
     return np.sqrt((counts @ d**2) / (n - 1.0))
 
 
-def _skip_t_star(y, step, cap):
+def _skip_t_star(y, step):
     vals, counts = np.unique(y, return_counts=True)
-    return _scan_t_star(vals, counts.astype(float), y.size, step, cap)
+    return _scan_t_star(vals, counts.astype(float), y.size, step)
 
 
 #: bound on how far the three scans' |ecf|^2 may differ at one grid point.
@@ -355,9 +387,9 @@ class TestSkipScan:
     def test_matches_chunked_and_plain_oracles(self, law, tied, seed, n):
         y = _scan_sample(law, tied, seed, n)
         sd = _ecf_sd(y)
-        step, cap = T_STEP_SCALE / sd, T_CAP_SCALE / sd
-        got = _skip_t_star(y, step, cap)
-        assert got == _chunked_t_star(y, step, cap) == _plain_t_star(y, step, cap)
+        step = T_STEP_SCALE / sd
+        got = _skip_t_star(y, step)
+        assert got == _chunked_t_star(y, step) == _plain_t_star(y, step)
         assert got[1] == (law == "lattice")
         ecf = build_ecf(y)
         assert got == (ecf.t_star, ecf.capped)
@@ -382,8 +414,7 @@ class TestSkipScan:
             y = d.y[rng.integers(0, d.n, size=d.n)]
             sd = _ecf_sd(y)
             ecf = build_ecf(y)
-            assert (ecf.t_star, ecf.capped) == _chunked_t_star(
-                y, T_STEP_SCALE / sd, T_CAP_SCALE / sd)
+            assert (ecf.t_star, ecf.capped) == _chunked_t_star(y, T_STEP_SCALE / sd)
 
 
 class TestTiedFastPaths:
@@ -396,8 +427,8 @@ class TestTiedFastPaths:
         y = base[idx]
         sd = y.std(ddof=1)
         assume(sd > 0.0)
-        step, cap = 0.01 / sd, 50.0 / sd
-        assert _skip_t_star(y, step, cap) == _plain_t_star(y, step, cap)
+        step = 0.01 / sd
+        assert _skip_t_star(y, step) == _plain_t_star(y, step)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), n0=st.integers(2, 150), heavy=st.booleans())
@@ -415,18 +446,25 @@ class TestTiedFastPaths:
     @given(seed=st.integers(0, 2**16), n=st.integers(3, 60), k=st.integers(1, 5),
            n_schemes=st.integers(1, 4))
     def test_gradient_columns_match_single_calls(self, seed, n, k, n_schemes):
+        # one bootstrap block with a weight column per scheme, on the shared
+        # tables (sized for 100 resamples, so they pay), against one
+        # optimizer gradient per column
         rng = np.random.default_rng(seed)
         v = rng.normal(size=(n, k))
         y = v @ rng.normal(size=k) + 0.3 * rng.normal(size=n)
         assume(y.std() > 0.0)
         ecf = build_ecf(y)
-        q = rng.dirichlet(np.ones(n), size=n_schemes).T
+        q = rng.dirichlet(np.ones(n), size=n_schemes)
         theta = rng.normal(size=k)
-        batched = grad_dtilde(theta, v, q, ecf)
-        single = np.stack([grad_dtilde(theta, v, q[:, s], ecf) for s in range(n_schemes)])
-        assert batched.shape == (n_schemes, k)
-        np.testing.assert_allclose(batched, single, rtol=1e-12,
-                                   atol=1e-12 * np.abs(single).max())
+        vals, counts = np.unique(y, return_counts=True)
+        t_stars = np.full(100, ecf.t_star)
+        phase = _BootstrapPhase(v, theta, vals, t_stars)
+        assert phase.n_cheb > 0
+        c_y, s_y, batched = phase.block(t_stars[:1], np.ones((1, n)), counts[None] / n, q[None])
+        assert np.max(np.abs(np.concatenate([c_y[0] - ecf.c_y, s_y[0] - ecf.s_y]))) <= SHARED_ECF_ATOL
+        single = np.stack([phase_grad(theta, v, q[s], ecf) for s in range(n_schemes)])
+        assert batched.shape == (1, n_schemes, k)
+        assert _max_gap(batched[0], single) <= SHARED_GRAD_RTOL
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), n0=st.integers(5, 150), k=st.integers(1, 5))
@@ -442,19 +480,11 @@ class TestTiedFastPaths:
         raw = rng.uniform(0.5, 2.0, size=n0)[idx]
         q = raw / raw.sum()
         theta = rng.normal(size=k)
-        full = grad_dtilde(theta, v[idx], q, ecf)
-        folded = grad_dtilde(theta, v[rows], q[first] * counts, ecf)
+        full = phase_grad(theta, v[idx], q, ecf)
+        folded = phase_grad(theta, v[rows], q[first] * counts, ecf)
         np.testing.assert_allclose(folded, full, rtol=1e-12, atol=1e-12 * np.abs(full).max())
 
 
-def _max_gap(got, want):
-    """Largest elementwise gap relative to the largest oracle component."""
-    return np.max(np.abs(got - want)) / np.max(np.abs(want))
-
-
-#: node-pair tables against the direct per-row formulas: both round each
-#: sin/cos argument once, so they agree to a few ulps of the largest term
-PAIR_AGREEMENT = 1e-12
 
 
 class TestNodePairs:
@@ -481,16 +511,11 @@ class TestNodePairs:
                                         np.sin(tv).mean(axis=1)])) <= PAIR_AGREEMENT
 
         q = rng.dirichlet(np.ones(n), size=n_schemes).T
-        batched = grad_dtilde(theta, vb, q, ecf)
-        assert _max_gap(batched, phase_oracles.grad_dtilde(theta, vb, q, ecf)) <= PAIR_AGREEMENT
         for col in range(n_schemes):
-            single = grad_dtilde(theta, vb, q[:, col], ecf)
-            assert np.array_equal(single, batched[col])
-
-        grad, hess = grad_and_hessian(theta, vb, q[:, 0], ecf)
-        grad_ref, hess_ref = phase_oracles.grad_and_hessian(theta, vb, q[:, 0], ecf)
-        assert _max_gap(grad, grad_ref) <= PAIR_AGREEMENT
-        assert _max_gap(hess, hess_ref) <= PAIR_AGREEMENT
+            grad, hess = grad_and_hessian(theta, vb, q[:, col], ecf)
+            grad_ref, hess_ref = phase_oracles.grad_and_hessian(theta, vb, q[:, col], ecf)
+            assert _max_gap(grad, grad_ref) <= PAIR_AGREEMENT
+            assert _max_gap(hess, hess_ref) <= PAIR_AGREEMENT
 
     def test_nodes_pair_up_exactly(self):
         nodes, quad_w = _gl_rule(N_QUAD)

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from eivgmm.errors import ValidationError
 from eivgmm.simgen import (
+    HALF_NORMAL_SCALE,
     SimConfig,
     _draw_replicate_errors,
     _equicorrelated_normal,
@@ -47,6 +52,23 @@ class TestHalfNormalCopula:
         # Gaussian-copula corr 0.5 maps to a nearby positive Pearson corr
         r = np.corrcoef(x, rowvar=False)[0, 1]
         assert 0.3 < r < 0.6
+
+
+    def test_matches_normal_cdf_and_quantile(self):
+        # the transform is Phi^{-1}((1 + Phi(z)) / 2), taken from
+        # scipy.special; scipy.stats gives the same values to the last bit
+        from scipy import stats
+        z = np.random.default_rng(3).standard_normal(100_000) * 3.0
+        want = stats.norm.ppf(0.5 * (1.0 + stats.norm.cdf(z)))
+        assert np.array_equal(_half_normal_transform(z), HALF_NORMAL_SCALE * want)
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes most of a cold import; nothing in the package needs it
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = "import sys, eivgmm; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestErrorMatrices:

@@ -164,6 +164,8 @@ class TestCliFit:
         events = {key: report["diagnostics"]["gmm_minimax"][key]
                   for key in ("boot_capped", "boot_ql_fallback", "boot_ql_clamped")}
         assert events == {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0}
+        # 30 resamples share trig tables at this many Chebyshev points
+        assert 16 < report["diagnostics"]["gmm_minimax"]["boot_trig_nodes"] < 600
         assert {key: report["diagnostics"]["gmm_minimax"][key]
                 for key in ("ql_fallback", "ql_clamped")} == {"ql_fallback": 0, "ql_clamped": 0}
 
