@@ -17,7 +17,12 @@ The second forms the outcome ECFs and the phase gradients of every resample
 and weight scheme at the quadrature nodes of each resample's own band, from
 one set of trig tables shared by all resamples (see phase._BootstrapPhase).
 The final estimate minimizes the quadratic form in the stacked equations
-weighted by the inverse bootstrap covariance.
+weighted by the inverse bootstrap covariance, by damped Newton steps on its
+exact Hessian: the Gauss-Newton part J'WJ plus the stacked equations'
+second derivatives contracted with W s, which only the phase block has
+(its discrepancy's third derivatives, from the trig tables of the same
+evaluation). The search stops at the first taken step below STEP_TOL, or at
+Q's rounding floor, where no step is verifiably downhill.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ __all__ = [
 
 #: eigenvalue floor for the bootstrap covariance, relative to trace/dim
 OMEGA_FLOOR = 1e-10
-#: convergence: max-norm of an accepted Levenberg-Marquardt step
+#: convergence: max-norm of a taken Levenberg-Marquardt step, or of a
+#: refused one when the undamped Newton step from the same point is this
+#: short too (Q's rounding floor: its evaluation noise hides the decrease)
 STEP_TOL = 1e-9
 #: non-convergence: damping or evaluation count beyond these caps
 MU_MAX = 1e16
@@ -62,15 +69,16 @@ class GmmFit:
     theta minimizes q_value = s' omega_inv s, with omega_inv the inverse of the
     eigenvalue-floored bootstrap covariance omega_hat; se holds sandwich
     standard errors (None when not requested or when the fit did not
-    converge). n_iter counts objective evaluations. diagnostics holds the
-    event counts ql_fallback and ql_clamped (0 or 1: the full-sample
-    quasi-likelihood weights fell back to equal or were clamped), the
-    bootstrap's boot_capped (resamples whose t* scan hit its cap),
-    boot_ql_fallback and boot_ql_clamped (resamples whose quasi-likelihood
-    weights fell back or were clamped) and boot_trig_nodes (Chebyshev points
-    of the trig tables the resamples shared, 0 when each built its own),
-    and se_error, the reason, when standard errors were requested but se is
-    None.
+    converge). n_iter counts evaluations of the stacked equations, the start
+    included (a step refused for its predicted decrease is not evaluated).
+    diagnostics holds the event counts ql_fallback and ql_clamped (0 or 1:
+    the full-sample quasi-likelihood weights fell back to equal or were
+    clamped), the bootstrap's boot_capped (resamples whose t* scan hit its
+    cap), boot_ql_fallback and boot_ql_clamped (resamples whose
+    quasi-likelihood weights fell back or were clamped) and boot_trig_nodes
+    (Chebyshev points of the trig tables the resamples shared, 0 when each
+    built its own), and se_error, the reason, when standard errors were
+    requested but se is None.
     """
 
     theta: ParamVector
@@ -88,17 +96,22 @@ class GmmFit:
 
 
 def _stacked_equations(theta, v, y, sig_w, jac_mc, q, ecf: EcfOutcome):
-    """The 2(p+q+1) stacked estimating equations at theta and their Jacobian.
+    """The 2(p+q+1) stacked estimating equations at theta, their Jacobian and
+    their curvature.
 
     The equations are ordered [corrected-LS beta, corrected-LS gamma, phase
     beta, phase gamma]. The corrected-LS block is linear in theta, so its
-    Jacobian is the constant jac_mc = (2/n) x corrected Gram matrix; the phase
-    block's Jacobian is the exact Hessian of the phase discrepancy. Returns
-    (s, J) with J of shape (2(p+q+1), p+q+1).
+    Jacobian is the constant jac_mc = (2/n) x corrected Gram matrix and its
+    second derivatives vanish; the phase block's Jacobian is the exact
+    Hessian of the phase discrepancy. Returns (s, J, curv) with J of shape
+    (2(p+q+1), p+q+1) and curv(u) = sum_m u_m d^2 s_m / d theta d theta'
+    for a 2(p+q+1)-vector u, which only the phase half of u enters.
     """
-    s_ph, hess_ph = grad_and_hessian(theta, v, q, ecf)
+    s_ph, hess_ph, curv_ph = grad_and_hessian(theta, v, q, ecf)
+    k = s_ph.size
     return (np.concatenate([grad_corrected_l2(theta, v, y, sig_w), s_ph]),
-            np.vstack([jac_mc, hess_ph]))
+            np.vstack([jac_mc, hess_ph]),
+            lambda u: curv_ph(u[k:]))
 
 
 def _floor_eigh(omega: np.ndarray):
@@ -263,39 +276,53 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
 
 def _levenberg_marquardt(resid_jac, omega_inv, x0):
     """Minimize Q(x) = s(x)' W s(x), W = omega_inv, from x0, where
-    resid_jac(x) returns (s, J).
+    resid_jac(x) returns (s, J, curv) with curv(u) = sum_m u_m d^2 s_m/dx dx'.
 
-    Steps solve (J'WJ + mu D) dx = -J'Ws with D = diag(J'WJ) (Marquardt
-    scaling). A step that does not raise Q is taken, and mu is rescaled by the
-    gain ratio of actual to predicted decrease (Nielsen's update); a step that
-    raises Q is refused and mu grows by a doubling factor. Converged once a
-    taken step has max-norm <= STEP_TOL; mu > MU_MAX or MAX_EVAL evaluations
-    end the search unconverged. Returns (x, q, n_eval, converged, jac) with
-    jac the Jacobian already evaluated at the returned x.
+    Newton steps on half the Hessian of Q, H = J'WJ + curv(Ws), damped by
+    Marquardt's scaling: (H + mu D) dx = -J'Ws with D = diag(J'WJ). A step
+    whose predicted decrease -(2 g'dx + dx'H dx), g = J'Ws, is not positive
+    is refused unevaluated; a step that does not raise Q is taken, and mu is
+    rescaled by the gain ratio of actual to predicted decrease (Nielsen's
+    update); any other step is refused and mu grows by a doubling factor.
+    Converged once a taken step has max-norm <= STEP_TOL, or once a refused
+    step that short comes from a point whose undamped step is that short too:
+    Q cannot be lowered there beyond its rounding. mu > MU_MAX or MAX_EVAL
+    evaluations end the search unconverged. Returns (x, q, n_eval, converged,
+    jac) with n_eval the number of resid_jac calls and jac the Jacobian
+    already evaluated at the returned x.
     """
+    def model(s, jac, curv):
+        w_s = omega_inv @ s
+        jtwj = jac.T @ omega_inv @ jac
+        return jac.T @ w_s, jtwj, jtwj + curv(w_s)
+
     x = np.asarray(x0, dtype=float).copy()
-    s, jac = resid_jac(x)
+    s, jac, curv = resid_jac(x)
     q = s @ omega_inv @ s
+    grad, jtwj, hess = model(s, jac, curv)
     mu, nu = 1e-3, 2.0
     n_eval = 1
     while n_eval < MAX_EVAL and mu <= MU_MAX:
-        jtw = jac.T @ omega_inv
-        jtwj = jtw @ jac
-        damp = mu * np.diag(np.diag(jtwj))
-        dx = np.linalg.solve(jtwj + damp, -(jtw @ s))
-        s_new, jac_new = resid_jac(x + dx)
-        q_new = s_new @ omega_inv @ s_new
-        n_eval += 1
-        if q_new <= q:
-            if np.max(np.abs(dx)) <= STEP_TOL:
-                return x + dx, float(q_new), n_eval, True, jac_new
-            gain = (q - q_new) / (dx @ (jtwj + 2.0 * damp) @ dx)
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-            x, s, jac, q = x + dx, s_new, jac_new, q_new
-        else:
-            mu *= nu
-            nu *= 2.0
+        dx = np.linalg.solve(hess + mu * np.diag(np.diag(jtwj)), -grad)
+        pred = -(2.0 * grad @ dx + dx @ hess @ dx)
+        if pred > 0.0:
+            s_new, jac_new, curv_new = resid_jac(x + dx)
+            q_new = s_new @ omega_inv @ s_new
+            n_eval += 1
+            if q_new <= q:
+                if np.max(np.abs(dx)) <= STEP_TOL:
+                    return x + dx, float(q_new), n_eval, True, jac_new
+                gain = (q - q_new) / pred
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                nu = 2.0
+                x, q, jac = x + dx, q_new, jac_new
+                grad, jtwj, hess = model(s_new, jac_new, curv_new)
+                continue
+        if (np.max(np.abs(dx)) <= STEP_TOL
+                and np.max(np.abs(np.linalg.solve(hess, grad))) <= STEP_TOL):
+            return x, float(q), n_eval, True, jac
+        mu *= nu
+        nu *= 2.0
     return x, float(q), n_eval, False, jac
 
 
@@ -310,8 +337,8 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     it, all schemes from the same b resamples; sharing the resample-level work
     changes nothing statistically and keeps several schemes at roughly the
     cost of one. Step two minimizes each scheme's quadratic form from that
-    estimate by Levenberg-Marquardt on the exact Jacobian of the stacked
-    equations. The sandwich standard errors use the Jacobian the optimizer
+    estimate by damped Newton steps on the exact Hessian of the quadratic
+    form. The sandwich standard errors use the Jacobian the optimizer
     evaluated at the estimate it returns. A scheme listed twice is fit once.
 
     Each scheme carries its own outcome: returns {scheme: GmmFit}, where a

@@ -9,7 +9,6 @@ summarizes Monte Carlo versus average reported standard errors.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +134,8 @@ def robust_mse(estimates, truth, seed=0) -> RobustMse:
     Distances are measured from the column medians under the MCD scatter; rows
     beyond the nearest-rank 90th percentile are dropped (ties kept), and the
     uncentered second moment of the kept rows is returned along with
-    det(1000 x MSE). Falls back to a diagonal squared-MAD scatter, with a
-    warning and ``mad_fallback`` set, when the MCD scatter is singular.
+    det(1000 x MSE). Falls back to a diagonal squared-MAD scatter, and sets
+    ``mad_fallback`` to say so, when the MCD scatter is singular.
     """
     estimates = np.asarray(estimates, dtype=float)
     m, k = estimates.shape
@@ -147,11 +146,6 @@ def robust_mse(estimates, truth, seed=0) -> RobustMse:
     _, scatter = fast_mcd(a, seed=seed)
     mad_fallback = scatter is None or bool(np.linalg.matrix_rank(scatter) < k)
     if mad_fallback:
-        warnings.warn(
-            "MCD scatter is singular; falling back to diagonal squared-MAD scatter",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         mad = np.median(np.abs(a - a_med), axis=0)
         mad = np.where(mad > 0, mad, 1.0)
         scatter = np.diag(mad**2)

@@ -225,18 +225,43 @@ def _phase_terms(cos_m, sin_m, c_y, s_y, grid):
 
 
 def grad_and_hessian(theta, v: np.ndarray, q: np.ndarray, ecf: EcfOutcome):
-    """Gradient and Hessian of the discrepancy from one set of trig tables."""
+    """Gradient and Hessian of the discrepancy from one set of trig tables,
+    and the contraction of its third derivatives with a direction.
+
+    Returns (grad, hess, curv), where curv(u) is the k x k derivative of
+    the Hessian along u, sum_i u_i d^3 D / d theta_i d theta d theta'. It
+    reuses the tables: one more product with them over the k columns
+    q (v u) v gives the mismatch's index Hessian along u at each node, and
+    one more 4-row product back gives the per-row coefficients of the terms
+    that carry a second or third index derivative of the mismatch.
+    """
     pairs = _NodePairs(ecf.t_star, v @ as_theta(theta))
     cos_m, sin_m = pairs.times(np.column_stack([q, q[:, None] * v]))
     g, gmat = _phase_terms(cos_m, sin_m, ecf.c_y, ecf.s_y, ecf.grid)
     base_w = ecf.quad_w * kernel(ecf.grid, ecf.t_star)
     grad = 2.0 * ((base_w * g) @ gmat)
     term1 = 2.0 * gmat.T @ (base_w[:, None] * gmat)
-    wg = base_w * g * ecf.grid**2
+    t_sq = ecf.grid**2
+    wg = base_w * g * t_sq
     r_cos, r_sin = pairs.rtimes(np.stack([wg * ecf.s_y, wg * ecf.c_y]))
     coef = 2.0 * q * (r_cos[0] - r_sin[1])
     term2 = v.T @ (coef[:, None] * v)
-    return grad, term1 + term2
+
+    def curv(u):
+        vu = v @ u
+        # index Hessian of the mismatch times u, t^2 sum_j q_j (v_j u) v_j
+        # (s_y cos(t a_j) - c_y sin(t a_j)), at each node
+        cos_u, sin_u = pairs.times((q * vu)[:, None] * v)
+        hu = t_sq[:, None] * (ecf.s_y[:, None] * cos_u - ecf.c_y[:, None] * sin_u)
+        wg3 = wg * ecf.grid
+        wgu = base_w * t_sq * (gmat @ u)
+        r_cos, r_sin = pairs.rtimes(np.stack([wg3 * ecf.c_y, wg3 * ecf.s_y,
+                                              wgu * ecf.s_y, wgu * ecf.c_y]))
+        coef = 2.0 * q * (r_cos[2] - r_sin[3] - vu * (r_cos[0] + r_sin[1]))
+        cross = 2.0 * gmat.T @ (base_w[:, None] * hu)
+        return cross + cross.T + v.T @ (coef[:, None] * v)
+
+    return grad, term1 + term2, curv
 
 
 def _cheb_rule(t_max: float, n_cheb: int):

@@ -108,6 +108,25 @@ def grad_and_hessian(theta, v, q, ecf: EcfOutcome):
     return grad, term1 + v.T @ (coef[:, None] * v)
 
 
+def hessian_derivative(theta, v, q, ecf: EcfOutcome, u):
+    """sum_i u_i d^3 dtilde / d theta_i d theta d theta' over every row and
+    node, from the mismatch's index derivatives of orders 1 to 3 at each node:
+    with D = sum_t w g^2 it is 2 sum_t w (g1 g2u' + g2u g1' + (g1 u) g2 + g g3u)."""
+    sin_tv, cos_tv, g, base_w = phase_tables(theta, v, q, ecf)
+    t = ecf.grid[:, None]
+    c_y, s_y = ecf.c_y[:, None], ecf.s_y[:, None]
+    vu = v @ u
+    g1 = t * ((c_y * cos_tv + s_y * sin_tv) * q) @ v
+    # index Hessian of the mismatch, (n_quad, k, k), and its derivative along u
+    g2 = np.einsum("tj,jk,jl->tkl", t**2 * (s_y * cos_tv - c_y * sin_tv) * q, v, v)
+    g3u = np.einsum("tj,jk,jl->tkl", -t**3 * (s_y * sin_tv + c_y * cos_tv) * (q * vu), v, v)
+    g2u = g2 @ u
+    outer = np.einsum("tk,tl->tkl", g1, g2u)
+    per_node = (outer + outer.transpose(0, 2, 1) + (g1 @ u)[:, None, None] * g2
+                + g[:, None, None] * g3u)
+    return 2.0 * np.einsum("t,tkl->kl", base_w, per_node)
+
+
 def node_pair_grad(theta, v, q, ecf: EcfOutcome) -> np.ndarray:
     """Gradient of dtilde from node-pair half tables over the rows given, as
     the bootstrap formed it per resample before its tables were shared:

@@ -46,6 +46,7 @@ from eivgmm.phase import (
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import SCHEMES, make_weights
 from conftest import fail_minimax, toy_dataset
+from gmm_oracles import gauss_newton_lm
 from phase_oracles import SHARED_ECF_ATOL, SHARED_GRAD_RTOL, dtilde, node_pair_grad
 
 
@@ -60,7 +61,7 @@ def prepared(rng, **kw):
 
 
 def stacked(theta, d, cov, design, mc, weights, ecf):
-    """(s, J) of the stacked equations, as the optimizer evaluates them."""
+    """(s, J, curv) of the stacked equations, as the optimizer evaluates them."""
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
     return _stacked_equations(theta, design.v, d.y, sig_w, 2.0 / d.n * mc.gram,
                               weights.q, ecf)
@@ -79,13 +80,13 @@ def scheme_omega(d, theta, b, seed, scheme, design=None, cov=None):
 class TestStackedGradient:
     def test_mc_block_zero_at_mc_solution(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=50)
-        s, _ = stacked(mc.theta, d, cov, design, mc, weights, ecf)
+        s, _, _ = stacked(mc.theta, d, cov, design, mc, weights, ecf)
         k = d.p + d.q + 1
         assert np.max(np.abs(s[:k])) <= 1e-8
 
     def test_dimensions(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60, p=2, q=2)
-        s, jac = stacked(mc.theta, d, cov, design, mc, weights, ecf)
+        s, jac, _ = stacked(mc.theta, d, cov, design, mc, weights, ecf)
         assert s.shape == (10,)
         assert jac.shape == (10, 5)
 
@@ -93,7 +94,7 @@ class TestStackedGradient:
         d, cov, design, mc, weights, ecf = prepared(rng, n=40)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.2 * rng.normal(size=k)
-        _, jac = stacked(theta, d, cov, design, mc, weights, ecf)
+        _, jac, _ = stacked(theta, d, cov, design, mc, weights, ecf)
         fd = np.empty((2 * k, k))
         for i in range(k):
             h = 1e-6 * (1.0 + abs(theta[i]))
@@ -108,7 +109,7 @@ class TestStackedGradient:
         sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.2 * rng.normal(size=k)
-        s, _ = stacked(theta, d, cov, design, mc, weights, ecf)
+        s, _, _ = stacked(theta, d, cov, design, mc, weights, ecf)
         fd = np.empty(2 * k)
         for i in range(k):
             h = 1e-6 * (1.0 + abs(theta[i]))
@@ -482,7 +483,7 @@ class TestMinimizeQ:
         b = np.array([1.0, -2.0, 0.5])
 
         def rj(x):
-            return x - b, np.eye(3)
+            return x - b, np.eye(3), lambda u: np.zeros((3, 3))
 
         x, q, _, converged, jac = _levenberg_marquardt(rj, a, np.zeros(3))
         assert converged
@@ -496,10 +497,11 @@ class TestMinimizeQ:
             s = np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2), 3.0 * np.sin(5.0 * x[0])])
             jac = np.array([[1.0, 0.0], [-20.0 * x[0], 10.0],
                             [15.0 * np.cos(5.0 * x[0]), 0.0]])
-            return s, jac
+            # only the (0, 0) second derivatives are nonzero
+            return s, jac, lambda u: np.diag([-20.0 * u[1] - 75.0 * np.sin(5.0 * x[0]) * u[2], 0.0])
 
         def q_of(x):
-            s, _ = rj(x)
+            s, _, _ = rj(x)
             return s @ s
 
         x0 = np.array([1.3, -0.7])
@@ -510,11 +512,11 @@ class TestMinimizeQ:
         # the returned Jacobian is the one evaluated at the returned point
         assert np.array_equal(jac, rj(x)[1])
 
-        # a Jacobian of the wrong sign makes every step uphill: the search
+        # derivatives of the wrong sign make every step uphill: the search
         # stops unconverged at the start instead of taking one
         def rj_uphill(x):
-            s, jac = rj(x)
-            return s, -jac
+            s, jac, curv = rj(x)
+            return s, -jac, lambda u: -curv(u)
 
         x, q, _, converged, jac = _levenberg_marquardt(rj_uphill, np.eye(3), x0)
         assert not converged
@@ -553,6 +555,56 @@ class TestMinimizeQ:
         assert fit.q_value <= q_ref + 1e-9 * max(q_ref, 1.0)
 
 
+class TestStackedCurvature:
+    def test_matches_jacobian_differences(self, rng):
+        # column i of sum_m u_m d^2 s_m / d theta d theta' is the central
+        # difference of J' u along coordinate i; the corrected-LS half of u
+        # meets a constant Jacobian and drops out
+        d, cov, design, mc, weights, ecf = prepared(rng, n=60)
+        k = d.p + d.q + 1
+        theta = mc.theta.theta + 0.1 * rng.normal(size=k)
+        u = rng.normal(size=2 * k)
+        got = stacked(theta, d, cov, design, mc, weights, ecf)[2](u)
+        fd = np.empty((k, k))
+        for i in range(k):
+            e = np.zeros(k)
+            e[i] = 1e-5
+            fd[:, i] = (stacked(theta + e, d, cov, design, mc, weights, ecf)[1].T @ u
+                        - stacked(theta - e, d, cov, design, mc, weights, ecf)[1].T @ u) / 2e-5
+        assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+class TestNewtonAgainstGaussNewton:
+    """The Newton search against the Gauss-Newton one it replaced: both stop
+    at the same minimizer of Q, to the rounding floor where Q's evaluation
+    noise hides any further decrease, and Newton gets there in fewer
+    evaluations."""
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_same_minimum_fewer_evaluations(self, setting, law):
+        d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
+                                     error_law=law, seed=23), 0)
+        cov, design = estimate_covariances(d), build_design(d)
+        mc = fit_mc(d, cov, design)
+        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False,
+                             mc=mc, cov=cov, design=design)
+        n_newton = n_gauss_newton = 0
+        for fit in fits.values():
+            resid_jac = functools.partial(
+                _stacked_equations, v=design.v, y=d.y,
+                sig_w=pooled_error_covariance(cov.sigma_j, d.n_rep),
+                jac_mc=2.0 / d.n * mc.gram, q=fit.weights.q, ecf=fit.ecf)
+            x, q, n_eval, converged, _ = gauss_newton_lm(resid_jac, fit.omega_inv,
+                                                         mc.theta.theta)
+            assert converged and fit.converged
+            assert_normwise_close(fit.theta.theta, x, 1e-8)
+            assert np.isclose(fit.q_value, q, rtol=1e-12, atol=0.0)
+            n_newton += fit.n_iter
+            n_gauss_newton += n_eval
+        assert n_newton < n_gauss_newton
+
+
 class TestFitGmm:
     def test_zero_measurement_error_matches_ols(self, rng):
         # identical replicates and exact linear outcomes: the stacked
@@ -571,7 +623,7 @@ class TestFitGmm:
     def test_q_never_worse_than_mc_start(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60)
         fit = fit_gmm_multi(d, ("minimax",), b=40, seed=6, compute_se=False)["minimax"]
-        s_mc, _ = stacked(mc.theta, d, cov, design, mc, fit.weights, fit.ecf)
+        s_mc, _, _ = stacked(mc.theta, d, cov, design, mc, fit.weights, fit.ecf)
         q_at_mc = s_mc @ fit.omega_inv @ s_mc
         assert fit.q_value <= q_at_mc + 1e-12
         assert fit.q_value >= 0.0
@@ -617,7 +669,7 @@ class TestFitGmm:
             return s @ omega_inv @ s
 
         theta = mc.theta.theta + 0.1 * rng.normal(size=k)
-        s, jac = stacked(theta, d, cov, design, mc, weights, ecf)
+        s, jac, _ = stacked(theta, d, cov, design, mc, weights, ecf)
         grad = 2.0 * jac.T @ (omega_inv @ s)
         fd = np.empty(k)
         for i in range(k):
@@ -636,7 +688,7 @@ class TestFitGmm:
         def rj(theta):
             s = np.concatenate([grad_corrected_l2(theta, design.v, d.y, sig_w),
                                 np.zeros(k)])
-            return s, np.vstack([jac_mc, np.zeros((k, k))])
+            return s, np.vstack([jac_mc, np.zeros((k, k))]), lambda u: np.zeros((k, k))
 
         x, *_ = _levenberg_marquardt(rj, np.eye(2 * k),
                                      mc.theta.theta + 0.3 * rng.normal(size=k))
@@ -647,7 +699,7 @@ class TestFitGmm:
         omega = scheme_omega(d, mc.theta, 30, seed=5, scheme="equal",
                              design=design, cov=cov)
         _, omega_inv = _floor_eigh(omega)
-        s, _ = stacked(mc.theta.theta + 0.05, d, cov, design, mc, weights, ecf)
+        s, _, _ = stacked(mc.theta.theta + 0.05, d, cov, design, mc, weights, ecf)
         q0 = s @ omega_inv @ s
         perm = rng.permutation(s.size)
         pmat = np.eye(s.size)[perm]
@@ -771,7 +823,7 @@ class TestStandardErrors:
     def test_recompute_matches_fit(self, rng):
         d, cov, design, mc, weights, ecf = prepared(rng, n=60)
         fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7)["minimax"]
-        _, jac = stacked(fit.theta, d, cov, design, mc, fit.weights, fit.ecf)
+        _, jac, _ = stacked(fit.theta, d, cov, design, mc, fit.weights, fit.ecf)
         se = gmm_standard_errors(jac, fit.omega_inv)
         assert np.array_equal(se, fit.se)
 
@@ -788,7 +840,7 @@ class TestStandardErrors:
         jac_mc = corrected_ls_jacobian(d, cov, design)
         for fit in fits.values():
             assert fit.se is not None
-            _, jac_ph = grad_and_hessian(fit.theta.theta, design.v, fit.weights.q, fit.ecf)
+            _, jac_ph, _ = grad_and_hessian(fit.theta.theta, design.v, fit.weights.q, fit.ecf)
             p1 = np.hstack([jac_mc.T, jac_ph.T])
             oracle = np.sqrt(np.diag(np.linalg.inv(p1 @ fit.omega_inv @ p1.T)))
             np.testing.assert_allclose(fit.se, oracle, rtol=1e-12, atol=0.0)

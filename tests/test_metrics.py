@@ -89,8 +89,8 @@ def _mcd_rows(kind, m, k, seed):
 class TestRobustMse:
     def test_zero_error_matrix(self):
         estimates = np.tile([1.0, 0.5, 2.0], (50, 1))
-        with pytest.warns(RuntimeWarning, match="MAD"):
-            r = robust_mse(estimates, np.array([1.0, 0.5, 2.0]))
+        r = robust_mse(estimates, np.array([1.0, 0.5, 2.0]))
+        assert r.mad_fallback
         assert r.det_metric == 0.0
         assert r.kept_rows >= 45
 
@@ -159,8 +159,8 @@ class TestRobustMse:
         rng = np.random.default_rng(9)
         col = rng.normal(size=60)
         estimates = np.column_stack([col, 2.0 * col])  # rank-1 scatter
-        with pytest.warns(RuntimeWarning, match="MAD"):
-            r = robust_mse(estimates, np.zeros(2), seed=1)
+        r = robust_mse(estimates, np.zeros(2), seed=1)
+        assert r.mad_fallback
         assert np.isfinite(r.det_metric)
 
 
@@ -227,8 +227,7 @@ class TestFastMcd:
         if kind == "rank_deficient":
             assert scatter is None
             if m >= 20:
-                with pytest.warns(RuntimeWarning, match="MAD"):
-                    assert robust_mse(a, np.zeros(k), seed=seed).mad_fallback
+                assert robust_mse(a, np.zeros(k), seed=seed).mad_fallback
 
 
 class TestMcSeSummary:

@@ -15,7 +15,8 @@ from eivgmm.phase import (
     grad_and_hessian,
     kernel,
 )
-from eivgmm.simgen import SimConfig, gen_dataset
+from eivgmm.model_data import build_design
+from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 import phase_oracles
 from phase_oracles import (
     SHARED_ECF_ATOL,
@@ -43,6 +44,11 @@ def _max_gap(got, want):
 #: node-pair tables against the direct per-row formulas: both round each
 #: sin/cos argument once, so they agree to a few ulps of the largest term
 PAIR_AGREEMENT = 1e-12
+#: the curvature term against central differences of the Hessian (step
+#: 1e-5 along a unit-scale direction; measured gaps up to 2e-9) and against
+#: the direct per-row third-derivative formula (measured up to 2e-15)
+CURV_FD_RTOL = 1e-7
+CURV_DIRECT_RTOL = 1e-11
 
 
 class TestSelectTStar:
@@ -267,7 +273,7 @@ class TestGradDtilde:
 
     def test_hessian_matches_gradient_differences(self, rng):
         v, y, q, ecf, theta0 = _random_problem(rng, n=12)
-        _, hess = grad_and_hessian(theta0, v, q, ecf)
+        _, hess, _ = grad_and_hessian(theta0, v, q, ecf)
         assert np.allclose(hess, hess.T, atol=1e-14)
         fd = np.empty((3, 3))
         for i in range(3):
@@ -512,7 +518,7 @@ class TestNodePairs:
 
         q = rng.dirichlet(np.ones(n), size=n_schemes).T
         for col in range(n_schemes):
-            grad, hess = grad_and_hessian(theta, vb, q[:, col], ecf)
+            grad, hess, _ = grad_and_hessian(theta, vb, q[:, col], ecf)
             grad_ref, hess_ref = phase_oracles.grad_and_hessian(theta, vb, q[:, col], ecf)
             assert _max_gap(grad, grad_ref) <= PAIR_AGREEMENT
             assert _max_gap(hess, hess_ref) <= PAIR_AGREEMENT
@@ -522,3 +528,38 @@ class TestNodePairs:
         half = N_QUAD // 2
         assert np.array_equal(nodes[:half], -nodes[half:][::-1])
         assert np.all(nodes[half:] > 0.0)
+
+
+class TestCurvature:
+    """curv(u), the derivative of the phase Hessian along u, from the node-pair
+    tables of grad_and_hessian."""
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_matches_hessian_differences_and_direct_formula(self, setting, law):
+        d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
+                                     error_law=law, seed=41), 0)
+        v = build_design(d).v
+        rng = np.random.default_rng(7)
+        # near the least-squares index, where the optimizer evaluates it
+        theta = np.linalg.lstsq(v, d.y, rcond=None)[0] + 0.05 * rng.normal(size=v.shape[1])
+        q = rng.dirichlet(np.ones(d.n))
+        ecf = build_ecf(d.y)
+        _, hess, curv = grad_and_hessian(theta, v, q, ecf)
+        for _ in range(3):
+            u = rng.normal(size=theta.size)
+            got = curv(u)
+            assert _max_gap(got, got.T) <= 1e-14
+            h = 1e-5
+            fd = (grad_and_hessian(theta + h * u, v, q, ecf)[1]
+                  - grad_and_hessian(theta - h * u, v, q, ecf)[1]) / (2 * h)
+            assert _max_gap(got, fd) <= CURV_FD_RTOL
+            want = phase_oracles.hessian_derivative(theta, v, q, ecf, u)
+            assert _max_gap(got, want) <= CURV_DIRECT_RTOL
+
+    def test_linear_in_direction(self, rng):
+        v, y, q, ecf, theta0 = _random_problem(rng, n=40)
+        curv = grad_and_hessian(theta0, v, q, ecf)[2]
+        u1, u2 = rng.normal(size=(2, 3))
+        assert _max_gap(curv(2.0 * u1 - u2), 2.0 * curv(u1) - curv(u2)) <= 1e-13
+        assert np.array_equal(curv(np.zeros(3)), np.zeros((3, 3)))

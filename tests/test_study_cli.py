@@ -320,10 +320,9 @@ class TestCliSimulate:
     def test_det_fallback_reported(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)
         json_path = tmp_path / "r.json"
-        with pytest.warns(RuntimeWarning, match="MAD"):
-            code, *_ = run_cli(["simulate", "--setting", "simple", "--M", "20", "--seed", "1",
-                                "--estimators", "naive,mc", "--workers", "1",
-                                "--json", str(json_path)], capsys)
+        code, *_ = run_cli(["simulate", "--setting", "simple", "--M", "20", "--seed", "1",
+                            "--estimators", "naive,mc", "--workers", "1",
+                            "--json", str(json_path)], capsys)
         assert code == 0
         report = json.loads(json_path.read_text())
         assert report["det_fallback"] == ["mc"]
@@ -452,7 +451,6 @@ class TestCliReproduce:
 
     def test_criterion_reports_det_fallback(self, monkeypatch):
         monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)
-        with pytest.warns(RuntimeWarning, match="MAD"):
-            outcome = run_criterion("heavy-tails", m_reps=20, b=25, seed=3)
+        outcome = run_criterion("heavy-tails", m_reps=20, b=25, seed=3)
         assert outcome["det_fallback"] == ["gmm_mm"]
         assert (outcome["n_failed"], outcome["n_se_failed"]) == (0, 0)
