@@ -21,8 +21,9 @@ weighted by the inverse bootstrap covariance, by damped Newton steps on its
 exact Hessian: the Gauss-Newton part J'WJ plus the stacked equations'
 second derivatives contracted with W s, which only the phase block has
 (its discrepancy's third derivatives, from the trig tables of the same
-evaluation). The search stops at the first taken step below STEP_TOL, or at
-Q's rounding floor, where no step is verifiably downhill.
+evaluation); where that Hessian is not positive definite, on J'WJ alone.
+The search stops at the first taken step below STEP_TOL, or at Q's rounding
+floor, where no step is verifiably downhill.
 """
 
 from __future__ import annotations
@@ -279,22 +280,26 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     resid_jac(x) returns (s, J, curv) with curv(u) = sum_m u_m d^2 s_m/dx dx'.
 
     Newton steps on half the Hessian of Q, H = J'WJ + curv(Ws), damped by
-    Marquardt's scaling: (H + mu D) dx = -J'Ws with D = diag(J'WJ). A step
-    whose predicted decrease -(2 g'dx + dx'H dx), g = J'Ws, is not positive
-    is refused unevaluated; a step that does not raise Q is taken, and mu is
-    rescaled by the gain ratio of actual to predicted decrease (Nielsen's
-    update); any other step is refused and mu grows by a doubling factor.
-    Converged once a taken step has max-norm <= STEP_TOL, or once a refused
-    step that short comes from a point whose undamped step is that short too:
-    Q cannot be lowered there beyond its rounding. mu > MU_MAX or MAX_EVAL
-    evaluations end the search unconverged. Returns (x, q, n_eval, converged,
+    Marquardt's scaling: (H + mu D) dx = -J'Ws with D = diag(J'WJ). At a
+    point where that H is not positive definite its quadratic model has no
+    minimum, and steps on it can carry the search into another basin of Q,
+    so H is the Gauss-Newton J'WJ there. A step whose predicted decrease
+    -(2 g'dx + dx'H dx), g = J'Ws, is not positive is refused unevaluated; a
+    step that does not raise Q is taken, and mu is rescaled by the gain ratio
+    of actual to predicted decrease (Nielsen's update); any other step is
+    refused and mu grows by a doubling factor. Converged once a taken step
+    has max-norm <= STEP_TOL, or once a refused step that short comes from a
+    point whose undamped step is that short too: Q cannot be lowered there
+    beyond its rounding. mu > MU_MAX or MAX_EVAL evaluations end the search
+    unconverged. Returns (x, q, n_eval, converged,
     jac) with n_eval the number of resid_jac calls and jac the Jacobian
     already evaluated at the returned x.
     """
     def model(s, jac, curv):
         w_s = omega_inv @ s
         jtwj = jac.T @ omega_inv @ jac
-        return jac.T @ w_s, jtwj, jtwj + curv(w_s)
+        full = jtwj + curv(w_s)
+        return jac.T @ w_s, jtwj, full if np.linalg.eigvalsh(full)[0] > 0.0 else jtwj
 
     x = np.asarray(x0, dtype=float).copy()
     s, jac, curv = resid_jac(x)

@@ -605,6 +605,28 @@ class TestNewtonAgainstGaussNewton:
         assert n_newton < n_gauss_newton
 
 
+    def test_indefinite_start_stays_in_its_basin(self):
+        # the start's full Hessian of Q is indefinite; a Newton step on it
+        # led this fit to another local minimum (Q 1.962 against 1.873)
+        d, _ = gen_dataset(SimConfig(setting="simple", n=200, n_rep=2, m_reps=1,
+                                     error_law="normal", seed=0), 0)
+        cov, design = estimate_covariances(d), build_design(d)
+        mc = fit_mc(d, cov, design)
+        fit = fit_gmm_multi(d, ("quasi_likelihood",), b=25, seed=0, compute_se=False,
+                            mc=mc, cov=cov, design=design)["quasi_likelihood"]
+        resid_jac = functools.partial(
+            _stacked_equations, v=design.v, y=d.y,
+            sig_w=pooled_error_covariance(cov.sigma_j, d.n_rep),
+            jac_mc=2.0 / d.n * mc.gram, q=fit.weights.q, ecf=fit.ecf)
+        s, jac, curv = resid_jac(mc.theta.theta)
+        full = jac.T @ fit.omega_inv @ jac + curv(fit.omega_inv @ s)
+        assert np.linalg.eigvalsh(full)[0] < 0.0
+        x, q, _, converged, _ = gauss_newton_lm(resid_jac, fit.omega_inv, mc.theta.theta)
+        assert converged and fit.converged
+        assert_normwise_close(fit.theta.theta, x, 1e-8)
+        assert np.isclose(fit.q_value, q, rtol=1e-12, atol=0.0)
+
+
 class TestFitGmm:
     def test_zero_measurement_error_matches_ols(self, rng):
         # identical replicates and exact linear outcomes: the stacked
