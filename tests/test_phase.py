@@ -545,7 +545,7 @@ class TestCurvature:
         theta = np.linalg.lstsq(v, d.y, rcond=None)[0] + 0.05 * rng.normal(size=v.shape[1])
         q = rng.dirichlet(np.ones(d.n))
         ecf = build_ecf(d.y)
-        _, hess, curv = grad_and_hessian(theta, v, q, ecf)
+        curv = grad_and_hessian(theta, v, q, ecf)[2]
         for _ in range(3):
             u = rng.normal(size=theta.size)
             got = curv(u)
@@ -556,10 +556,3 @@ class TestCurvature:
             assert _max_gap(got, fd) <= CURV_FD_RTOL
             want = phase_oracles.hessian_derivative(theta, v, q, ecf, u)
             assert _max_gap(got, want) <= CURV_DIRECT_RTOL
-
-    def test_linear_in_direction(self, rng):
-        v, y, q, ecf, theta0 = _random_problem(rng, n=40)
-        curv = grad_and_hessian(theta0, v, q, ecf)[2]
-        u1, u2 = rng.normal(size=(2, 3))
-        assert _max_gap(curv(2.0 * u1 - u2), 2.0 * curv(u1) - curv(u2)) <= 1e-13
-        assert np.array_equal(curv(np.zeros(3)), np.zeros((3, 3)))
