@@ -291,9 +291,9 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     has max-norm <= STEP_TOL, or once a refused step that short comes from a
     point whose undamped step is that short too: Q cannot be lowered there
     beyond its rounding. mu > MU_MAX or MAX_EVAL evaluations end the search
-    unconverged. Returns (x, q, n_eval, converged,
-    jac) with n_eval the number of resid_jac calls and jac the Jacobian
-    already evaluated at the returned x.
+    unconverged. Returns (x, q, n_eval, converged, jac) with n_eval the
+    number of resid_jac calls and jac the Jacobian already evaluated at the
+    returned x.
     """
     def model(s, jac, curv):
         w_s = omega_inv @ s
