@@ -23,7 +23,8 @@ second derivatives contracted with W s, which only the phase block has
 (its discrepancy's third derivatives, from the trig tables of the same
 evaluation); where that Hessian is not positive definite, on J'WJ alone.
 The search stops at the first taken step below STEP_TOL, or at Q's rounding
-floor, where no step is verifiably downhill.
+floor: at a point whose undamped Newton step is below STEP_TOL, no step is
+verifiably downhill, so the point is returned without evaluating one.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ __all__ = [
 
 #: eigenvalue floor for the bootstrap covariance, relative to trace/dim
 OMEGA_FLOOR = 1e-10
-#: convergence: max-norm of a taken Levenberg-Marquardt step, or of a
-#: refused one when the undamped Newton step from the same point is this
-#: short too (Q's rounding floor: its evaluation noise hides the decrease)
+#: convergence: max-norm of a taken Levenberg-Marquardt step, or of the
+#: undamped Newton step from the current point (Q's rounding floor: its
+#: evaluation noise hides any further decrease)
 STEP_TOL = 1e-9
 #: non-convergence: damping or evaluation count beyond these caps
 MU_MAX = 1e16
@@ -288,18 +289,25 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     step that does not raise Q is taken, and mu is rescaled by the gain ratio
     of actual to predicted decrease (Nielsen's update); any other step is
     refused and mu grows by a doubling factor. Converged once a taken step
-    has max-norm <= STEP_TOL, or once a refused step that short comes from a
-    point whose undamped step is that short too: Q cannot be lowered there
-    beyond its rounding. mu > MU_MAX or MAX_EVAL evaluations end the search
-    unconverged. Returns (x, q, n_eval, converged, jac) with n_eval the
-    number of resid_jac calls and jac the Jacobian already evaluated at the
-    returned x.
+    has max-norm <= STEP_TOL, or at Q's rounding floor: at a point (the
+    start, or where a step was taken) whose undamped step -H^{-1} g is that
+    short, Q cannot be lowered beyond its rounding, so the search returns
+    that point without evaluating the step. A singular H is not at the
+    floor. mu > MU_MAX or MAX_EVAL evaluations end the search unconverged.
+    Returns (x, q, n_eval, converged, jac) with n_eval the number of
+    resid_jac calls and jac the Jacobian already evaluated at the returned x.
     """
     def model(s, jac, curv):
         w_s = omega_inv @ s
         jtwj = jac.T @ omega_inv @ jac
         full = jtwj + curv(w_s)
         return jac.T @ w_s, jtwj, full if np.linalg.eigvalsh(full)[0] > 0.0 else jtwj
+
+    def at_floor(hess, grad):
+        try:
+            return np.max(np.abs(np.linalg.solve(hess, grad))) <= STEP_TOL
+        except np.linalg.LinAlgError:
+            return False
 
     x = np.asarray(x0, dtype=float).copy()
     s, jac, curv = resid_jac(x)
@@ -308,6 +316,8 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     mu, nu = 1e-3, 2.0
     n_eval = 1
     while n_eval < MAX_EVAL and mu <= MU_MAX:
+        if at_floor(hess, grad):
+            return x, float(q), n_eval, True, jac
         dx = np.linalg.solve(hess + mu * np.diag(np.diag(jtwj)), -grad)
         pred = -(2.0 * grad @ dx + dx @ hess @ dx)
         if pred > 0.0:
@@ -323,9 +333,6 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
                 x, q, jac = x + dx, q_new, jac_new
                 grad, jtwj, hess = model(s_new, jac_new, curv_new)
                 continue
-        if (np.max(np.abs(dx)) <= STEP_TOL
-                and np.max(np.abs(np.linalg.solve(hess, grad))) <= STEP_TOL):
-            return x, float(q), n_eval, True, jac
         mu *= nu
         nu *= 2.0
     return x, float(q), n_eval, False, jac

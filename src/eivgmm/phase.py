@@ -4,13 +4,20 @@ The outcome characteristic function fixes a usable frequency band [0, t*]:
 t* is the first point of the scan grid step, 2 step, ... (step = 0.01/sd(y),
 capped at 50/sd(y)) where the empirical CF modulus drops to the n^{-1/2}
 noise floor. The scan evaluates the ECF of the centered distinct outcome
-values d (centering leaves the modulus unchanged) together with its
-derivative, and skips every grid point that provably stays above the floor:
-with a = |phi'(t)|, M2 = mean d^2 >= |phi''| and gap = |phi(t)| - n^{-1/2},
-Taylor's theorem gives |phi(t + h)| >= |phi(t)| - a h - M2 h^2 / 2, which
-stays above the floor for h < 2 gap / (a + sqrt(a^2 + 2 M2 gap)). The first
-crossing is therefore the same grid point a dense scan finds, reached in a
-few dozen ECF evaluations.
+values d (centering leaves the modulus unchanged) together with its first
+two derivatives, and skips every grid point that provably stays above the
+floor. With u = phi(t)/|phi(t)|, |phi(t + h)| >= Re(conj(u) phi(t + h)),
+and Taylor's theorem bounds the latter from below, with rho =
+Re(conj(u) phi'(t)), sigma = Re(conj(u) phi''(t)), M2 = mean d^2 >= |phi''|
+and M3 = mean |d|^3 >= |phi'''|, twice: by the quadratic |phi(t)| + rho h
+- M2 h^2 / 2, and by the cubic |phi(t)| + rho h + sigma h^2 / 2 -
+M3 h^3 / 6, whose h^3 term is bounded on a window twice the quadratic's
+reach so that its first floor crossing has a closed form. The scan jumps by
+the longer of the two safe lengths (see _skip_rule). The first crossing is
+therefore the same grid point a dense scan finds, reached in about 12
+(n=1000 resamples of t2.5 outcomes) to 16 (the acceptance grid's
+resamples) ECF evaluations, about half as many as a bound on |phi'| and
+M2 alone allows.
 
 On that band the phase discrepancy integrates the squared mismatch between
 the outcome phase and the weighted phase of the fitted linear index, under
@@ -41,6 +48,7 @@ resamples' own half tables, each resample builds its own instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,31 +149,71 @@ class _NodePairs:
         return self.ca * both - self.sa * diff, self.sa * both + self.ca * diff
 
 
-def _scan_t_star(vals, counts, n: int, step: float):
+def _skip_rule(d, counts, n: int):
+    """The t* scan's skip rule for the sample with centered distinct values d
+    and multiplicities counts: returns skip(t), which is None where the ECF
+    has re^2 + im^2 <= 1/n at t, and otherwise a length h such that
+    |phi| > n^{-1/2} on all of [t, t + h).
+
+    skip(t) gets phi, phi' and phi'' at t from one exp(i t d) and a 3-column
+    basis. With u = phi/|phi|, r = |phi|, rho = Re(conj(u) phi'), sigma =
+    Re(conj(u) phi''), M2 = mean d^2, M3 = mean |d|^3 and gap = r - n^{-1/2},
+    Taylor's theorem bounds |phi(t + h)| >= Re(conj(u) phi(t + h)) from
+    below twice: by r + rho h - M2 h^2 / 2, whose first crossing of the
+    floor is h2, and on [0, 2 h2] by r + rho h + sigma h^2 / 2 - M3 h^3 / 6
+    >= r + rho h + (sigma / 2 - M3 h2 / 3) h^2, whose first crossing h3 is
+    taken in closed form and capped at 2 h2. It returns max(h2, h3). The
+    scalar arithmetic is on Python floats, which cost less per operation
+    than numpy scalars.
+    """
+    m2 = float(counts @ d**2) / n
+    m3 = float(counts @ np.abs(d) ** 3) / n
+    basis = np.stack([counts, counts * d, counts * d**2]) / n
+    floor_sq = 1.0 / n
+    floor = math.sqrt(floor_sq)
+
+    def skip(t):
+        # rows: phi(t), -i phi'(t) and -phi''(t), as (real, imaginary) pairs
+        e = np.exp(1j * t * d)
+        (re, im), (re1, im1), (re2, im2) = (basis @ e.view(float).reshape(-1, 2)).tolist()
+        mod_sq = re * re + im * im
+        if mod_sq <= floor_sq:
+            return None
+        r = math.sqrt(mod_sq)
+        gap = r - floor
+        rho = (im * re1 - re * im1) / r
+        sigma = -(re * re2 + im * im2) / r
+        # first positive roots, each in the form free of cancellation
+        root = math.sqrt(rho * rho + 2.0 * m2 * gap)
+        h2 = (rho + root) / m2 if rho >= 0.0 else 2.0 * gap / (root - rho)
+        cap = 2.0 * h2
+        curv = 0.5 * sigma - m3 * cap / 6.0
+        disc = rho * rho - 4.0 * curv * gap
+        h3 = cap
+        if disc >= 0.0 and rho < 0.0:
+            h3 = 2.0 * gap / (math.sqrt(disc) - rho)
+        elif curv < 0.0:
+            h3 = (rho + math.sqrt(disc)) / (-2.0 * curv)
+        return max(h2, min(h3, cap))
+
+    return skip
+
+
+def _scan_t_star(d, counts, n: int, step: float):
     """First grid point t = j step, 1 <= j <= _N_SCAN_STEPS, where the ECF of
-    the sample with distinct values vals and multiplicities counts has
+    the sample with centered distinct values d and multiplicities counts has
     re^2 + im^2 <= 1/n. Returns (t*, capped): (that point, False), or (the
     last grid point, True) when no point crosses.
 
-    Between evaluations the scan skips the points that the second-order bound
-    in the module docstring keeps above the floor; the 1e-9 margin absorbs
-    rounding in the skip length.
+    Between evaluations the scan skips the points that _skip_rule keeps
+    above the floor; the 1e-9 margin absorbs rounding in the skip length.
     """
-    d = vals - (counts @ vals) / n
-    m2 = (counts @ d**2) / n
-    basis = np.column_stack([counts, counts * d]) / n
-    floor_sq = 1.0 / n
-    floor = np.sqrt(floor_sq)
+    skip = _skip_rule(d, counts, n)
     j = 1
     while j <= _N_SCAN_STEPS:
-        # phi(t) and -i phi'(t) of the centered sample
-        phi, dphi = np.exp(1j * (j * step) * d) @ basis
-        mod_sq = phi.real**2 + phi.imag**2
-        if mod_sq <= floor_sq:
+        h = skip(j * step)
+        if h is None:
             return float(j * step), False
-        gap = np.sqrt(mod_sq) - floor
-        a = abs(dphi)
-        h = 2.0 * gap / (a + np.sqrt(a * a + 2.0 * m2 * gap))
         j += max(1, int(h / step * (1.0 - 1e-9)))
     return float(_N_SCAN_STEPS * step), True
 
@@ -203,7 +251,7 @@ def _t_star_from_counts(vals: np.ndarray, counts: np.ndarray):
     sd = np.sqrt((counts @ d**2) / (n - 1.0))
     if sd == 0.0 or not np.isfinite(sd):
         raise DegenerateInputError("outcome is constant; characteristic function never decays")
-    return _scan_t_star(vals, counts, n, T_STEP_SCALE / sd)
+    return _scan_t_star(d, counts, n, T_STEP_SCALE / sd)
 
 
 def _quad_rule(t_star):

@@ -4,13 +4,15 @@ These evaluate cos(t y) and sin(t y) at every quadrature node for every
 observation, with no node pairing and no collapsing of tied values, which is
 what the fast paths in `eivgmm.phase` must reproduce to rounding level.
 `node_pair_grad` is the exception: the node-pair path over a resample's own
-rows, the oracle of the bootstrap's shared tables.
+rows, the oracle of the bootstrap's shared tables. So is
+`second_order_scan`, the t* scan before its skip bound took the third
+derivative into account.
 """
 
 import numpy as np
 
 from eivgmm.model_data import as_theta
-from eivgmm.phase import EcfOutcome, _NodePairs, _phase_terms, kernel
+from eivgmm.phase import _N_SCAN_STEPS, EcfOutcome, _NodePairs, _phase_terms, kernel
 
 
 #: the bootstrap's shared Chebyshev tables against each resample's own
@@ -23,6 +25,35 @@ SHARED_GRAD_RTOL = 1e-11
 
 class PhaseUndefinedError(ArithmeticError):
     """The weighted phase function has zero modulus at the requested frequency."""
+
+
+def second_order_scan(vals, counts, n: int, step: float):
+    """First grid point t = j step, 1 <= j <= _N_SCAN_STEPS, where the ECF of
+    the sample with distinct values vals and multiplicities counts has
+    re^2 + im^2 <= 1/n; returns (t*, capped) as `eivgmm.phase._scan_t_star`.
+
+    Between evaluations it skips the points that the second-order bound
+    keeps above the floor: with a = |phi'(t)|, M2 = mean d^2 >= |phi''| and
+    gap = |phi(t)| - n^{-1/2}, |phi(t + h)| >= |phi(t)| - a h - M2 h^2 / 2,
+    which stays above the floor for h < 2 gap / (a + sqrt(a^2 + 2 M2 gap)).
+    """
+    d = vals - (counts @ vals) / n
+    m2 = (counts @ d**2) / n
+    basis = np.column_stack([counts, counts * d]) / n
+    floor_sq = 1.0 / n
+    floor = np.sqrt(floor_sq)
+    j = 1
+    while j <= _N_SCAN_STEPS:
+        # phi(t) and -i phi'(t) of the centered sample
+        phi, dphi = np.exp(1j * (j * step) * d) @ basis
+        mod_sq = phi.real**2 + phi.imag**2
+        if mod_sq <= floor_sq:
+            return float(j * step), False
+        gap = np.sqrt(mod_sq) - floor
+        a = abs(dphi)
+        h = 2.0 * gap / (a + np.sqrt(a * a + 2.0 * m2 * gap))
+        j += max(1, int(h / step * (1.0 - 1e-9)))
+    return float(_N_SCAN_STEPS * step), True
 
 
 def ecf_from_counts(vals, counts, n: int, t):

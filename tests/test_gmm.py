@@ -524,6 +524,20 @@ class TestMinimizeQ:
         assert q <= q_of(x0) + 1e-12
         assert np.array_equal(jac, rj_uphill(x0)[1])
 
+    def test_singular_hessian_is_not_at_the_floor(self):
+        # both coordinates enter only through their sum, so J'WJ is singular
+        # at every point while its damped form is not: the rounding-floor
+        # check must treat the singular H as not at the floor, not raise
+        def rj(x):
+            r = x[0] + x[1] - 1.0
+            return (np.array([r, 2.0 * r]), np.array([[1.0, 1.0], [2.0, 2.0]]),
+                    lambda u: np.zeros((2, 2)))
+
+        x, q, _, converged, _ = _levenberg_marquardt(rj, np.eye(2), np.zeros(2))
+        assert converged
+        assert abs(x.sum() - 1.0) <= 1e-8
+        assert q <= 1e-15
+
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), setting=st.sampled_from(["simple", "I", "III"]),
            law=st.sampled_from(ERROR_LAWS))
@@ -580,6 +594,11 @@ class TestNewtonAgainstGaussNewton:
     noise hides any further decrease, and Newton gets there in fewer
     evaluations."""
 
+    #: evaluations the 27 fits below took when the Newton search still
+    #: evaluated its last step at the rounding floor (493 for Gauss-Newton);
+    #: stopping where the undamped step is within STEP_TOL takes 167
+    EVALS_WITHOUT_FLOOR_STOP = 193
+
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
     def test_same_minimum_fewer_evaluations(self, setting, law):
@@ -603,6 +622,7 @@ class TestNewtonAgainstGaussNewton:
             n_newton += fit.n_iter
             n_gauss_newton += n_eval
         assert n_newton < n_gauss_newton
+        assert n_newton < self.EVALS_WITHOUT_FLOOR_STOP
 
 
     def test_indefinite_start_stays_in_its_basin(self):
