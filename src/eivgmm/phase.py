@@ -6,18 +6,14 @@ capped at 50/sd(y)) where the empirical CF modulus drops to the n^{-1/2}
 noise floor. The scan evaluates the ECF of the centered distinct outcome
 values d (centering leaves the modulus unchanged) together with its first
 two derivatives, and skips every grid point that provably stays above the
-floor. With u = phi(t)/|phi(t)|, |phi(t + h)| >= Re(conj(u) phi(t + h)),
-and Taylor's theorem bounds the latter from below, with rho =
-Re(conj(u) phi'(t)), sigma = Re(conj(u) phi''(t)), M2 = mean d^2 >= |phi''|
-and M3 = mean |d|^3 >= |phi'''|, twice: by the quadratic |phi(t)| + rho h
-- M2 h^2 / 2, and by the cubic |phi(t)| + rho h + sigma h^2 / 2 -
-M3 h^3 / 6, whose h^3 term is bounded on a window twice the quadratic's
-reach so that its first floor crossing has a closed form. The scan jumps by
-the longer of the two safe lengths (see _skip_rule). The first crossing is
-therefore the same grid point a dense scan finds, reached in about 12
-(n=1000 resamples of t2.5 outcomes) to 16 (the acceptance grid's
-resamples) ECF evaluations, about half as many as a bound on |phi'| and
-M2 alone allows.
+floor: |phi(t + h)| is at least the ECF's component along phi(t), and
+Taylor's theorem bounds that component from below by a quadratic in h with
+M2 = mean d^2 >= |phi''| and by a cubic with M3 = mean |d|^3 >= |phi'''|
+(see _skip_rule). The scan jumps by the longer of the two bounds' safe
+lengths. The first crossing is therefore the same grid point a dense scan
+finds, reached in about 12 (the bootstrap resamples of n=1000 t2.5
+outcomes) to 16 (those of the acceptance grid) ECF evaluations, about half
+as many as a bound from |phi'| and M2 alone allows.
 
 On that band the phase discrepancy integrates the squared mismatch between
 the outcome phase and the weighted phase of the fitted linear index, under

@@ -594,9 +594,10 @@ class TestNewtonAgainstGaussNewton:
     noise hides any further decrease, and Newton gets there in fewer
     evaluations."""
 
-    #: evaluations the 27 fits below took when the Newton search still
-    #: evaluated its last step at the rounding floor (493 for Gauss-Newton);
-    #: stopping where the undamped step is within STEP_TOL takes 167
+    #: evaluations the 27 fits of test_same_minimum_fewer_evaluations took
+    #: when the Newton search still evaluated its last step at the rounding
+    #: floor (493 for Gauss-Newton); stopping where the undamped step is
+    #: within STEP_TOL takes 167
     EVALS_WITHOUT_FLOOR_STOP = 193
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
@@ -622,7 +623,17 @@ class TestNewtonAgainstGaussNewton:
             n_newton += fit.n_iter
             n_gauss_newton += n_eval
         assert n_newton < n_gauss_newton
-        assert n_newton < self.EVALS_WITHOUT_FLOOR_STOP
+
+    def test_floor_stop_saves_evaluations(self):
+        # the 27 fits of the test above, summed over its settings and laws
+        total = 0
+        for setting in ("simple", "I", "III"):
+            for law in ERROR_LAWS:
+                d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
+                                             error_law=law, seed=23), 0)
+                fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False)
+                total += sum(fit.n_iter for fit in fits.values())
+        assert total < self.EVALS_WITHOUT_FLOOR_STOP
 
 
     def test_indefinite_start_stays_in_its_basin(self):
