@@ -71,7 +71,7 @@ class StudyResult:
         return self.n_failed / total if total else 0.0
 
 
-#: thread-count setters of the OpenBLAS builds that numpy and scipy load
+#: thread-count setters of numpy's OpenBLAS: the wheels' scipy-openblas or a system build
 _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
