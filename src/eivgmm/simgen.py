@@ -12,7 +12,6 @@ formed from math.erfc and statistics.NormalDist (Wichura's AS241 quantile),
 so the package needs no scipy at run time. Both tails stay accurate: x is
 finite and increasing up to z = 38, where erfc(z / sqrt 2) is still a
 positive subnormal, and is 0 below z = -8.3, where Phi(-z) / 2 rounds to 1/2.
-The former Phi^{-1}((1 + Phi(z)) / 2) returned inf above z = 8.16.
 """
 
 from __future__ import annotations
@@ -127,8 +126,8 @@ def _half_normal_transform(z):
 
     Elementwise x = -Phi^{-1}(Phi(-z) / 2) with Phi(-z) = erfc(z / sqrt 2) / 2.
     This equals Phi^{-1}((1 + Phi(z)) / 2), but that form loses the upper
-    tail as (1 + Phi(z)) / 2 rounds towards 1: it is off by up to 0.057 at
-    z = 6..8.1 and returns inf above z = 8.16. This one agrees with scipy's
+    tail as (1 + Phi(z)) / 2 rounds towards 1: it is off by up to 0.057 near
+    z = 8.1 and returns inf above z = 8.16. This one agrees with scipy's
     -ndtri(ndtr(-z) / 2) to 9e-15 and is finite and monotone on [-38, 38].
     Past z = 38.4 erfc underflows to 0 and NormalDist raises; a normal draw
     never gets there.
