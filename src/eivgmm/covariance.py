@@ -49,8 +49,7 @@ def sigma_x_from_parts(w_bar: np.ndarray, sigma_j: np.ndarray, n_rep: np.ndarray
     n = w_bar.shape[0]
     centered = w_bar - w_bar.mean(axis=0)
     sample_cov = centered.T @ centered / (n - 1)
-    correction = np.einsum("j,jab->ab", 1.0 / n_rep, sigma_j) / n
-    return sample_cov - correction
+    return sample_cov - pooled_error_covariance(sigma_j, n_rep) / n
 
 
 def estimate_covariances(d: Dataset) -> CovarianceSet:

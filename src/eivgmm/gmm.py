@@ -39,7 +39,7 @@ from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
 from .phase import EcfOutcome, _BootstrapPhase, _t_star_from_counts, build_ecf, grad_and_hessian
-from .weights import WeightVector, _block_weights, make_weights
+from .weights import SCHEMES, WeightVector, _block_weights, make_weights
 
 __all__ = [
     "GmmFit",
@@ -351,7 +351,8 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     cost of one. Step two minimizes each scheme's quadratic form from that
     estimate by damped Newton steps on the exact Hessian of the quadratic
     form. The sandwich standard errors use the Jacobian the optimizer
-    evaluated at the estimate it returns. A scheme listed twice is fit once.
+    evaluated at the estimate it returns. A scheme listed twice is fit once;
+    a scheme name not in weights.SCHEMES raises ValueError before any work.
 
     Each scheme carries its own outcome: returns {scheme: GmmFit}, where a
     scheme whose bootstrap exceeded the failure limit, or whose full-sample
@@ -359,9 +360,12 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     failed standard-error sandwich keeps the estimate, leaves se None and
     records the reason as diagnostics["se_error"].
     """
+    schemes = tuple(dict.fromkeys(schemes))
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
     if b < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples")
-    schemes = tuple(dict.fromkeys(schemes))
     if cov is None:
         cov = estimate_covariances(d)
     if design is None:

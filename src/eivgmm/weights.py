@@ -7,9 +7,11 @@ means, obtained from a penalized bordered linear system).
 
 Every scheme is computed for a block of samples that share the same rows:
 sample b holds row j counts[b, j] times, so a bootstrap resample is its
-vector of row multiplicities, and the full sample is the single row of ones.
-A sample's weight on a row is the row's multiplicity times the weight of
-each of its copies, so rows a sample leaves out weigh zero.
+vector of row multiplicities. A sample's weight on a row is the row's
+multiplicity times the weight of each of its copies, so rows a sample leaves
+out weigh zero. The full sample is the one-row block whose row is all ones:
+make_weights returns that block's weights, so _block_weights is the one
+place where a scheme name selects its weight function.
 """
 
 from __future__ import annotations
@@ -23,11 +25,7 @@ from .errors import DegenerateCovarianceError, WeightSolveError
 
 __all__ = [
     "WeightVector",
-    "weights_equal",
-    "weights_minimax",
-    "weights_ql",
     "make_weights",
-    "solve_ql_system",
     "SCHEMES",
 ]
 
@@ -79,14 +77,6 @@ def _block(q, errors=None, fallback=None, max_clamp=None) -> _WeightBlock:
         fallback=np.zeros(b, dtype=bool) if fallback is None else fallback,
         max_clamp=np.zeros(b) if max_clamp is None else max_clamp,
     )
-
-
-def _single(block: _WeightBlock, scheme: str) -> WeightVector:
-    """The one sample of a one-row block; raises the error that stopped it."""
-    if block.errors[0] is not None:
-        raise block.errors[0]
-    return WeightVector(q=block.q[0], scheme=scheme, fallback=bool(block.fallback[0]),
-                        max_clamp=float(block.max_clamp[0]))
 
 
 def _equal(counts: np.ndarray) -> _WeightBlock:
@@ -178,8 +168,8 @@ def _inv_held(omega: np.ndarray, counts: np.ndarray):
     return adj, (zero & held).any(axis=1)
 
 
-def solve_ql_system(counts: np.ndarray, omega_inv: np.ndarray, w_bar: np.ndarray,
-                    gamma):
+def _solve_ql_system(counts: np.ndarray, omega_inv: np.ndarray, w_bar: np.ndarray,
+                     gamma):
     """Solve the bordered quasi-likelihood weight system of every sample in a
     block; returns (q, multiplier, errors).
 
@@ -244,7 +234,7 @@ def _quasi_likelihood(counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
     held rows are clamped at zero and the weights renormalized."""
     n_copies = counts.sum(axis=1)
     omega_inv, singular = _inv_held(omega_matrices(cov, n_rep), counts)
-    q, _, errors = solve_ql_system(counts, omega_inv, w_bar, 1.0 / n_copies)
+    q, _, errors = _solve_ql_system(counts, omega_inv, w_bar, 1.0 / n_copies)
     fallback = singular | np.array([e is not None for e in errors])
     held = counts > 0.0
     max_clamp = np.maximum(0.0, -np.min(np.where(held, q, np.inf), axis=1))
@@ -265,58 +255,26 @@ def _block_weights(scheme: str, counts: np.ndarray, cov: CovarianceSet, w_bar: n
     """
     counts = np.asarray(counts, dtype=float)
     n_rep = np.asarray(n_rep, dtype=float)
-    name = scheme.lower()
-    if name == "equal":
+    if scheme == "equal":
         return _equal(counts)
-    if name == "minimax":
+    if scheme == "minimax":
         return _minimax(counts, cov, n_rep)
-    if name == "quasi_likelihood":
+    if scheme == "quasi_likelihood":
         return _quasi_likelihood(counts, cov, np.asarray(w_bar, dtype=float), n_rep)
     raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def _one_row(cov: CovarianceSet) -> CovarianceSet:
-    """The full sample's covariances as a block of one sample."""
-    return CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
-
-
-def weights_equal(n: int) -> WeightVector:
-    """Uniform weights 1/n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _single(_equal(np.ones((1, n))), "equal")
-
-
-def weights_minimax(cov: CovarianceSet, n_rep) -> WeightVector:
-    """Weights proportional to 1/lambda_j, lambda_j the top eigenvalue of
-    psd(sigma_x) + n_j^{-1} sigma_j. Downweights high-noise observations."""
-    n_rep = np.asarray(n_rep, dtype=float)
-    return _single(_minimax(np.ones((1, n_rep.size)), _one_row(cov), n_rep), "minimax")
-
-
-def weights_ql(cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
-    """Quasi-likelihood weights from the penalized bordered linear system.
-
-    The penalty on squared weight differences is 1/n. Negative solutions are
-    clamped at zero and the vector renormalized, with max_clamp recording the
-    largest magnitude clamped; a singular system falls back to equal weights
-    with fallback set. Both are reported through those fields only.
-    """
-    w_bar = np.asarray(w_bar, dtype=float)
-    if w_bar.shape[0] < 2:
-        raise ValueError("need n >= 2")
-    block = _quasi_likelihood(np.ones((1, w_bar.shape[0])), _one_row(cov), w_bar,
-                              np.asarray(n_rep, dtype=float))
-    return _single(block, "quasi_likelihood")
-
-
 def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
-    """Full-sample weights, dispatched on scheme name: one of SCHEMES."""
-    name = scheme.lower()
-    if name == "equal":
-        return weights_equal(len(np.asarray(n_rep)))
-    if name == "minimax":
-        return weights_minimax(cov, n_rep)
-    if name == "quasi_likelihood":
-        return weights_ql(cov, w_bar, n_rep)
-    raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
+    """Full-sample weights of scheme, one of SCHEMES: the weights of the
+    one-row block whose sample holds every row once. Raises the error that
+    stopped the scheme; quasi-likelihood fallbacks and clamps are reported
+    through the fallback and max_clamp fields only."""
+    n = len(n_rep)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    one_row = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
+    block = _block_weights(scheme, np.ones((1, n)), one_row, w_bar, n_rep)
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    return WeightVector(q=block.q[0], scheme=scheme, fallback=bool(block.fallback[0]),
+                        max_clamp=float(block.max_clamp[0]))

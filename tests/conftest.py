@@ -7,7 +7,7 @@ import eivgmm.weights as weights_module
 from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.model_data import make_dataset
 from eivgmm.simgen import SimConfig, gen_dataset
-from eivgmm.weights import solve_ql_system
+from eivgmm.weights import _solve_ql_system
 
 
 @pytest.fixture
@@ -43,23 +43,24 @@ def setting1_dataset():
 
 
 def solve_ql_one(omega_inv, w_bar, gamma):
-    """solve_ql_system for one sample holding every row once: (q, multiplier)."""
-    q, lam, errors = solve_ql_system(np.ones((1, len(w_bar))), omega_inv[None], w_bar, gamma)
+    """_solve_ql_system for one sample holding every row once: (q, multiplier)."""
+    q, lam, errors = _solve_ql_system(np.ones((1, len(w_bar))), omega_inv[None], w_bar, gamma)
     if errors[0] is not None:
         raise errors[0]
     return q[0], lam[0]
 
 
-def fail_minimax(monkeypatch, fails=lambda sigma_x: True):
+def fail_minimax(monkeypatch, fails=lambda sigma_x, counts: True):
     """Make minimax weighting fail with "forced failure" on every sample whose
-    covariate covariance satisfies fails, in the bootstrap's blocks and the
-    full-sample weights alike."""
+    covariate covariance and row multiplicities satisfy fails, in the
+    bootstrap's blocks and the full-sample weights (the one all-ones row)
+    alike."""
     minimax = weights_module._minimax
 
     def flaky(counts, cov, n_rep):
         out = minimax(counts, cov, n_rep)
-        errors = tuple(DegenerateCovarianceError("forced failure") if fails(sx) else err
-                       for sx, err in zip(cov.sigma_x, out.errors))
+        errors = tuple(DegenerateCovarianceError("forced failure") if fails(sx, row) else err
+                       for sx, row, err in zip(cov.sigma_x, counts, out.errors))
         return dataclasses.replace(out, errors=errors)
 
     monkeypatch.setattr(weights_module, "_minimax", flaky)

@@ -348,7 +348,7 @@ class TestBatchedBootstrap:
         args = self.inputs("I", "t2_5")
         d, design = args[0], args[5]
         cut = design.v[:, 0].mean()
-        solve = weights_module.solve_ql_system
+        solve = weights_module._solve_ql_system
 
         def flaky_solve(counts, omega_inv, w_bar, gamma):
             q, lam, errors = solve(counts, omega_inv, w_bar, gamma)
@@ -356,8 +356,8 @@ class TestBatchedBootstrap:
             return q, lam, tuple(WeightSolveError("forced failure") if m > cut else err
                                  for m, err in zip(means, errors))
 
-        monkeypatch.setattr(weights_module, "solve_ql_system", flaky_solve)
-        fail_minimax(monkeypatch, lambda sx: int(sx[0, 0] * 1e9) % 11 == 0)
+        monkeypatch.setattr(weights_module, "_solve_ql_system", flaky_solve)
+        fail_minimax(monkeypatch, lambda sx, _: int(sx[0, 0] * 1e9) % 11 == 0)
         oracle = loop_bootstrap(*args)
         ref = oracle[0]
         assert 0 < len(ref["minimax"][2]) <= MAX_BOOT_FAILURE_FRAC * args[2]
@@ -808,24 +808,18 @@ class TestSchemeFailures:
     def test_full_sample_weight_failure_fails_alone(self, rng, monkeypatch):
         d, cov, design, mc, _, _ = prepared(rng, n=60)
         ref = self.fit_all(d, cov, design, mc)
-        minimax = weights_module.weights_minimax
-
-        def failing(cov_b, n_rep):
-            if cov_b is cov:
-                raise DegenerateCovarianceError("forced failure")
-            return minimax(cov_b, n_rep)
-
-        monkeypatch.setattr(weights_module, "weights_minimax", failing)
+        fail_minimax(monkeypatch, lambda sx, counts: np.all(counts == 1.0))
         forced = self.fit_all(d, cov, design, mc)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], DegenerateCovarianceError)
+        assert str(forced["minimax"]) == "forced failure"
 
     def test_full_sample_ql_events_are_counts_not_warnings(self, rng, monkeypatch):
         # the quasi-likelihood solve fails on the full sample only: that fit
         # runs on equal weights and says so in its diagnostics, silently
         d, cov, design, mc, _, _ = prepared(rng, n=60)
         ref = self.fit_all(d, cov, design, mc)
-        solve = weights_module.solve_ql_system
+        solve = weights_module._solve_ql_system
 
         def failing(counts, omega_inv, w_bar, gamma):
             q, lam, errors = solve(counts, omega_inv, w_bar, gamma)
@@ -833,7 +827,7 @@ class TestSchemeFailures:
                 errors = (WeightSolveError("forced failure"),)
             return q, lam, errors
 
-        monkeypatch.setattr(weights_module, "solve_ql_system", failing)
+        monkeypatch.setattr(weights_module, "_solve_ql_system", failing)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             forced = self.fit_all(d, cov, design, mc)
@@ -853,6 +847,19 @@ class TestSchemeFailures:
         fit = fit_gmm_multi(d, ("minimax",), b=30, seed=8)["minimax"]
         assert not fit.converged and fit.se is None
         assert fit.diagnostics["se_error"] == "optimizer did not converge"
+
+    def test_unknown_scheme_raises_before_bootstrap(self, rng, monkeypatch):
+        # names are compared as given: "Minimax" is not a scheme
+        def no_scan(vals, counts):
+            raise AssertionError("bootstrap t* scan ran")
+
+        monkeypatch.setattr(gmm_module, "_t_star_from_counts", no_scan)
+        d, *_ = prepared(rng, n=60)
+        for schemes in (("bogus",), ("equal", "Minimax")):
+            with pytest.raises(ValueError, match="unknown weight scheme"):
+                fit_gmm_multi(d, schemes, b=30, seed=8)
+        with pytest.raises(AssertionError, match="t\\* scan ran"):
+            fit_gmm_multi(d, ("equal",), b=30, seed=8)
 
 
 def corrected_ls_jacobian(d, cov, design):
