@@ -11,11 +11,11 @@ initial estimate. A resample is its vector of row multiplicities, so every
 ingredient that is linear in them (pooled covariance, covariate covariance,
 corrected-LS gradient) is one matrix product per block of resamples over the
 original rows, and the weights of every scheme are formed for the block at
-once. The bootstrap takes two passes over the resamples. The first runs
-each resample's exact t* scan over its distinct outcomes and their counts.
-The second forms the outcome ECFs and the phase gradients of every resample
-and weight scheme at the quadrature nodes of each resample's own band, from
-one set of trig tables shared by all resamples (see phase._BootstrapPhase).
+once. The resamples are drawn once. Each resample's exact t* scan runs
+first, over its distinct outcomes and their counts. Then each block forms
+the outcome ECFs and the phase gradients of every resample and weight
+scheme at the quadrature nodes of each resample's own band, from one set of
+trig tables shared by all resamples (see phase._BootstrapPhase).
 The final estimate minimizes the quadratic form in the stacked equations
 weighted by the inverse bootstrap covariance, by damped Newton steps on its
 exact Hessian: the Gauss-Newton part J'WJ plus the stacked equations'
@@ -78,9 +78,9 @@ class GmmFit:
     clamped), the bootstrap's boot_capped (resamples whose t* scan hit its
     cap), boot_ql_fallback and boot_ql_clamped (resamples whose
     quasi-likelihood weights fell back or were clamped) and boot_trig_nodes
-    (Chebyshev points of the trig tables the resamples shared, 0 when each
-    built its own), and se_error, the reason, when standard errors were
-    requested but se is None.
+    (Chebyshev points of the trig tables the resamples shared), and
+    se_error, the reason, when standard errors were requested but se is
+    None.
     """
 
     theta: ParamVector
@@ -127,15 +127,15 @@ def _floor_eigh(omega: np.ndarray):
     return floored, inv
 
 
-def _resample_counts(seed: int, first: int, last: int, n: int) -> np.ndarray:
-    """(last - first, n) row multiplicities of resamples first .. last-1;
-    resample i draws n row indices from the stream keyed by (seed, i)."""
+def _resample_counts(seed: int, b: int, n: int) -> np.ndarray:
+    """(b, n) row multiplicities of resamples 0 .. b-1; resample i draws n
+    row indices from the stream keyed by (seed, i)."""
     idx = np.stack([
         np.random.default_rng(np.random.SeedSequence([int(seed), i])).integers(0, n, size=n)
-        for i in range(first, last)
+        for i in range(b)
     ])
-    flat = (idx + n * np.arange(last - first)[:, None]).ravel()
-    return np.bincount(flat, minlength=flat.size).reshape(-1, n).astype(float)
+    flat = (idx + n * np.arange(b)[:, None]).ravel()
+    return np.bincount(flat, minlength=flat.size).reshape(b, n).astype(float)
 
 
 def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarray:
@@ -151,26 +151,26 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     """Shared bootstrap pass: one set of resamples, one gradient per scheme.
 
     Resample i draws n row indices from the stream keyed by (seed, i) and is
-    kept as its row multiplicities c. The resamples go in blocks of about
-    _BOOT_BLOCK_ROWS / n, twice. The first pass runs every resample's exact
-    t* scan over its distinct outcomes and their counts. The second draws
-    the same blocks again, rather than keeping b x n multiplicities. Per
-    block, one product of the (block, n) multiplicities with a per-row
-    table gives every resample's pooled error covariance
-    sum_j c_j sigma_j / n_j, covariate covariance (from second moments of
-    the globally centered w_bar) and corrected-LS gradient (theta is fixed,
-    so the residuals are computed once); each scheme's weights come from
-    one _block_weights call, and one _BootstrapPhase.block call gives every
-    resample's phase gradients under every scheme, from trig tables shared
-    by all resamples when the largest t* allows it.
+    kept as its row multiplicities c. All b resamples are drawn once, and
+    their (b, n) row and (b, n_y) outcome multiplicities are kept (1.6 MB
+    at n = 1000, b = 100). Every resample's exact t* scan runs first, over
+    its distinct outcomes and their counts. Then the resamples go in blocks
+    of about _BOOT_BLOCK_ROWS / n. Per block, one product of the (block, n)
+    multiplicities with a per-row table gives every resample's pooled error
+    covariance sum_j c_j sigma_j / n_j, covariate covariance (from second
+    moments of the globally centered w_bar) and corrected-LS gradient
+    (theta is fixed, so the residuals are computed once); each scheme's
+    weights come from one _block_weights call, and one _BootstrapPhase.block
+    call gives every resample's phase gradients under every scheme, from
+    trig tables shared by all resamples plus the exact sums of the few
+    values they leave out.
 
     Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
     scheme. Returns {scheme: (omega, omega_inv, failures, events)} with omega
     the eigenvalue-floored covariance, omega_inv its inverse, failures a list
     of (resample, message) and events the counts boot_capped,
     boot_ql_fallback and boot_ql_clamped, plus boot_trig_nodes, the
-    Chebyshev point count of the shared tables (0 when each resample built
-    its own).
+    Chebyshev point count of the shared tables.
     A scheme with more than MAX_BOOT_FAILURE_FRAC of its resamples failed
     maps to a BootstrapInstabilityError instead; the other schemes keep
     their covariances.
@@ -191,22 +191,20 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         v * (y - v @ theta)[:, None],
     ])
     y_vals, y_inv = np.unique(y, return_inverse=True)
-    block = max(1, _BOOT_BLOCK_ROWS // n)
-    starts = range(0, b, block)
+    counts = _resample_counts(seed, b, n)
+    y_counts = _outcome_counts(counts, y_inv, y_vals.size)
     # the scan's first crossing is a discontinuous decision, so every
     # resample scans exactly, before the phase tables are sized from the
     # largest t*
     t_stars = np.full(b, np.nan)
     capped = np.zeros(b, dtype=bool)
     scan_errors = {}
-    for first in starts:
-        counts = _resample_counts(seed, first, min(first + block, b), n)
-        for i, y_counts in enumerate(_outcome_counts(counts, y_inv, y_vals.size), first):
-            held = y_counts > 0.0
-            try:
-                t_stars[i], capped[i] = _t_star_from_counts(y_vals[held], y_counts[held])
-            except EivError as exc:
-                scan_errors[i] = str(exc)
+    for i, y_counts_i in enumerate(y_counts):
+        held = y_counts_i > 0.0
+        try:
+            t_stars[i], capped[i] = _t_star_from_counts(y_vals[held], y_counts_i[held])
+        except EivError as exc:
+            scan_errors[i] = str(exc)
     phase = _BootstrapPhase(v, theta, y_vals, t_stars)
     dim = 2 * k
     acc = {s: np.zeros((dim, dim)) for s in schemes}
@@ -214,10 +212,10 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     failures = {s: [] for s in schemes}
     events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0,
                   "boot_trig_nodes": phase.n_cheb} for s in schemes}
-    for first in starts:
+    block = max(1, _BOOT_BLOCK_ROWS // n)
+    for first in range(0, b, block):
         last = min(first + block, b)
-        counts = _resample_counts(seed, first, last, n)
-        sums = counts @ table
+        sums = counts[first:last] @ table
         sig_w = sums[:, :pp].reshape(-1, p, p)
         w_mean = sums[:, 2 * pp:2 * pp + p] / n
         sigma_x = ((sums[:, pp:2 * pp].reshape(-1, p, p)
@@ -226,7 +224,8 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         s_mc[:, :p] += sig_w @ theta[:p]
         s_mc *= -2.0 / n
         cov_block = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=sigma_x)
-        weights = [_block_weights(s, counts, cov_block, w_bar, n_rep) for s in schemes]
+        weights = [_block_weights(s, counts[first:last], cov_block, w_bar, n_rep)
+                   for s in schemes]
         # a failed scheme's weights are undefined; zeros keep them finite
         failed = np.array([[w.errors[i] is not None for w in weights]
                            for i in range(last - first)])
@@ -234,8 +233,8 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         live = np.flatnonzero(np.isfinite(t_stars[first:last]))
         s_ph = np.full((last - first, len(schemes), k), np.nan)
         if live.size:
-            y_w = _outcome_counts(counts[live], y_inv, y_vals.size) / n
-            s_ph[live] = phase.block(t_stars[first:last][live], counts[live], y_w, q[live])[2]
+            y_w = y_counts[first:last][live] / n
+            s_ph[live] = phase.block(t_stars[first:last][live], y_w, q[live])[2]
         for i in range(last - first):
             idx_b = first + i
             if idx_b in scan_errors:
@@ -352,7 +351,8 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     estimate by damped Newton steps on the exact Hessian of the quadratic
     form. The sandwich standard errors use the Jacobian the optimizer
     evaluated at the estimate it returns. A scheme listed twice is fit once;
-    a scheme name not in weights.SCHEMES raises ValueError before any work.
+    no scheme, or a scheme name not in weights.SCHEMES, raises ValueError
+    before any work.
 
     Each scheme carries its own outcome: returns {scheme: GmmFit}, where a
     scheme whose bootstrap exceeded the failure limit, or whose full-sample
@@ -361,6 +361,8 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     records the reason as diagnostics["se_error"].
     """
     schemes = tuple(dict.fromkeys(schemes))
+    if not schemes:
+        raise ValueError(f"no weight scheme given; expected one or more of {SCHEMES}")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")

@@ -38,8 +38,9 @@ product with a block's weight columns gives every resample's sums there, and
 barycentric interpolation (stable for Chebyshev points, and accurate to
 rounding once their count passes the band's frequency) carries them to each
 resample's own nodes, where the rotation by the center is applied exactly.
-When the shared tables would take more sin/cos evaluations than the
-resamples' own half tables, each resample builds its own instead.
+A few far values, such as an outlier, would call for many more Chebyshev
+points; they are left out of the tables and summed exactly at each
+resample's nodes instead.
 """
 
 from __future__ import annotations
@@ -69,10 +70,8 @@ T_CAP_SCALE = 50.0
 #: scan grid points j = 1 .. _N_SCAN_STEPS; a fixed count, so the cap does
 #: not move by a step with the last bit of sd(y)
 _N_SCAN_STEPS = round(T_CAP_SCALE / T_STEP_SCALE)
-#: Chebyshev points of the shared bootstrap tables beyond T max|c|
+#: Chebyshev points of the shared bootstrap tables beyond T times the cut
 _CHEB_MARGIN = 16
-#: share of the n rows a bootstrap resample holds, about 1 - 1/e
-_HELD_FRAC = 1.0 - np.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -335,72 +334,67 @@ class _BootstrapPhase:
     each resample on the quadrature grid of its own band [0, t*_b].
 
     v is the (n, k) design, y_vals the distinct outcomes and t_stars the
-    resamples' t* (NaN where a scan failed). With T the largest t*, the
-    shared tables hold cos/sin(tau c) for c = a - mean(a), a = v theta, and
-    c = y_vals - mean(y_vals), at n_cheb = ceil(T max|c|) + _CHEB_MARGIN
-    Chebyshev points tau of [0, T]: on [-1, 1] the sums oscillate at
-    frequency up to T max|c| / 2, and the points number twice that plus a
-    margin. The tables take n_cheb sin/cos pairs per value of c; the
-    resamples' own half tables take about _HELD_FRAC * len(t_stars) *
-    N_QUAD / 2 (a resample holds that share of the values). The shared
-    tables are built only when they take fewer; otherwise n_cheb is 0 and
-    each resample builds _NodePairs tables over what it holds.
+    resamples' t* (NaN where a scan failed). The centered values are
+    c = a - mean(a), a = v theta, and c = y_vals - mean(y_vals). With T the
+    largest t*, the values with |c| <= cut go in shared tables of
+    cos/sin(tau c) at n_cheb = ceil(T cut) + _CHEB_MARGIN Chebyshev points
+    tau of [0, T]: on [-1, 1] their sums oscillate at frequency up to
+    T cut / 2, and the points number twice that plus a margin. The far
+    values, |c| > cut, keep zero columns in the tables, and their cos/sin
+    are evaluated exactly at each live resample's N_QUAD nodes. The cut is
+    the |c| that minimizes the sin/cos evaluations: n_cheb per value the
+    tables hold, plus N_QUAD per far value and live resample. Most samples
+    have no far value or a few.
     """
 
     def __init__(self, v: np.ndarray, theta, y_vals: np.ndarray, t_stars: np.ndarray):
-        self.a = v @ as_theta(theta)
+        a = v @ as_theta(theta)
         self.v1 = np.column_stack([np.ones(v.shape[0]), v])
-        self.y_vals = y_vals
-        self.centers = (self.a.mean(), y_vals.mean())
-        t_max = np.max(t_stars, initial=0.0, where=np.isfinite(t_stars))
-        span = max(np.abs(self.a - self.centers[0]).max(),
-                   np.abs(y_vals - self.centers[1]).max())
-        n_cheb = np.ceil(t_max * span) + _CHEB_MARGIN
-        self.n_cheb = 0
-        if t_max > 0.0 and n_cheb < _HELD_FRAC * t_stars.size * N_QUAD / 2:
-            self.n_cheb = int(n_cheb)
-            self.tau, self.bary_w = _cheb_rule(t_max, self.n_cheb)
-            self.tables = [self._table(vals - mid)
-                           for vals, mid in zip((self.a, y_vals), self.centers)]
+        self.centers = (a.mean(), y_vals.mean())
+        c = (a - self.centers[0], y_vals - self.centers[1])
+        live = np.isfinite(t_stars)
+        t_max = np.max(t_stars, initial=0.0, where=live)
+        mags = np.sort(np.abs(np.concatenate(c)))
+        held = np.searchsorted(mags, mags, side="right")
+        n_cheb = np.ceil(t_max * mags) + _CHEB_MARGIN
+        best = np.argmin(n_cheb * held + live.sum() * N_QUAD * (mags.size - held))
+        self.n_cheb = int(n_cheb[best])
+        self.tau, self.bary_w = _cheb_rule(t_max, self.n_cheb)
+        # per value set: the (2 n_cheb, len(c)) table of cos(tau c) over
+        # sin(tau c), zero where |c| > cut, and those far values' indices and c
+        self.tables, self.far = [], []
+        for ci in c:
+            arg, far = self.tau[:, None] * ci[None, :], np.abs(ci) > mags[best]
+            self.tables.append(np.vstack([np.cos(arg), np.sin(arg)]) * ~far)
+            self.far.append((np.flatnonzero(far), ci[far]))
 
-    def _table(self, c: np.ndarray) -> np.ndarray:
-        """(2 n_cheb, len(c)): cos(tau c) stacked over sin(tau c)."""
-        arg = self.tau[:, None] * c[None, :]
-        return np.vstack([np.cos(arg), np.sin(arg)])
-
-    def block(self, t_star: np.ndarray, counts: np.ndarray, y_w: np.ndarray,
-              q: np.ndarray):
+    def block(self, t_star: np.ndarray, y_w: np.ndarray, q: np.ndarray):
         """ECF and phase gradients of a block of resamples.
 
-        t_star (b,) holds their finite t*, counts (b, n) their row
-        multiplicities, y_w (b, n_y) their outcome counts over y_vals divided
-        by n, and q (b, S, n) their weights under S schemes. Returns c_y, s_y
-        (b, N_QUAD) on each resample's grid and the gradients (b, S, k).
+        t_star (b,) holds their finite t*, y_w (b, n_y) their outcome counts
+        over y_vals divided by n, and q (b, S, n) their weights under S
+        schemes. Returns c_y, s_y (b, N_QUAD) on each resample's grid and the
+        gradients (b, S, k).
         """
         b, n_s, n = q.shape
         width = self.v1.shape[1]
         grid, quad_w = _quad_rule(t_star[:, None])
         # columns [q_s | q_s v] of every resample and scheme
         cols = np.multiply(q.transpose(2, 0, 1)[..., None], self.v1[:, None, None, :],
-                           out=np.empty((n, b, n_s, width))).reshape(n, -1)
-        if self.n_cheb:
-            interp = _barycentric(self.tau, self.bary_w, grid)
-            # each resample's sums at its own nodes, (2, b, N_QUAD, columns),
-            # cos over sin, from the sums at the Chebyshev points
-            at_a, at_y = [interp @ (tab @ m).reshape(2, self.n_cheb, b, -1).transpose(0, 2, 1, 3)
-                          for tab, m in zip(self.tables, (cols, y_w.T))]
-            cos_m, sin_m = self._rotate(at_a, grid[..., None] * self.centers[0])
-            c_y, s_y = self._rotate(at_y[..., 0], grid * self.centers[1])
-        else:
-            cols = cols.reshape(n, b, -1)
-            cos_m = np.empty((b, N_QUAD, n_s * width))
-            sin_m = np.empty_like(cos_m)
-            c_y, s_y = np.empty((2, b, N_QUAD))
-            for i in range(b):
-                rows, held = np.flatnonzero(counts[i]), np.flatnonzero(y_w[i])
-                cos_m[i], sin_m[i] = _NodePairs(t_star[i], self.a[rows]).times(cols[rows, i])
-                ecf_i = _NodePairs(t_star[i], self.y_vals[held]).times(y_w[i, held, None])
-                c_y[i], s_y[i] = ecf_i[0][:, 0], ecf_i[1][:, 0]
+                           out=np.empty((n, b, n_s, width))).reshape(n, b, -1)
+        interp = _barycentric(self.tau, self.bary_w, grid)
+        # each resample's sums at its own nodes, (2, b, N_QUAD, columns), cos
+        # over sin: the held values' interpolated from the sums at the
+        # Chebyshev points, plus the far values' evaluated at the nodes
+        at_nodes = []
+        for tab, (far, far_c), m in zip(self.tables, self.far, (cols, y_w.T[..., None])):
+            at_cheb = (tab @ m.reshape(len(m), -1)).reshape(2, self.n_cheb, b, -1)
+            arg, m_far = grid[..., None] * far_c, m[far].transpose(1, 0, 2)
+            at_nodes.append(interp @ at_cheb.transpose(0, 2, 1, 3)
+                            + np.stack([np.cos(arg) @ m_far, np.sin(arg) @ m_far]))
+        at_a, at_y = at_nodes
+        cos_m, sin_m = self._rotate(at_a, grid[..., None] * self.centers[0])
+        c_y, s_y = self._rotate(at_y[..., 0], grid * self.centers[1])
         shape = (b, N_QUAD, n_s, width)
         g, gmat = _phase_terms(cos_m.reshape(shape), sin_m.reshape(shape),
                                c_y[..., None], s_y[..., None], grid[..., None])

@@ -282,11 +282,9 @@ def gmm_estimate(args, scheme, omega_inv):
     return x
 
 
-def assert_same_bootstrap(args, batched, oracle, shared=True, refit=True):
-    """The batched bootstrap matches the loop oracle; shared says whether
-    its phase sums came from the shared Chebyshev tables or from each
-    resample's own tables, and refit whether the estimates fitted with
-    either inverse covariance are compared too."""
+def assert_same_bootstrap(args, batched, oracle, refit=True):
+    """The batched bootstrap matches the loop oracle; refit says whether the
+    estimates fitted with either inverse covariance are compared too."""
     (got, got_t), (ref, ref_t) = batched, oracle
     # a resample's ECF comes from its distinct outcomes and their counts on
     # both sides, so every t* and capped flag is the same to the last bit
@@ -300,7 +298,7 @@ def assert_same_bootstrap(args, batched, oracle, shared=True, refit=True):
         assert_normwise_close(got[scheme][0], omega, OMEGA_RTOL[scheme])
         assert_normwise_close(got[scheme][1], omega_inv, OMEGA_INV_RTOL[scheme])
         assert got[scheme][2] == fails
-        assert (got[scheme][3].pop("boot_trig_nodes") > 0) == shared
+        assert got[scheme][3].pop("boot_trig_nodes") > 0
         assert got[scheme][3] == events
         if not refit:
             continue
@@ -324,6 +322,19 @@ class TestBatchedBootstrap:
         design = build_design(d)
         mc = fit_mc(d, cov, design)
         return d, mc.theta.theta, b, seed, SCHEMES, design, cov
+
+    @staticmethod
+    def outlier_inputs():
+        # one outcome of a setting I sample moved to 1e6: the index values
+        # of the MC estimate reach 5e4 and the centered outcomes 1e6, and 17
+        # of the 25 resamples' t* scans reach their cap
+        cfg = SimConfig(setting="I", n=300, n_rep=2, m_reps=1, error_law="normal", seed=31)
+        d0, _ = gen_dataset(cfg, 0)
+        y = d0.y.copy()
+        y[0] = 1e6
+        d = make_dataset(y, d0.z[:, 1:], d0.w)
+        cov, design = estimate_covariances(d), build_design(d)
+        return d, fit_mc(d, cov, design).theta.theta, 25, 3, SCHEMES, design, cov
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
@@ -373,8 +384,8 @@ class TestBatchedBootstrap:
         t_cut = 0.5 * (t_sorted[-3] + t_sorted[-4])
         original_block, original_grad = _BootstrapPhase.block, node_pair_grad
 
-        def flaky_block(self, t_star, counts, y_w, q):
-            c_y, s_y, grads = original_block(self, t_star, counts, y_w, q)
+        def flaky_block(self, t_star, y_w, q):
+            c_y, s_y, grads = original_block(self, t_star, y_w, q)
             grads[t_star > t_cut] = np.nan
             return c_y, s_y, grads
 
@@ -411,9 +422,10 @@ class TestBatchedBootstrap:
 
     def test_matches_loop_past_break_even(self, monkeypatch):
         # one row's surrogates shifted by 1e4 puts an index value a = v theta
-        # near 1e4: T max|a - mean a| then calls for far more Chebyshev
-        # points than 30 resamples' own tables take, so each resample
-        # builds its own. Omega then sits on its eigenvalue floor (cond 6e10),
+        # near 1e4: T max|a - mean a| would call for far more Chebyshev
+        # points than 30 resamples' exact sums over that one value take, so
+        # it is left out of the shared tables and summed at each resample's
+        # own nodes. Omega then sits on its eigenvalue floor (cond 6e10),
         # where a 1e-13 relative change of the oracle's own inverse moves the
         # fitted estimate by 0.1, so the fits are not compared.
         d0, theta, b, seed, schemes, _, _ = self.inputs("I", "normal")
@@ -421,8 +433,35 @@ class TestBatchedBootstrap:
         w[0, :, 0] += 1e4
         d = make_dataset(d0.y, d0.z[:, 1:], w)
         args = (d, theta, b, seed, schemes, build_design(d), estimate_covariances(d))
+        phase = recorded_blocks(monkeypatch, args)[0][0]
+        assert phase.far[0][0].size > 0
         assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args),
-                              loop_bootstrap(*args), shared=False, refit=False)
+                              loop_bootstrap(*args), refit=False)
+
+    def test_matches_loop_with_outlier(self, monkeypatch):
+        # the mean centers move with the outlier, so all but two index
+        # values and every outcome are left out of the shared tables here:
+        # nearly every sum is an exact one
+        args = self.outlier_inputs()
+        phase = recorded_blocks(monkeypatch, args)[0][0]
+        assert phase.far[0][0].size > 0 and phase.far[1][0].size > 0
+        assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args),
+                              loop_bootstrap(*args))
+
+    def test_resamples_drawn_once(self, monkeypatch):
+        # 37 resamples in three blocks, drawn by one call
+        args = self.inputs("I", "t2_5", b=37)
+        monkeypatch.setattr(gmm_module, "_BOOT_BLOCK_ROWS", 16 * args[0].n)
+        calls = []
+        original = gmm_module._resample_counts
+
+        def recording_counts(*count_args):
+            calls.append(count_args)
+            return original(*count_args)
+
+        monkeypatch.setattr(gmm_module, "_resample_counts", recording_counts)
+        _bootstrap_accumulate(*args)
+        assert calls == [(args[3], args[2], args[0].n)]
 
 
 def recorded_blocks(monkeypatch, args):
@@ -442,38 +481,60 @@ def recorded_blocks(monkeypatch, args):
     return calls
 
 
+def node_pair_gaps(monkeypatch, args):
+    """For each resample of one _bootstrap_accumulate call (all of them
+    live): the largest gap of its outcome ECF from _BootstrapPhase.block to
+    that from its own node-pair tables over the outcomes it holds, the
+    largest gap of each scheme's phase gradient relative to that gradient's
+    largest component, and t* max|c| over the centered index values and
+    outcomes it holds."""
+    d, theta, b, seed, _, design, _ = args
+    y_vals = np.unique(d.y)
+    nodes, quad_w = phase_module._gl_rule(N_QUAD)
+    calls = recorded_blocks(monkeypatch, args)
+    assert sum(len(call[1][0]) for call in calls) == b
+    counts = iter(gmm_module._resample_counts(seed, b, d.n))
+    gaps = []
+    for phase, (t_star, y_w, q), (c_y, s_y, grads) in calls:
+        for i, t in enumerate(t_star):
+            rows, held = np.flatnonzero(next(counts)), np.flatnonzero(y_w[i])
+            cos_y, sin_y = _NodePairs(t, y_vals[held]).times(y_w[i, held, None])
+            ecf_gap = np.max(np.abs(np.concatenate([c_y[i] - cos_y[:, 0], s_y[i] - sin_y[:, 0]])))
+            ecf = EcfOutcome(grid=0.5 * t * (nodes + 1.0), quad_w=0.5 * t * quad_w,
+                             c_y=cos_y[:, 0], s_y=sin_y[:, 0], t_star=t)
+            want = node_pair_grad(theta, design.v[rows], q[i][:, rows].T, ecf)
+            grad_gap = max(np.max(np.abs(got_s - want_s)) / np.max(np.abs(want_s))
+                           for got_s, want_s in zip(grads[i], want))
+            c = np.concatenate([design.v[rows] @ theta - phase.centers[0],
+                                y_vals[held] - phase.centers[1]])
+            gaps.append((ecf_gap, grad_gap, t * np.max(np.abs(c))))
+    return np.array(gaps)
+
+
 class TestSharedTrigTables:
     """Each resample's outcome ECF and phase gradients from the shared
-    Chebyshev tables, and from the per-resample fallback, against its own
+    Chebyshev tables and the far values' exact sums, against its own
     node-pair tables over the rows and outcomes it holds; each gradient
     relative to its own largest component."""
 
-    @pytest.mark.parametrize("path", ["shared", "own"])
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
-    def test_each_resample_matches_node_pairs(self, monkeypatch, setting, law, path):
-        if path == "own":
-            # no budget for shared tables
-            monkeypatch.setattr(phase_module, "_HELD_FRAC", 0.0)
-        args = TestBatchedBootstrap.inputs(setting, law)
-        d, theta, design = args[0], args[1], args[5]
-        y_vals = np.unique(d.y)
-        nodes, quad_w = phase_module._gl_rule(N_QUAD)
-        calls = recorded_blocks(monkeypatch, args)
-        assert sum(len(call[1][0]) for call in calls) == args[2]
-        for phase, (t_star, counts, y_w, q), (c_y, s_y, grads) in calls:
-            assert (phase.n_cheb > 0) == (path == "shared")
-            for i, t in enumerate(t_star):
-                rows, held = np.flatnonzero(counts[i]), np.flatnonzero(y_w[i])
-                cos_y, sin_y = _NodePairs(t, y_vals[held]).times(y_w[i, held, None])
-                assert np.max(np.abs(c_y[i] - cos_y[:, 0])) <= SHARED_ECF_ATOL
-                assert np.max(np.abs(s_y[i] - sin_y[:, 0])) <= SHARED_ECF_ATOL
-                ecf = EcfOutcome(grid=0.5 * t * (nodes + 1.0), quad_w=0.5 * t * quad_w,
-                                 c_y=cos_y[:, 0], s_y=sin_y[:, 0], t_star=t)
-                want = node_pair_grad(theta, design.v[rows], q[i][:, rows].T, ecf)
-                for got_s, want_s in zip(grads[i], want):
-                    gap = np.max(np.abs(got_s - want_s))
-                    assert gap <= SHARED_GRAD_RTOL * np.max(np.abs(want_s)), (gap, want_s)
+    def test_each_resample_matches_node_pairs(self, monkeypatch, setting, law):
+        gaps = node_pair_gaps(monkeypatch, TestBatchedBootstrap.inputs(setting, law))
+        assert np.all(gaps[:, 0] <= SHARED_ECF_ATOL), gaps[:, 0].max()
+        assert np.all(gaps[:, 1] <= SHARED_GRAD_RTOL), gaps[:, 1].max()
+
+    def test_outlier_matches_node_pairs(self, monkeypatch):
+        # the arguments t c reach 2e5 here, and each side rounds them in its
+        # own way (the node pairs by angle addition about h = t*/2, the
+        # bootstrap about the centers), so cos/sin may move by eps t max|c|,
+        # beyond the pins of the inputs above. Measured, per resample: ECF
+        # gaps up to 0.011 and gradient gaps up to 0.51 of eps t max|c|.
+        gaps = node_pair_gaps(monkeypatch, TestBatchedBootstrap.outlier_inputs())
+        bound = 4.0 * np.finfo(float).eps * gaps[:, 2]
+        assert np.max(gaps[:, 2]) > 1e5
+        assert np.all(gaps[:, 0] <= bound), np.max(gaps[:, 0] / bound)
+        assert np.all(gaps[:, 1] <= bound), np.max(gaps[:, 1] / bound)
 
 
 class TestMinimizeQ:
@@ -849,14 +910,17 @@ class TestSchemeFailures:
         assert fit.diagnostics["se_error"] == "optimizer did not converge"
 
     def test_unknown_scheme_raises_before_bootstrap(self, rng, monkeypatch):
-        # names are compared as given: "Minimax" is not a scheme
+        # names are compared as given: "Minimax" is not a scheme; an empty
+        # list names none
         def no_scan(vals, counts):
             raise AssertionError("bootstrap t* scan ran")
 
         monkeypatch.setattr(gmm_module, "_t_star_from_counts", no_scan)
         d, *_ = prepared(rng, n=60)
-        for schemes in (("bogus",), ("equal", "Minimax")):
-            with pytest.raises(ValueError, match="unknown weight scheme"):
+        for schemes, message in ((("bogus",), "unknown weight scheme"),
+                                 (("equal", "Minimax"), "unknown weight scheme"),
+                                 ((), "no weight scheme given")):
+            with pytest.raises(ValueError, match=message):
                 fit_gmm_multi(d, schemes, b=30, seed=8)
         with pytest.raises(AssertionError, match="t\\* scan ran"):
             fit_gmm_multi(d, ("equal",), b=30, seed=8)

@@ -531,7 +531,7 @@ class TestTiedFastPaths:
         t_stars = np.full(100, ecf.t_star)
         phase = _BootstrapPhase(v, theta, vals, t_stars)
         assert phase.n_cheb > 0
-        c_y, s_y, batched = phase.block(t_stars[:1], np.ones((1, n)), counts[None] / n, q[None])
+        c_y, s_y, batched = phase.block(t_stars[:1], counts[None] / n, q[None])
         assert np.max(np.abs(np.concatenate([c_y[0] - ecf.c_y, s_y[0] - ecf.s_y]))) <= SHARED_ECF_ATOL
         single = np.stack([phase_grad(theta, v, q[s], ecf) for s in range(n_schemes)])
         assert batched.shape == (1, n_schemes, k)
