@@ -32,9 +32,9 @@ from .model_data import (
     write_csv,
 )
 from .moment_correction import McFit, corrected_l2, fit_mc, fit_ols
-from .phase import EcfOutcome, build_ecf
+from .phase import EcfOutcome
 from .simgen import SimConfig, gen_dataset, gen_error_matrices
 from .study import StudyResult, run_replication, run_study
-from .weights import WeightVector, make_weights
+from .weights import WeightVector
 
 __version__ = "0.1.0"

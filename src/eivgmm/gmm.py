@@ -11,11 +11,14 @@ initial estimate. A resample is its vector of row multiplicities, so every
 ingredient that is linear in them (pooled covariance, covariate covariance,
 corrected-LS gradient) is one matrix product per block of resamples over the
 original rows, and the weights of every scheme are formed for the block at
-once. The resamples are drawn once. Each resample's exact t* scan runs
-first, over its distinct outcomes and their counts. Then each block forms
-the outcome ECFs and the phase gradients of every resample and weight
-scheme at the quadrature nodes of each resample's own band, from one set of
-trig tables shared by all resamples (see phase._BootstrapPhase).
+once. The full sample is the resample whose multiplicities are all one: it
+is row 0 of the same pass, which gives its t*, outcome ECF and weights, and
+its gradient does not enter the covariance. The resamples are drawn once.
+Each sample's exact t* scan runs first, over its distinct outcomes and
+their counts. Then each block forms the outcome ECFs and the phase
+gradients of every sample and weight scheme at the quadrature nodes of
+each sample's own band, from one set of trig tables shared by all samples
+(see phase._BootstrapPhase).
 The final estimate minimizes the quadratic form in the stacked equations
 weighted by the inverse bootstrap covariance, by damped Newton steps on its
 exact Hessian: the Gauss-Newton part J'WJ plus the stacked equations'
@@ -38,8 +41,8 @@ from .covariance import CovarianceSet, estimate_covariances, pooled_error_covari
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
-from .phase import EcfOutcome, _BootstrapPhase, _t_star_from_counts, build_ecf, grad_and_hessian
-from .weights import SCHEMES, WeightVector, _block_weights, make_weights
+from .phase import EcfOutcome, _BootstrapPhase, _quad_rule, _t_star_from_counts, grad_and_hessian
+from .weights import SCHEMES, WeightVector, _block_weights
 
 __all__ = [
     "GmmFit",
@@ -73,14 +76,15 @@ class GmmFit:
     standard errors (None when not requested or when the fit did not
     converge). n_iter counts evaluations of the stacked equations, the start
     included (a step refused for its predicted decrease is not evaluated).
-    diagnostics holds the event counts ql_fallback and ql_clamped (0 or 1:
-    the full-sample quasi-likelihood weights fell back to equal or were
-    clamped), the bootstrap's boot_capped (resamples whose t* scan hit its
-    cap), boot_ql_fallback and boot_ql_clamped (resamples whose
-    quasi-likelihood weights fell back or were clamped) and boot_trig_nodes
-    (Chebyshev points of the trig tables the resamples shared), and
-    se_error, the reason, when standard errors were requested but se is
-    None.
+    weights and ecf are the full sample's, row 0 of the bootstrap pass.
+    diagnostics holds the event counts capped, ql_fallback and ql_clamped
+    (0 or 1: the full sample's t* scan hit its cap, its quasi-likelihood
+    weights fell back to equal or were clamped), the bootstrap's
+    boot_capped (resamples whose t* scan hit its cap), boot_ql_fallback and
+    boot_ql_clamped (resamples whose quasi-likelihood weights fell back or
+    were clamped) and boot_trig_nodes (Chebyshev points of the trig tables
+    the full sample and the resamples shared), and se_error, the reason,
+    when standard errors were requested but se is None.
     """
 
     theta: ParamVector
@@ -148,29 +152,37 @@ def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarr
 
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                           design: RegressionDesign, cov: CovarianceSet):
-    """Shared bootstrap pass: one set of resamples, one gradient per scheme.
+    """Shared bootstrap pass: the full sample and one set of resamples, one
+    gradient per scheme.
 
     Resample i draws n row indices from the stream keyed by (seed, i) and is
-    kept as its row multiplicities c. All b resamples are drawn once, and
-    their (b, n) row and (b, n_y) outcome multiplicities are kept (1.6 MB
-    at n = 1000, b = 100). Every resample's exact t* scan runs first, over
-    its distinct outcomes and their counts. Then the resamples go in blocks
-    of about _BOOT_BLOCK_ROWS / n. Per block, one product of the (block, n)
-    multiplicities with a per-row table gives every resample's pooled error
-    covariance sum_j c_j sigma_j / n_j, covariate covariance (from second
-    moments of the globally centered w_bar) and corrected-LS gradient
-    (theta is fixed, so the residuals are computed once); each scheme's
-    weights come from one _block_weights call, and one _BootstrapPhase.block
-    call gives every resample's phase gradients under every scheme, from
-    trig tables shared by all resamples plus the exact sums of the few
-    values they leave out.
+    kept as its row multiplicities c. All b resamples are drawn once and
+    stacked under row 0, the full sample, whose multiplicities are all one;
+    the (b + 1, n) row and (b + 1, n_y) outcome multiplicities are kept
+    (1.6 MB at n = 1000, b = 100). Every sample's exact t* scan runs first,
+    over its distinct outcomes and their counts, the full sample's before
+    any resample's: its EivError (a constant outcome) propagates. Then the
+    samples go in blocks of about _BOOT_BLOCK_ROWS / n. Per block, one
+    product of the (block, n) multiplicities with a per-row table gives
+    every sample's pooled error covariance sum_j c_j sigma_j / n_j,
+    covariate covariance (from second moments of the globally centered
+    w_bar) and corrected-LS gradient (theta is fixed, so the residuals are
+    computed once); each scheme's weights come from one _block_weights call,
+    and one _BootstrapPhase.block call gives every sample's outcome ECF and
+    phase gradients under every scheme, from trig tables shared by all
+    samples plus the exact sums of the few values they leave out.
 
-    Capped t* scans and quasi-likelihood fallbacks and clamps are counted per
-    scheme. Returns {scheme: (omega, omega_inv, failures, events)} with omega
-    the eigenvalue-floored covariance, omega_inv its inverse, failures a list
-    of (resample, message) and events the counts boot_capped,
-    boot_ql_fallback and boot_ql_clamped, plus boot_trig_nodes, the
-    Chebyshev point count of the shared tables.
+    Row 0 rides in the first block: its ECF and weights are taken from that
+    block's outputs. It is not a resample, so its gradient enters no
+    covariance and its capped scan, fallback or clamp no boot_* count. Capped t* scans and
+    quasi-likelihood fallbacks and clamps of the resamples are counted per
+    scheme. Returns (ecf, {scheme: (omega, omega_inv, failures, events,
+    weights)}) with ecf the full sample's EcfOutcome, omega the
+    eigenvalue-floored covariance, omega_inv its inverse, failures a list of
+    (resample, message) with resamples numbered 0 .. b-1, events the counts
+    boot_capped, boot_ql_fallback and boot_ql_clamped, plus boot_trig_nodes,
+    the Chebyshev point count of the shared tables, and weights the full
+    sample's WeightVector, or the EivError that stopped the scheme on it.
     A scheme with more than MAX_BOOT_FAILURE_FRAC of its resamples failed
     maps to a BootstrapInstabilityError instead; the other schemes keep
     their covariances.
@@ -191,20 +203,23 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         v * (y - v @ theta)[:, None],
     ])
     y_vals, y_inv = np.unique(y, return_inverse=True)
-    counts = _resample_counts(seed, b, n)
+    # row 0 is the full sample, rows 1 .. b the resamples
+    counts = np.vstack([np.ones((1, n)), _resample_counts(seed, b, n)])
     y_counts = _outcome_counts(counts, y_inv, y_vals.size)
     # the scan's first crossing is a discontinuous decision, so every
-    # resample scans exactly, before the phase tables are sized from the
-    # largest t*
-    t_stars = np.full(b, np.nan)
-    capped = np.zeros(b, dtype=bool)
+    # sample scans exactly, before the phase tables are sized from the
+    # largest t*; the full sample's scan error stops the fit
+    t_stars = np.full(b + 1, np.nan)
+    capped = np.zeros(b + 1, dtype=bool)
     scan_errors = {}
-    for i, y_counts_i in enumerate(y_counts):
-        held = y_counts_i > 0.0
+    for row, y_counts_row in enumerate(y_counts):
+        held = y_counts_row > 0.0
         try:
-            t_stars[i], capped[i] = _t_star_from_counts(y_vals[held], y_counts_i[held])
+            t_stars[row], capped[row] = _t_star_from_counts(y_vals[held], y_counts_row[held])
         except EivError as exc:
-            scan_errors[i] = str(exc)
+            if row == 0:
+                raise
+            scan_errors[row] = str(exc)
     phase = _BootstrapPhase(v, theta, y_vals, t_stars)
     dim = 2 * k
     acc = {s: np.zeros((dim, dim)) for s in schemes}
@@ -213,8 +228,8 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0,
                   "boot_trig_nodes": phase.n_cheb} for s in schemes}
     block = max(1, _BOOT_BLOCK_ROWS // n)
-    for first in range(0, b, block):
-        last = min(first + block, b)
+    for first in range(0, b + 1, block):
+        last = min(first + block, b + 1)
         sums = counts[first:last] @ table
         sig_w = sums[:, :pp].reshape(-1, p, p)
         w_mean = sums[:, 2 * pp:2 * pp + p] / n
@@ -234,23 +249,34 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         s_ph = np.full((last - first, len(schemes), k), np.nan)
         if live.size:
             y_w = y_counts[first:last][live] / n
-            s_ph[live] = phase.block(t_stars[first:last][live], y_w, q[live])[2]
-        for i in range(last - first):
-            idx_b = first + i
-            if idx_b in scan_errors:
+            c_y, s_y, s_ph[live] = phase.block(t_stars[first:last][live], y_w, q[live])
+        if first == 0:
+            t_star = float(t_stars[0])
+            grid, quad_w = _quad_rule(t_star)
+            ecf = EcfOutcome(grid=grid, quad_w=quad_w, c_y=c_y[0], s_y=s_y[0],
+                             t_star=t_star, capped=bool(capped[0]))
+            full_weights = {
+                scheme: w.errors[0] if failed[0, col] else WeightVector(
+                    q=w.q[0], scheme=scheme, fallback=bool(w.fallback[0]),
+                    max_clamp=float(w.max_clamp[0]))
+                for col, (scheme, w) in enumerate(zip(schemes, weights))}
+        for i, row in enumerate(range(first, last)):
+            if row == 0:
+                continue
+            if row in scan_errors:
                 for s in schemes:
-                    failures[s].append((idx_b, scan_errors[idx_b]))
+                    failures[s].append((row - 1, scan_errors[row]))
                 continue
             for col, (scheme, w) in enumerate(zip(schemes, weights)):
-                events[scheme]["boot_capped"] += int(capped[idx_b])
+                events[scheme]["boot_capped"] += int(capped[row])
                 if failed[i, col]:
-                    failures[scheme].append((idx_b, str(w.errors[i])))
+                    failures[scheme].append((row - 1, str(w.errors[i])))
                     continue
                 events[scheme]["boot_ql_fallback"] += int(w.fallback[i])
                 events[scheme]["boot_ql_clamped"] += int(w.max_clamp[i] > 0.0)
                 s_vec = np.concatenate([s_mc[i], s_ph[i, col]])
                 if not np.all(np.isfinite(s_vec)):
-                    failures[scheme].append((idx_b, "non-finite stacked gradient"))
+                    failures[scheme].append((row - 1, "non-finite stacked gradient"))
                     continue
                 acc[scheme] += np.outer(s_vec, s_vec)
                 mean_acc[scheme] += s_vec
@@ -271,8 +297,9 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         # combination exists for)
         mean = mean_acc[scheme] / n_ok
         omega, omega_inv = _floor_eigh(acc[scheme] / n_ok - np.outer(mean, mean))
-        out[scheme] = (omega, omega_inv, failures[scheme], events[scheme])
-    return out
+        out[scheme] = (omega, omega_inv, failures[scheme], events[scheme],
+                       full_weights[scheme])
+    return ecf, out
 
 
 def _levenberg_marquardt(resid_jac, omega_inv, x0):
@@ -354,11 +381,14 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     no scheme, or a scheme name not in weights.SCHEMES, raises ValueError
     before any work.
 
-    Each scheme carries its own outcome: returns {scheme: GmmFit}, where a
-    scheme whose bootstrap exceeded the failure limit, or whose full-sample
-    weights could not be formed, maps to the EivError that stopped it. A
-    failed standard-error sandwich keeps the estimate, leaves se None and
-    records the reason as diagnostics["se_error"].
+    The full sample's t*, outcome ECF and weights are row 0 of the bootstrap
+    pass; a constant outcome raises DegenerateInputError from its t* scan,
+    before any resample is scanned. Each scheme carries its own outcome:
+    returns {scheme: GmmFit}, where a scheme whose bootstrap exceeded the
+    failure limit, or whose full-sample weights could not be formed, maps
+    to the EivError that stopped it. A failed standard-error sandwich keeps
+    the estimate, leaves se None and records the reason as
+    diagnostics["se_error"].
     """
     schemes = tuple(dict.fromkeys(schemes))
     if not schemes:
@@ -374,8 +404,7 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
         design = build_design(d)
     if mc is None:
         mc = fit_mc(d, cov, design)
-    per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, cov)
-    ecf = build_ecf(d.y)
+    ecf, per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, cov)
     v = design.v
     sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
     jac_mc = 2.0 / d.n * mc.gram
@@ -384,18 +413,17 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
         if isinstance(boot, EivError):
             fits[scheme] = boot
             continue
-        omega, omega_inv, fails, events = boot
-        try:
-            weights = make_weights(scheme, cov, v[:, :d.p], d.n_rep)
-        except EivError as exc:
-            fits[scheme] = exc
+        omega, omega_inv, fails, events, weights = boot
+        if isinstance(weights, EivError):
+            fits[scheme] = weights
             continue
         resid_jac = functools.partial(_stacked_equations, v=v, y=d.y, sig_w=sig_w,
                                       jac_mc=jac_mc, q=weights.q, ecf=ecf)
         x, q_val, n_iter, converged, jac = _levenberg_marquardt(
             resid_jac, omega_inv, mc.theta.theta)
         se = None
-        diagnostics = {**events, "ql_fallback": int(weights.fallback),
+        diagnostics = {**events, "capped": int(ecf.capped),
+                       "ql_fallback": int(weights.fallback),
                        "ql_clamped": int(weights.max_clamp > 0.0)}
         if compute_se and not converged:
             diagnostics["se_error"] = "optimizer did not converge"

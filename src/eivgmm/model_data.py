@@ -54,9 +54,6 @@ class ParamVector:
         theta = np.asarray(theta, dtype=float)
         return cls(beta=theta[:p], gamma=theta[p:])
 
-    def __len__(self):
-        return self.beta.size + self.gamma.size
-
 
 def as_theta(theta_like) -> np.ndarray:
     """Coerce a ParamVector or array-like to a flat [beta, gamma] vector."""

@@ -25,22 +25,25 @@ The Gauss-Legendre nodes come in pairs symmetric about the midpoint h = t*/2
 of the band: t = h (1 - x) and t = h (1 + x). By angle addition,
 cos(t a) and sin(t a) at both nodes of a pair follow from cos/sin(h a) and
 cos/sin(h x a), so the sin/cos tables over a vector a hold half the nodes,
-and every quadrature sum over the grid is formed from products with those
-half tables. The outcome ECF evaluates tied outcomes once, weighted by their
-counts.
+and every quadrature sum of grad_and_hessian over the grid is formed from
+products with those half tables.
 
-The bootstrap needs the same sums for every resample, at one fixed theta,
-over subsets of the same index values a = v theta and distinct outcomes;
-only the band [0, t*_b] differs. Each sum sum_j m_j exp(i t c_j) is an
-entire function of t, so _BootstrapPhase evaluates cos/sin(tau c) of the
-centered values once, at Chebyshev points tau of [0, max_b t*_b]; one matrix
-product with a block's weight columns gives every resample's sums there, and
-barycentric interpolation (stable for Chebyshev points, and accurate to
-rounding once their count passes the band's frequency) carries them to each
-resample's own nodes, where the rotation by the center is applied exactly.
-A few far values, such as an outlier, would call for many more Chebyshev
-points; they are left out of the tables and summed exactly at each
-resample's nodes instead.
+The bootstrap needs the outcome ECF and the phase gradients of the full
+sample and of every resample, at one fixed theta, over subsets of the same
+index values a = v theta and distinct outcomes (tied outcomes evaluated
+once, weighted by their counts); only the band [0, t*_b] differs. The full
+sample is the sample whose multiplicities are all one, so its ECF, which
+the estimate is fitted with, comes from the same pass, as row 0 of the
+bootstrap (see gmm._bootstrap_accumulate). Each sum sum_j m_j exp(i t c_j)
+is an entire function of t, so _BootstrapPhase evaluates cos/sin(tau c) of
+the centered values once, at Chebyshev points tau of [0, max_b t*_b]; one
+matrix product with a block's weight columns gives every sample's sums
+there, and barycentric interpolation (stable for Chebyshev points, and
+accurate to rounding once their count passes the band's frequency) carries
+them to each sample's own nodes, where the rotation by the center is
+applied exactly. A few far values, such as an outlier, would call for many
+more Chebyshev points; they are left out of the tables and summed exactly
+at each sample's nodes instead.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .model_data import as_theta
 
 __all__ = [
     "EcfOutcome",
-    "build_ecf",
     "kernel",
     "grad_and_hessian",
 ]
@@ -213,27 +215,6 @@ def _scan_t_star(d, counts, n: int, step: float):
     return float(_N_SCAN_STEPS * step), True
 
 
-def build_ecf(y) -> EcfOutcome:
-    """Select t* and freeze the outcome ECF on the quadrature grid.
-
-    Beyond the first noise-floor crossing the modulus merely fluctuates around
-    the floor, so the first crossing bounds the usable band. A scan that
-    reaches its cap without a crossing (lattice-like outcomes) returns the cap
-    and sets capped. Raises DegenerateInputError for fewer than 2 or constant
-    outcomes.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.size < 2:
-        raise DegenerateInputError("need at least 2 outcome values")
-    vals, counts = np.unique(y, return_counts=True)
-    counts = counts.astype(float)
-    t_star, capped = _t_star_from_counts(vals, counts)
-    grid, quad_w = _quad_rule(t_star)
-    cos_m, sin_m = _NodePairs(t_star, vals).times(counts[:, None] / y.size)
-    return EcfOutcome(grid=grid, quad_w=quad_w, c_y=cos_m[:, 0], s_y=sin_m[:, 0],
-                      t_star=t_star, capped=capped)
-
-
 def _t_star_from_counts(vals: np.ndarray, counts: np.ndarray):
     """(t*, capped) of the sample that holds the sorted distinct values vals
     with multiplicities counts (float). sd(y) (ddof=1) is taken from the
@@ -330,20 +311,21 @@ def _barycentric(tau: np.ndarray, bary_w: np.ndarray, t: np.ndarray) -> np.ndarr
 
 
 class _BootstrapPhase:
-    """Outcome ECF and phase gradients of bootstrap resamples at one theta,
-    each resample on the quadrature grid of its own band [0, t*_b].
+    """Outcome ECF and phase gradients of the samples of the bootstrap pass
+    (the full sample and the resamples) at one theta, each sample on the
+    quadrature grid of its own band [0, t*_b].
 
     v is the (n, k) design, y_vals the distinct outcomes and t_stars the
-    resamples' t* (NaN where a scan failed). The centered values are
+    samples' t* (NaN where a scan failed). The centered values are
     c = a - mean(a), a = v theta, and c = y_vals - mean(y_vals). With T the
     largest t*, the values with |c| <= cut go in shared tables of
     cos/sin(tau c) at n_cheb = ceil(T cut) + _CHEB_MARGIN Chebyshev points
     tau of [0, T]: on [-1, 1] their sums oscillate at frequency up to
     T cut / 2, and the points number twice that plus a margin. The far
     values, |c| > cut, keep zero columns in the tables, and their cos/sin
-    are evaluated exactly at each live resample's N_QUAD nodes. The cut is
+    are evaluated exactly at each live sample's N_QUAD nodes. The cut is
     the |c| that minimizes the sin/cos evaluations: n_cheb per value the
-    tables hold, plus N_QUAD per far value and live resample. Most samples
+    tables hold, plus N_QUAD per far value and live sample. Most samples
     have no far value or a few.
     """
 
@@ -369,21 +351,21 @@ class _BootstrapPhase:
             self.far.append((np.flatnonzero(far), ci[far]))
 
     def block(self, t_star: np.ndarray, y_w: np.ndarray, q: np.ndarray):
-        """ECF and phase gradients of a block of resamples.
+        """ECF and phase gradients of a block of samples.
 
         t_star (b,) holds their finite t*, y_w (b, n_y) their outcome counts
         over y_vals divided by n, and q (b, S, n) their weights under S
-        schemes. Returns c_y, s_y (b, N_QUAD) on each resample's grid and the
+        schemes. Returns c_y, s_y (b, N_QUAD) on each sample's grid and the
         gradients (b, S, k).
         """
         b, n_s, n = q.shape
         width = self.v1.shape[1]
         grid, quad_w = _quad_rule(t_star[:, None])
-        # columns [q_s | q_s v] of every resample and scheme
+        # columns [q_s | q_s v] of every sample and scheme
         cols = np.multiply(q.transpose(2, 0, 1)[..., None], self.v1[:, None, None, :],
                            out=np.empty((n, b, n_s, width))).reshape(n, b, -1)
         interp = _barycentric(self.tau, self.bary_w, grid)
-        # each resample's sums at its own nodes, (2, b, N_QUAD, columns), cos
+        # each sample's sums at its own nodes, (2, b, N_QUAD, columns), cos
         # over sin: the held values' interpolated from the sums at the
         # Chebyshev points, plus the far values' evaluated at the nodes
         at_nodes = []

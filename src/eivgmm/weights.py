@@ -9,9 +9,10 @@ Every scheme is computed for a block of samples that share the same rows:
 sample b holds row j counts[b, j] times, so a bootstrap resample is its
 vector of row multiplicities. A sample's weight on a row is the row's
 multiplicity times the weight of each of its copies, so rows a sample leaves
-out weigh zero. The full sample is the one-row block whose row is all ones:
-make_weights returns that block's weights, so _block_weights is the one
-place where a scheme name selects its weight function.
+out weigh zero. The full sample is the row whose multiplicities are all
+ones, row 0 of the bootstrap's first block, so its weights come from the
+same _block_weights call as the resamples'; that call is the one place
+where a scheme name selects its weight function.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import DegenerateCovarianceError, WeightSolveError
 
 __all__ = [
     "WeightVector",
-    "make_weights",
     "SCHEMES",
 ]
 
@@ -262,19 +262,3 @@ def _block_weights(scheme: str, counts: np.ndarray, cov: CovarianceSet, w_bar: n
     if scheme == "quasi_likelihood":
         return _quasi_likelihood(counts, cov, np.asarray(w_bar, dtype=float), n_rep)
     raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def make_weights(scheme: str, cov: CovarianceSet, w_bar: np.ndarray, n_rep) -> WeightVector:
-    """Full-sample weights of scheme, one of SCHEMES: the weights of the
-    one-row block whose sample holds every row once. Raises the error that
-    stopped the scheme; quasi-likelihood fallbacks and clamps are reported
-    through the fallback and max_clamp fields only."""
-    n = len(n_rep)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    one_row = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
-    block = _block_weights(scheme, np.ones((1, n)), one_row, w_bar, n_rep)
-    if block.errors[0] is not None:
-        raise block.errors[0]
-    return WeightVector(q=block.q[0], scheme=scheme, fallback=bool(block.fallback[0]),
-                        max_clamp=float(block.max_clamp[0]))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import eivgmm.weights as weights_module
+from eivgmm.covariance import CovarianceSet
 from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.model_data import make_dataset
 from eivgmm.simgen import SimConfig, gen_dataset
-from eivgmm.weights import _solve_ql_system
+from eivgmm.weights import WeightVector, _block_weights, _solve_ql_system
 
 
 @pytest.fixture
@@ -50,11 +51,23 @@ def solve_ql_one(omega_inv, w_bar, gamma):
     return q[0], lam[0]
 
 
+def full_sample_weights(scheme, cov, w_bar, n_rep) -> WeightVector:
+    """Weights of scheme for the sample that holds every row once: the one
+    all-ones row through _block_weights, as the bootstrap forms them for its
+    row 0. Raises the error that stopped the scheme."""
+    one_row = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
+    block = _block_weights(scheme, np.ones((1, len(n_rep))), one_row, w_bar, n_rep)
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    return WeightVector(q=block.q[0], scheme=scheme, fallback=bool(block.fallback[0]),
+                        max_clamp=float(block.max_clamp[0]))
+
+
 def fail_minimax(monkeypatch, fails=lambda sigma_x, counts: True):
     """Make minimax weighting fail with "forced failure" on every sample whose
-    covariate covariance and row multiplicities satisfy fails, in the
-    bootstrap's blocks and the full-sample weights (the one all-ones row)
-    alike."""
+    covariate covariance and row multiplicities satisfy fails, the
+    resamples and the full sample (the all-ones row 0 of the bootstrap's
+    first block) alike."""
     minimax = weights_module._minimax
 
     def flaky(counts, cov, n_rep):

@@ -3,16 +3,24 @@
 These evaluate cos(t y) and sin(t y) at every quadrature node for every
 observation, with no node pairing and no collapsing of tied values, which is
 what the fast paths in `eivgmm.phase` must reproduce to rounding level.
-`node_pair_grad` is the exception: the node-pair path over a resample's own
-rows, the oracle of the bootstrap's shared tables. So is
-`second_order_scan`, the t* scan before its skip bound took the third
-derivative into account.
+`node_pair_grad` and `build_ecf` are the exceptions: the node-pair path
+over one sample's own rows and outcomes, the oracles of the bootstrap's
+shared tables. So is `second_order_scan`, the t* scan before its skip bound
+took the third derivative into account.
 """
 
 import numpy as np
 
 from eivgmm.model_data import as_theta
-from eivgmm.phase import _N_SCAN_STEPS, EcfOutcome, _NodePairs, _phase_terms, kernel
+from eivgmm.phase import (
+    _N_SCAN_STEPS,
+    EcfOutcome,
+    _NodePairs,
+    _phase_terms,
+    _quad_rule,
+    _t_star_from_counts,
+    kernel,
+)
 
 
 #: the bootstrap's shared Chebyshev tables against each resample's own
@@ -54,6 +62,22 @@ def second_order_scan(vals, counts, n: int, step: float):
         h = 2.0 * gap / (a + np.sqrt(a * a + 2.0 * m2 * gap))
         j += max(1, int(h / step * (1.0 - 1e-9)))
     return float(_N_SCAN_STEPS * step), True
+
+
+def build_ecf(y) -> EcfOutcome:
+    """t* and the outcome ECF of the sample y on the quadrature grid of
+    [0, t*], from node-pair half tables over its distinct values: the
+    per-sample path the bootstrap's shared tables replace, for the full
+    sample and for every resample alike. A scan that reaches its cap
+    without a crossing returns the cap and sets capped. Raises
+    DegenerateInputError for a constant outcome."""
+    vals, counts = np.unique(np.asarray(y, dtype=float), return_counts=True)
+    counts = counts.astype(float)
+    t_star, capped = _t_star_from_counts(vals, counts)
+    grid, quad_w = _quad_rule(t_star)
+    cos_m, sin_m = _NodePairs(t_star, vals).times(counts[:, None] / counts.sum())
+    return EcfOutcome(grid=grid, quad_w=quad_w, c_y=cos_m[:, 0], s_y=sin_m[:, 0],
+                      t_star=t_star, capped=capped)
 
 
 def ecf_from_counts(vals, counts, n: int, t):

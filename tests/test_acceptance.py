@@ -17,11 +17,10 @@ from eivgmm.covariance import estimate_covariances, omega_matrices, pooled_error
 from eivgmm.gmm import fit_gmm_multi
 from eivgmm.model_data import CsvSchema, build_design, make_dataset, write_csv
 from eivgmm.moment_correction import fit_mc, grad_corrected_l2
-from eivgmm.phase import build_ecf, grad_and_hessian, kernel
+from eivgmm.phase import grad_and_hessian, kernel
 from eivgmm.simgen import SimConfig, gen_dataset
-from eivgmm.weights import make_weights
-from conftest import solve_ql_one
-from phase_oracles import dtilde, ecf_values, wepf
+from conftest import full_sample_weights, solve_ql_one
+from phase_oracles import build_ecf, dtilde, ecf_values, wepf
 
 SEED = 20250810
 M_REPS = 100
@@ -87,7 +86,7 @@ class TestCriterion5Properties:
         design = build_design(d)
         ok = True
         for scheme in ("equal", "minimax", "quasi_likelihood"):
-            w = make_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
+            w = full_sample_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
             ok &= abs(w.q.sum() - 1.0) <= 1e-10
         _report("5b sum q = 1", {"passed": ok, "summary": "all schemes to 1e-10"})
         assert ok
@@ -108,7 +107,7 @@ class TestCriterion5Properties:
         d = _sim_data(n=150)
         design = build_design(d)
         cov = estimate_covariances(d)
-        w = make_weights("minimax", cov, design.v[:, :d.p], d.n_rep)
+        w = full_sample_weights("minimax", cov, design.v[:, :d.p], d.n_rep)
         ecf = build_ecf(d.y)
         worst = 0.0
         for _ in range(5):

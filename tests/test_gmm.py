@@ -19,6 +19,7 @@ from eivgmm.covariance import (
 from eivgmm.errors import (
     BootstrapInstabilityError,
     DegenerateCovarianceError,
+    DegenerateInputError,
     EivError,
     StandardErrorError,
     WeightSolveError,
@@ -40,14 +41,13 @@ from eivgmm.phase import (
     _BootstrapPhase,
     _NodePairs,
     _t_star_from_counts,
-    build_ecf,
     grad_and_hessian,
 )
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
-from eivgmm.weights import SCHEMES, make_weights
-from conftest import fail_minimax, toy_dataset
+from eivgmm.weights import SCHEMES
+from conftest import fail_minimax, full_sample_weights, toy_dataset
 from gmm_oracles import gauss_newton_lm
-from phase_oracles import SHARED_ECF_ATOL, SHARED_GRAD_RTOL, dtilde, node_pair_grad
+from phase_oracles import SHARED_ECF_ATOL, SHARED_GRAD_RTOL, build_ecf, dtilde, node_pair_grad
 
 
 def prepared(rng, **kw):
@@ -55,7 +55,7 @@ def prepared(rng, **kw):
     cov = estimate_covariances(d)
     design = build_design(d)
     mc = fit_mc(d, cov, design)
-    weights = make_weights("minimax", cov, design.v[:, :d.p], d.n_rep)
+    weights = full_sample_weights("minimax", cov, design.v[:, :d.p], d.n_rep)
     ecf = build_ecf(d.y)
     return d, cov, design, mc, weights, ecf
 
@@ -71,7 +71,7 @@ def scheme_omega(d, theta, b, seed, scheme, design=None, cov=None):
     """Eigenvalue-floored bootstrap covariance of one scheme's stacked equations."""
     design = build_design(d) if design is None else design
     cov = estimate_covariances(d) if cov is None else cov
-    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), design, cov)[scheme]
+    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), design, cov)[1][scheme]
     if isinstance(out, EivError):
         raise out
     return out[0]
@@ -204,7 +204,7 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
         for scheme in schemes:
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
-                q_b = make_weights(scheme, cov_b, w_bar_b, nr)
+                q_b = full_sample_weights(scheme, cov_b, w_bar_b, nr)
                 s_vec = np.concatenate([s_mc, node_pair_grad(theta, vb, q_b.q, ecf_b)])
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
@@ -233,8 +233,9 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
 
 
 def batched_with_t_stars(monkeypatch, *args):
-    """_bootstrap_accumulate plus the (t*, capped) of every resample whose t*
-    scan succeeded."""
+    """_bootstrap_accumulate's per-scheme outcomes plus the (t*, capped) of
+    every sample whose t* scan succeeded: the full sample's first, then the
+    resamples'."""
     t_stars = []
 
     def recording_scan(vals, counts):
@@ -244,7 +245,7 @@ def batched_with_t_stars(monkeypatch, *args):
 
     with monkeypatch.context() as patch:
         patch.setattr(gmm_module, "_t_star_from_counts", recording_scan)
-        out = _bootstrap_accumulate(*args)
+        out = _bootstrap_accumulate(*args)[1]
     return out, t_stars
 
 
@@ -272,7 +273,7 @@ def gmm_estimate(args, scheme, omega_inv):
     """The estimate fit_gmm_multi minimizes to for scheme with this inverse
     bootstrap covariance, from the bootstrap's initial estimate."""
     d, theta, _, _, _, design, cov = args
-    weights = make_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
+    weights = full_sample_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
     resid_jac = functools.partial(
         _stacked_equations, v=design.v, y=d.y,
         sig_w=pooled_error_covariance(cov.sigma_j, d.n_rep),
@@ -286,9 +287,11 @@ def assert_same_bootstrap(args, batched, oracle, refit=True):
     """The batched bootstrap matches the loop oracle; refit says whether the
     estimates fitted with either inverse covariance are compared too."""
     (got, got_t), (ref, ref_t) = batched, oracle
-    # a resample's ECF comes from its distinct outcomes and their counts on
-    # both sides, so every t* and capped flag is the same to the last bit
-    assert got_t == ref_t
+    # a sample's ECF comes from its distinct outcomes and their counts on
+    # both sides, so every t* and capped flag is the same to the last bit,
+    # the full sample's (scanned first) included
+    full = build_ecf(args[0].y)
+    assert got_t == [(full.t_star, full.capped)] + ref_t
     assert set(got) == set(ref)
     for scheme, want in ref.items():
         if isinstance(want, EivError):
@@ -482,18 +485,18 @@ def recorded_blocks(monkeypatch, args):
 
 
 def node_pair_gaps(monkeypatch, args):
-    """For each resample of one _bootstrap_accumulate call (all of them
-    live): the largest gap of its outcome ECF from _BootstrapPhase.block to
-    that from its own node-pair tables over the outcomes it holds, the
-    largest gap of each scheme's phase gradient relative to that gradient's
-    largest component, and t* max|c| over the centered index values and
-    outcomes it holds."""
+    """For each sample of one _bootstrap_accumulate call (all of them live,
+    the full sample first): the largest gap of its outcome ECF from
+    _BootstrapPhase.block to that from its own node-pair tables over the
+    outcomes it holds, the largest gap of each scheme's phase gradient
+    relative to that gradient's largest component, and t* max|c| over the
+    centered index values and outcomes it holds."""
     d, theta, b, seed, _, design, _ = args
     y_vals = np.unique(d.y)
     nodes, quad_w = phase_module._gl_rule(N_QUAD)
     calls = recorded_blocks(monkeypatch, args)
-    assert sum(len(call[1][0]) for call in calls) == b
-    counts = iter(gmm_module._resample_counts(seed, b, d.n))
+    assert sum(len(call[1][0]) for call in calls) == b + 1
+    counts = iter(np.vstack([np.ones((1, d.n)), gmm_module._resample_counts(seed, b, d.n)]))
     gaps = []
     for phase, (t_star, y_w, q), (c_y, s_y, grads) in calls:
         for i, t in enumerate(t_star):
@@ -512,10 +515,11 @@ def node_pair_gaps(monkeypatch, args):
 
 
 class TestSharedTrigTables:
-    """Each resample's outcome ECF and phase gradients from the shared
+    """Each sample's outcome ECF and phase gradients from the shared
     Chebyshev tables and the far values' exact sums, against its own
     node-pair tables over the rows and outcomes it holds; each gradient
-    relative to its own largest component."""
+    relative to its own largest component. The full sample, row 0 of the
+    pass, is one of the samples."""
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
@@ -535,6 +539,90 @@ class TestSharedTrigTables:
         assert np.max(gaps[:, 2]) > 1e5
         assert np.all(gaps[:, 0] <= bound), np.max(gaps[:, 0] / bound)
         assert np.all(gaps[:, 1] <= bound), np.max(gaps[:, 1] / bound)
+
+
+#: row 0's weights (the full sample's) against the one-row block of
+#: full_sample_weights, normwise relative to the largest weight. Equal
+#: weights are counts over their sum on both sides. Minimax weights take
+#: sigma_x from the bootstrap's count product instead of
+#: estimate_covariances, which moves it at rounding level. The
+#: quasi-likelihood Woodbury solve amplifies that rounding, by an amount
+#: that depends on the input: its largest gap measured was 5.6e-10 over the
+#: nine inputs below and 6.5e-8 over 45 fits at n = 500 and 1000 (CHANGES.md).
+FULL_WEIGHTS_RTOL = {"equal": 0.0, "minimax": 1e-14, "quasi_likelihood": 2e-7}
+#: the estimate from row 0's ECF and weights against the one from the
+#: per-sample oracles under the same inverse covariance, normwise relative
+FULL_THETA_RTOL = 1e-7
+
+
+class TestFullSampleRow:
+    """Row 0 of the bootstrap pass is the full sample: its t*, ECF and
+    weights against the per-sample oracles build_ecf (node-pair tables over
+    the distinct outcomes) and full_sample_weights."""
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_ecf_and_weights_match_oracles(self, setting, law):
+        args = TestBatchedBootstrap.inputs(setting, law)
+        d, design, cov = args[0], args[5], args[6]
+        ecf, out = _bootstrap_accumulate(*args)
+        want = build_ecf(d.y)
+        assert (ecf.t_star, ecf.capped) == (want.t_star, want.capped)
+        assert np.array_equal(ecf.grid, want.grid)
+        assert np.array_equal(ecf.quad_w, want.quad_w)
+        assert np.max(np.abs(ecf.c_y - want.c_y)) <= SHARED_ECF_ATOL
+        assert np.max(np.abs(ecf.s_y - want.s_y)) <= SHARED_ECF_ATOL
+        for scheme in SCHEMES:
+            got = out[scheme][4]
+            want = full_sample_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
+            assert got.scheme == scheme
+            assert_normwise_close(got.q, want.q, FULL_WEIGHTS_RTOL[scheme])
+            assert got.fallback == want.fallback
+            assert (got.max_clamp > 0.0) == (want.max_clamp > 0.0)
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("setting", ["simple", "I", "III"])
+    def test_estimate_matches_oracle_ingredients(self, setting, law):
+        args = TestBatchedBootstrap.inputs(setting, law)
+        d, _, b, seed, _, design, cov = args
+        fits = fit_gmm_multi(d, SCHEMES, b=b, seed=seed, compute_se=False,
+                             cov=cov, design=design)
+        for scheme, fit in fits.items():
+            assert fit.converged
+            assert_normwise_close(fit.theta.theta, gmm_estimate(args, scheme, fit.omega_inv),
+                                  FULL_THETA_RTOL)
+
+    def test_capped_scan_is_reported(self):
+        # two-point lattice outcomes: the full sample's scan, and every
+        # resample's, reaches its cap
+        rng = np.random.default_rng(7)
+        n = 100
+        x = rng.exponential(1.0, size=(n, 1))
+        w = x[:, None, :] + 0.3 * rng.normal(size=(n, 2, 1))
+        y = np.array([0.0] * 90 + [1.0] * 10)
+        d = make_dataset(y, np.empty((n, 0)), list(w))
+        fit = fit_gmm_multi(d, ("equal",), b=25, seed=0, compute_se=False)["equal"]
+        assert fit.ecf.capped and build_ecf(y).capped
+        assert fit.diagnostics["capped"] == 1
+        assert fit.diagnostics["boot_capped"] == 25
+
+    def test_constant_outcome_fails_before_resample_scans(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 60
+        x = rng.exponential(1.0, size=(n, 1))
+        w = x[:, None, :] + 0.3 * rng.normal(size=(n, 2, 1))
+        d = make_dataset(np.ones(n), np.empty((n, 0)), list(w))
+        calls = []
+        scan = gmm_module._t_star_from_counts
+
+        def counting_scan(vals, counts):
+            calls.append(vals.size)
+            return scan(vals, counts)
+
+        monkeypatch.setattr(gmm_module, "_t_star_from_counts", counting_scan)
+        with pytest.raises(DegenerateInputError, match="outcome is constant"):
+            fit_gmm_multi(d, SCHEMES, b=100, seed=0)
+        assert calls == [1]
 
 
 class TestMinimizeQ:
@@ -884,9 +972,8 @@ class TestSchemeFailures:
 
         def failing(counts, omega_inv, w_bar, gamma):
             q, lam, errors = solve(counts, omega_inv, w_bar, gamma)
-            if counts.shape[0] == 1 and np.all(counts == 1.0):
-                errors = (WeightSolveError("forced failure"),)
-            return q, lam, errors
+            return q, lam, tuple(WeightSolveError("forced failure") if np.all(row == 1.0)
+                                 else err for row, err in zip(counts, errors))
 
         monkeypatch.setattr(weights_module, "_solve_ql_system", failing)
         with warnings.catch_warnings():

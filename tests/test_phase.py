@@ -12,7 +12,6 @@ from eivgmm.phase import (
     _gl_rule,
     _scan_t_star,
     _skip_rule,
-    build_ecf,
     grad_and_hessian,
     kernel,
 )
@@ -23,6 +22,7 @@ from phase_oracles import (
     SHARED_ECF_ATOL,
     SHARED_GRAD_RTOL,
     PhaseUndefinedError,
+    build_ecf,
     dtilde,
     ecf_values,
     wepf,

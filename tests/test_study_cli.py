@@ -167,7 +167,8 @@ class TestCliFit:
         # 30 resamples share trig tables at this many Chebyshev points
         assert 16 < report["diagnostics"]["gmm_minimax"]["boot_trig_nodes"] < 600
         assert {key: report["diagnostics"]["gmm_minimax"][key]
-                for key in ("ql_fallback", "ql_clamped")} == {"ql_fallback": 0, "ql_clamped": 0}
+                for key in ("capped", "ql_fallback", "ql_clamped")} == {
+            "capped": 0, "ql_fallback": 0, "ql_clamped": 0}
 
     def test_repeated_weight_scheme_fit_once(self, csv_path, tmp_path, capsys):
         # "mm" and "minimax" name one scheme: one column, one fit, and the

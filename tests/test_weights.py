@@ -5,8 +5,8 @@ import pytest
 
 from eivgmm.covariance import CovarianceSet, estimate_covariances, omega_matrices
 from eivgmm.errors import DegenerateCovarianceError
-from eivgmm.weights import SCHEMES, _block_weights, make_weights
-from conftest import solve_ql_one, toy_dataset
+from eivgmm.weights import _block_weights
+from conftest import full_sample_weights, solve_ql_one, toy_dataset
 
 
 def random_cov_set(rng, n, p):
@@ -17,20 +17,14 @@ def random_cov_set(rng, n, p):
 
 
 def identity_weights(scheme, n):
-    """make_weights over n rows of identity covariances and zero means."""
+    """Full-sample weights over n rows of identity covariances and zero means."""
     cov = CovarianceSet(sigma_j=np.ones((n, 1, 1)), sigma_x=np.eye(1))
-    return make_weights(scheme, cov, np.zeros((n, 1)), np.full(n, 2))
+    return full_sample_weights(scheme, cov, np.zeros((n, 1)), np.full(n, 2))
 
 
 class TestEqual:
     def test_quarter_weights(self):
         assert np.array_equal(identity_weights("equal", 4).q, [0.25] * 4)
-
-    def test_single(self):
-        # make_weights needs two rows for every scheme, equal included
-        for scheme in SCHEMES:
-            with pytest.raises(ValueError, match="need n >= 2"):
-                identity_weights(scheme, 1)
 
     def test_large_sum(self):
         assert abs(identity_weights("equal", 10**6).q.sum() - 1.0) <= 1e-12
@@ -40,14 +34,14 @@ class TestMinimax:
     def test_equal_eigenvalues_give_equal_weights(self, rng):
         n, p = 12, 2
         cov = CovarianceSet(sigma_j=np.tile(np.eye(p), (n, 1, 1)), sigma_x=np.eye(p))
-        w = make_weights("minimax", cov, np.zeros((n, p)), np.full(n, 2))
+        w = full_sample_weights("minimax", cov, np.zeros((n, p)), np.full(n, 2))
         assert np.allclose(w.q, 1.0 / n)
 
     def test_two_observation_closed_form(self):
         # lambda = (1, 2) -> q = (2/3, 1/3)
         sigma_j = np.stack([np.zeros((1, 1)), np.array([[2.0]])])
         cov = CovarianceSet(sigma_j=sigma_j, sigma_x=np.array([[1.0]]))
-        w = make_weights("minimax", cov, np.zeros((2, 1)), np.array([1, 2]))
+        w = full_sample_weights("minimax", cov, np.zeros((2, 1)), np.array([1, 2]))
         assert np.allclose(w.q, [2 / 3, 1 / 3])
 
     def test_scalar_specialization(self, rng):
@@ -57,14 +51,14 @@ class TestMinimax:
         sx = np.array([[0.7]])
         n_rep = rng.integers(2, 5, size=n)
         cov = CovarianceSet(sigma_j=sigma_j, sigma_x=sx)
-        w = make_weights("minimax", cov, np.zeros((n, 1)), n_rep)
+        w = full_sample_weights("minimax", cov, np.zeros((n, 1)), n_rep)
         lam = sx[0, 0] + sigma_j[:, 0, 0] / n_rep
         assert np.allclose(w.q, (1 / lam) / (1 / lam).sum(), atol=1e-14)
 
     def test_downweights_noisy_observations(self, rng):
         cov = random_cov_set(rng, 15, 2)
         n_rep = np.full(15, 2)
-        w = make_weights("minimax", cov, np.zeros((15, 2)), n_rep)
+        w = full_sample_weights("minimax", cov, np.zeros((15, 2)), n_rep)
         from eivgmm.covariance import psd_project
         sx = psd_project(cov.sigma_x)
         lam = np.array([np.linalg.eigvalsh(sx + s / 2)[-1] for s in cov.sigma_j])
@@ -75,7 +69,7 @@ class TestMinimax:
         n = 5
         cov = CovarianceSet(sigma_j=np.zeros((n, 1, 1)), sigma_x=np.zeros((1, 1)))
         with pytest.raises(DegenerateCovarianceError):
-            make_weights("minimax", cov, np.zeros((n, 1)), np.full(n, 2))
+            full_sample_weights("minimax", cov, np.zeros((n, 1)), np.full(n, 2))
 
 
 class TestQuasiLikelihood:
@@ -83,7 +77,7 @@ class TestQuasiLikelihood:
         n, p = 8, 2
         cov = CovarianceSet(sigma_j=np.tile(0.5 * np.eye(p), (n, 1, 1)), sigma_x=np.eye(p))
         w_bar = np.tile([1.0, 2.0], (n, 1))
-        w = make_weights("quasi_likelihood", cov, w_bar, np.full(n, 2))
+        w = full_sample_weights("quasi_likelihood", cov, w_bar, np.full(n, 2))
         assert np.allclose(w.q, 1.0 / n, atol=1e-10)
 
     def test_sum_to_one_random(self, rng):
@@ -91,7 +85,7 @@ class TestQuasiLikelihood:
             n, p = 25, 2
             cov = random_cov_set(rng, n, p)
             w_bar = rng.normal(size=(n, p))
-            w = make_weights("quasi_likelihood", cov, w_bar, np.full(n, 2))
+            w = full_sample_weights("quasi_likelihood", cov, w_bar, np.full(n, 2))
             assert abs(w.q.sum() - 1.0) <= 1e-10
             assert np.all(w.q >= 0.0)
 
@@ -199,7 +193,7 @@ class TestQuasiLikelihood:
         w_bar = np.zeros((n, p))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            w = make_weights("quasi_likelihood", cov, w_bar, np.full(n, 2))
+            w = full_sample_weights("quasi_likelihood", cov, w_bar, np.full(n, 2))
         assert w.fallback
         assert np.allclose(w.q, 1.0 / n)
 
@@ -209,14 +203,14 @@ class TestSchemes:
         d, _ = toy_dataset(rng, n=30)
         cov = estimate_covariances(d)
         for scheme in ("equal", "minimax", "quasi_likelihood"):
-            w = make_weights(scheme, cov, d.w_bar, d.n_rep)
+            w = full_sample_weights(scheme, cov, d.w_bar, d.n_rep)
             assert abs(w.q.sum() - 1.0) <= 1e-10
             assert w.scheme == scheme
         perm = rng.permutation(d.n)
         cov_p = CovarianceSet(sigma_j=cov.sigma_j[perm], sigma_x=cov.sigma_x)
         for scheme in ("minimax", "quasi_likelihood"):
-            w = make_weights(scheme, cov, d.w_bar, d.n_rep)
-            w_p = make_weights(scheme, cov_p, d.w_bar[perm], d.n_rep[perm])
+            w = full_sample_weights(scheme, cov, d.w_bar, d.n_rep)
+            w_p = full_sample_weights(scheme, cov_p, d.w_bar[perm], d.n_rep[perm])
             assert np.allclose(w_p.q, w.q[perm], atol=1e-9)
 
     def test_unknown_scheme_raises(self, rng):
@@ -225,7 +219,7 @@ class TestSchemes:
         cov = estimate_covariances(d)
         for scheme in ("bogus", "Minimax"):
             with pytest.raises(ValueError, match="unknown weight scheme"):
-                make_weights(scheme, cov, d.w_bar, d.n_rep)
+                full_sample_weights(scheme, cov, d.w_bar, d.n_rep)
             with pytest.raises(ValueError, match="unknown weight scheme"):
                 _block_weights(scheme, np.ones((2, d.n)),
                                CovarianceSet(cov.sigma_j, np.stack([cov.sigma_x] * 2)),
@@ -248,7 +242,7 @@ class TestBlockWeights:
         gathered = []
         for row, sx in zip(idx, sigma_x):
             cov_b = CovarianceSet(sigma_j=cov.sigma_j[row], sigma_x=sx)
-            w = make_weights(scheme, cov_b, w_bar[row], n_rep[row])
+            w = full_sample_weights(scheme, cov_b, w_bar[row], n_rep[row])
             gathered.append((np.bincount(row, weights=w.q, minlength=n), w))
         return counts, block, gathered
 
