@@ -13,12 +13,16 @@ corrected-LS gradient) is one matrix product per block of resamples over the
 original rows, and the weights of every scheme are formed for the block at
 once. The full sample is the resample whose multiplicities are all one: it
 is row 0 of the same pass, which gives its t*, outcome ECF and weights, and
-its gradient does not enter the covariance. The resamples are drawn once.
-Each sample's exact t* scan runs first, over its distinct outcomes and
-their counts. Then each block forms the outcome ECFs and the phase
+its gradient does not enter the covariance. The full sample's exact t* scan
+runs first, over its distinct outcomes and their counts, so a constant
+outcome fails before any resample is drawn; the resamples are drawn once
+and scanned next. Then each block forms the outcome ECFs and the phase
 gradients of every sample and weight scheme at the quadrature nodes of
 each sample's own band, from one set of trig tables shared by all samples
-(see phase._BootstrapPhase).
+(see phase._BootstrapPhase). The pass keeps one array per quantity, a row
+per sample and a column per scheme (stacked gradients, the reason a sample
+is left out, quasi-likelihood events); each scheme's covariance, failures
+and event counts are reductions over its column.
 The final estimate minimizes the quadratic form in the stacked equations
 weighted by the inverse bootstrap covariance, by damped Newton steps on its
 exact Hessian: the Gauss-Newton part J'WJ plus the stacked equations'
@@ -155,37 +159,46 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     """Shared bootstrap pass: the full sample and one set of resamples, one
     gradient per scheme.
 
-    Resample i draws n row indices from the stream keyed by (seed, i) and is
-    kept as its row multiplicities c. All b resamples are drawn once and
-    stacked under row 0, the full sample, whose multiplicities are all one;
-    the (b + 1, n) row and (b + 1, n_y) outcome multiplicities are kept
-    (1.6 MB at n = 1000, b = 100). Every sample's exact t* scan runs first,
-    over its distinct outcomes and their counts, the full sample's before
-    any resample's: its EivError (a constant outcome) propagates. Then the
-    samples go in blocks of about _BOOT_BLOCK_ROWS / n. Per block, one
-    product of the (block, n) multiplicities with a per-row table gives
-    every sample's pooled error covariance sum_j c_j sigma_j / n_j,
-    covariate covariance (from second moments of the globally centered
-    w_bar) and corrected-LS gradient (theta is fixed, so the residuals are
-    computed once); each scheme's weights come from one _block_weights call,
-    and one _BootstrapPhase.block call gives every sample's outcome ECF and
-    phase gradients under every scheme, from trig tables shared by all
-    samples plus the exact sums of the few values they leave out.
+    The full sample's exact t* scan runs first, over its distinct outcomes
+    and their counts, before any resample is drawn: its EivError (a
+    constant outcome) propagates. Resample i then draws n row indices from
+    the stream keyed by (seed, i) and is kept as its row multiplicities c.
+    All b resamples are drawn once and stacked under row 0, the full
+    sample, whose multiplicities are all one; the (b + 1, n) row and
+    (b + 1, n_y) outcome multiplicities are kept (1.6 MB at n = 1000,
+    b = 100), and each resample's exact t* scan runs next. Then the samples
+    go in blocks of about _BOOT_BLOCK_ROWS / n. Per block, one product of
+    the (block, n) multiplicities with a per-row table gives every sample's
+    pooled error covariance sum_j c_j sigma_j / n_j, covariate covariance
+    (from second moments of the globally centered w_bar) and corrected-LS
+    gradient (theta is fixed, so the residuals are computed once); each
+    scheme's weights come from one _block_weights call, and one
+    _BootstrapPhase.block call gives every sample's outcome ECF and phase
+    gradients under every scheme, from trig tables shared by all samples
+    plus the exact sums of the few values they leave out.
 
-    Row 0 rides in the first block: its ECF and weights are taken from that
-    block's outputs. It is not a resample, so its gradient enters no
-    covariance and its capped scan, fallback or clamp no boot_* count. Capped t* scans and
-    quasi-likelihood fallbacks and clamps of the resamples are counted per
-    scheme. Returns (ecf, {scheme: (omega, omega_inv, failures, events,
-    weights)}) with ecf the full sample's EcfOutcome, omega the
-    eigenvalue-floored covariance, omega_inv its inverse, failures a list of
-    (resample, message) with resamples numbered 0 .. b-1, events the counts
-    boot_capped, boot_ql_fallback and boot_ql_clamped, plus boot_trig_nodes,
-    the Chebyshev point count of the shared tables, and weights the full
-    sample's WeightVector, or the EivError that stopped the scheme on it.
-    A scheme with more than MAX_BOOT_FAILURE_FRAC of its resamples failed
-    maps to a BootstrapInstabilityError instead; the other schemes keep
-    their covariances.
+    The pass keeps one array per quantity, with a row per sample (row 0 the
+    full sample) and a column per scheme: the stacked gradients grads
+    (b + 1, S, 2k), the reasons (b + 1, S) why a sample is left out of the
+    covariance, or None, and the quasi-likelihood fallback and max_clamp
+    (b + 1, S). A sample's reason is the first of: its t* scan failed, its
+    weights failed, its stacked gradient is not finite. Row 0 is not a
+    resample: its gradient enters nothing and it is never a failure; the
+    full sample's ECF and weights are its entries.
+
+    Returns (ecf, {scheme: (omega, omega_inv, failures, events, weights)})
+    with ecf the full sample's EcfOutcome and, from the scheme's column:
+    omega the eigenvalue-floored covariance of the gradients of rows 1 .. b
+    kept, omega_inv its inverse; failures the (resample, reason) pairs of
+    rows 1 .. b, resamples numbered 0 .. b-1; events boot_capped
+    (resamples whose scan hit its cap), boot_ql_fallback and
+    boot_ql_clamped (resamples whose scan and weights succeeded and whose
+    weights fell back or were clamped) and boot_trig_nodes, the Chebyshev
+    point count of the shared tables; weights row 0's WeightVector, or the
+    EivError that stopped the scheme on it. A scheme with more than
+    MAX_BOOT_FAILURE_FRAC of its resamples failed maps to a
+    BootstrapInstabilityError instead; the other schemes keep their
+    covariances.
     """
     theta = as_theta(theta)
     v, y = design.v, d.y
@@ -203,102 +216,91 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         v * (y - v @ theta)[:, None],
     ])
     y_vals, y_inv = np.unique(y, return_inverse=True)
+    # the scan's first crossing is a discontinuous decision, so every
+    # sample scans exactly, before the phase tables are sized from the
+    # largest t*; the full sample's scan error stops the fit before any
+    # resample is drawn
+    t_stars = np.full(b + 1, np.nan)
+    capped = np.zeros(b + 1, dtype=bool)
+    t_stars[0], capped[0] = _t_star_from_counts(y_vals, np.bincount(y_inv).astype(float))
     # row 0 is the full sample, rows 1 .. b the resamples
     counts = np.vstack([np.ones((1, n)), _resample_counts(seed, b, n)])
     y_counts = _outcome_counts(counts, y_inv, y_vals.size)
-    # the scan's first crossing is a discontinuous decision, so every
-    # sample scans exactly, before the phase tables are sized from the
-    # largest t*; the full sample's scan error stops the fit
-    t_stars = np.full(b + 1, np.nan)
-    capped = np.zeros(b + 1, dtype=bool)
-    scan_errors = {}
-    for row, y_counts_row in enumerate(y_counts):
-        held = y_counts_row > 0.0
+    # each stage sets the reasons it finds only where none is set yet, so a
+    # failed scan outranks a weight error, which outranks a non-finite
+    # stacked gradient
+    reasons = np.full((b + 1, len(schemes)), None)
+    for row in range(1, b + 1):
+        held = y_counts[row] > 0.0
         try:
-            t_stars[row], capped[row] = _t_star_from_counts(y_vals[held], y_counts_row[held])
+            t_stars[row], capped[row] = _t_star_from_counts(y_vals[held], y_counts[row, held])
         except EivError as exc:
-            if row == 0:
-                raise
-            scan_errors[row] = str(exc)
+            reasons[row] = exc
     phase = _BootstrapPhase(v, theta, y_vals, t_stars)
-    dim = 2 * k
-    acc = {s: np.zeros((dim, dim)) for s in schemes}
-    mean_acc = {s: np.zeros(dim) for s in schemes}
-    failures = {s: [] for s in schemes}
-    events = {s: {"boot_capped": 0, "boot_ql_fallback": 0, "boot_ql_clamped": 0,
-                  "boot_trig_nodes": phase.n_cheb} for s in schemes}
+    grads = np.full((b + 1, len(schemes), 2 * k), np.nan)
+    fallback = np.zeros((b + 1, len(schemes)), dtype=bool)
+    max_clamp = np.zeros((b + 1, len(schemes)))
     block = max(1, _BOOT_BLOCK_ROWS // n)
     for first in range(0, b + 1, block):
-        last = min(first + block, b + 1)
-        sums = counts[first:last] @ table
+        rows = slice(first, min(first + block, b + 1))
+        sums = counts[rows] @ table
         sig_w = sums[:, :pp].reshape(-1, p, p)
         w_mean = sums[:, 2 * pp:2 * pp + p] / n
         sigma_x = ((sums[:, pp:2 * pp].reshape(-1, p, p)
                     - n * w_mean[:, :, None] * w_mean[:, None, :]) / (n - 1) - sig_w / n)
-        s_mc = sums[:, 2 * pp + p:].copy()
+        s_mc = sums[:, 2 * pp + p:]
         s_mc[:, :p] += sig_w @ theta[:p]
-        s_mc *= -2.0 / n
+        grads[rows, :, :k] = -2.0 / n * s_mc[:, None]
         cov_block = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=sigma_x)
-        weights = [_block_weights(s, counts[first:last], cov_block, w_bar, n_rep)
+        weights = [_block_weights(s, counts[rows], cov_block, w_bar, n_rep)
                    for s in schemes]
+        errors = np.array([w.errors for w in weights], dtype=object).T
+        failed = np.not_equal(errors, None)
+        reasons[rows] = np.where(np.equal(reasons[rows], None), errors, reasons[rows])
+        fallback[rows] = np.stack([w.fallback for w in weights], axis=1) & ~failed
+        max_clamp[rows] = np.where(failed, 0.0, np.stack([w.max_clamp for w in weights], axis=1))
         # a failed scheme's weights are undefined; zeros keep them finite
-        failed = np.array([[w.errors[i] is not None for w in weights]
-                           for i in range(last - first)])
         q = np.where(failed[:, :, None], 0.0, np.stack([w.q for w in weights], axis=1))
-        live = np.flatnonzero(np.isfinite(t_stars[first:last]))
-        s_ph = np.full((last - first, len(schemes), k), np.nan)
+        live = np.flatnonzero(np.isfinite(t_stars[rows]))
         if live.size:
-            y_w = y_counts[first:last][live] / n
-            c_y, s_y, s_ph[live] = phase.block(t_stars[first:last][live], y_w, q[live])
+            c_y, s_y, grads[first + live, :, k:] = phase.block(
+                t_stars[first + live], y_counts[first + live] / n, q[live])
         if first == 0:
-            t_star = float(t_stars[0])
-            grid, quad_w = _quad_rule(t_star)
+            q_full = q[0]
+            grid, quad_w = _quad_rule(t_stars[0])
             ecf = EcfOutcome(grid=grid, quad_w=quad_w, c_y=c_y[0], s_y=s_y[0],
-                             t_star=t_star, capped=bool(capped[0]))
-            full_weights = {
-                scheme: w.errors[0] if failed[0, col] else WeightVector(
-                    q=w.q[0], scheme=scheme, fallback=bool(w.fallback[0]),
-                    max_clamp=float(w.max_clamp[0]))
-                for col, (scheme, w) in enumerate(zip(schemes, weights))}
-        for i, row in enumerate(range(first, last)):
-            if row == 0:
-                continue
-            if row in scan_errors:
-                for s in schemes:
-                    failures[s].append((row - 1, scan_errors[row]))
-                continue
-            for col, (scheme, w) in enumerate(zip(schemes, weights)):
-                events[scheme]["boot_capped"] += int(capped[row])
-                if failed[i, col]:
-                    failures[scheme].append((row - 1, str(w.errors[i])))
-                    continue
-                events[scheme]["boot_ql_fallback"] += int(w.fallback[i])
-                events[scheme]["boot_ql_clamped"] += int(w.max_clamp[i] > 0.0)
-                s_vec = np.concatenate([s_mc[i], s_ph[i, col]])
-                if not np.all(np.isfinite(s_vec)):
-                    failures[scheme].append((row - 1, "non-finite stacked gradient"))
-                    continue
-                acc[scheme] += np.outer(s_vec, s_vec)
-                mean_acc[scheme] += s_vec
+                             t_star=float(t_stars[0]), capped=bool(capped[0]))
+    boot = reasons[1:]
+    nonfinite = ~np.all(np.isfinite(grads[1:]), axis=2)
+    boot[np.equal(boot, None) & nonfinite] = "non-finite stacked gradient"
+    kept = np.equal(boot, None)
+    scanned = np.isfinite(t_stars[1:])
     out = {}
-    for scheme in schemes:
-        n_bad = len(failures[scheme])
-        if n_bad > MAX_BOOT_FAILURE_FRAC * b:
+    for col, scheme in enumerate(schemes):
+        failures = [(int(i), str(boot[i, col])) for i in np.flatnonzero(~kept[:, col])]
+        if len(failures) > MAX_BOOT_FAILURE_FRAC * b:
             out[scheme] = BootstrapInstabilityError(
-                f"{n_bad}/{b} bootstrap resamples failed for scheme {scheme!r}; "
-                f"first: {failures[scheme][0][1]}"
+                f"{len(failures)}/{b} bootstrap resamples failed for scheme {scheme!r}; "
+                f"first: {failures[0][1]}"
             )
             continue
-        n_ok = b - n_bad
         # covariance about the bootstrap mean; the uncentered moment would
         # inflate the phase block by the squared mean of its gradient at the
         # initial estimate, which buries the phase information whenever the
         # initial estimate is off (exactly the heavy-tail scenarios the
         # combination exists for)
-        mean = mean_acc[scheme] / n_ok
-        omega, omega_inv = _floor_eigh(acc[scheme] / n_ok - np.outer(mean, mean))
-        out[scheme] = (omega, omega_inv, failures[scheme], events[scheme],
-                       full_weights[scheme])
+        centered = grads[1:, col][kept[:, col]]
+        centered -= centered.mean(axis=0)
+        omega, omega_inv = _floor_eigh(centered.T @ centered / len(centered))
+        events = {"boot_capped": int(capped[1:].sum()),
+                  "boot_ql_fallback": int(fallback[1:, col][scanned].sum()),
+                  "boot_ql_clamped": int((max_clamp[1:, col][scanned] > 0.0).sum()),
+                  "boot_trig_nodes": phase.n_cheb}
+        full = reasons[0, col]
+        if full is None:
+            full = WeightVector(q=q_full[col], scheme=scheme, fallback=bool(fallback[0, col]),
+                                max_clamp=float(max_clamp[0, col]))
+        out[scheme] = (omega, omega_inv, failures, events, full)
     return ecf, out
 
 
@@ -383,7 +385,7 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
 
     The full sample's t*, outcome ECF and weights are row 0 of the bootstrap
     pass; a constant outcome raises DegenerateInputError from its t* scan,
-    before any resample is scanned. Each scheme carries its own outcome:
+    before any resample is drawn. Each scheme carries its own outcome:
     returns {scheme: GmmFit}, where a scheme whose bootstrap exceeded the
     failure limit, or whose full-sample weights could not be formed, maps
     to the EivError that stopped it. A failed standard-error sandwich keeps

@@ -38,8 +38,9 @@ ERROR_LAWS = ("normal", "t2_5", "contaminated_normal")
 
 _SETTING_CODE = {"simple": 0, "I": 1, "II": 2, "III": 3}
 _SETTING_DIMS = {"simple": (1, 0), "I": (2, 0), "II": (2, 2), "III": (2, 2)}
-_DEFAULT_BETA = {"simple": (1.0,), "I": (1.0, 0.5), "II": (1.0, 0.5), "III": (1.0, 0.5)}
-_DEFAULT_GAMMA = {"simple": (2.0,), "I": (2.0,), "II": (2.0, 1.0, 0.5), "III": (2.0, 1.0, 0.5)}
+#: each setting's true coefficients beta0 and gamma0 (intercept first)
+_BETA0 = {"simple": (1.0,), "I": (1.0, 0.5), "II": (1.0, 0.5), "III": (1.0, 0.5)}
+_GAMMA0 = {"simple": (2.0,), "I": (2.0,), "II": (2.0, 1.0, 0.5), "III": (2.0, 1.0, 0.5)}
 
 #: pairwise Gaussian-copula correlation between covariates
 COVARIATE_CORR = 0.5
@@ -56,7 +57,7 @@ class SimConfig:
 
     setting picks dimensions and covariate laws; error_law and rho control the
     measurement-error distribution and the correlation between its components;
-    beta0/gamma0 default to the scenario's canonical coefficients.
+    theta0 holds the setting's true coefficients.
     """
 
     setting: str = "I"
@@ -66,8 +67,6 @@ class SimConfig:
     error_law: str = "normal"
     rho: float = 0.0
     seed: int = 0
-    beta0: tuple = None
-    gamma0: tuple = None
     sigma_eps_sq: float = 0.25
     #: multiplier on the measurement-error standard deviations; 1.0 keeps the
     #: documented U-law ranges
@@ -92,13 +91,6 @@ class SimConfig:
         p, q = _SETTING_DIMS[self.setting]
         if self.n < p + q + 2:
             raise ValidationError(f"need n >= p+q+2 = {p + q + 2}, got n = {self.n}")
-        beta0 = tuple(self.beta0) if self.beta0 is not None else _DEFAULT_BETA[self.setting]
-        gamma0 = tuple(self.gamma0) if self.gamma0 is not None else _DEFAULT_GAMMA[self.setting]
-        if len(beta0) != p or len(gamma0) != q + 1:
-            raise ValidationError(
-                f"setting {self.setting} needs len(beta0)={p} and len(gamma0)={q + 1}")
-        object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "gamma0", gamma0)
 
     @property
     def p(self) -> int:
@@ -110,7 +102,7 @@ class SimConfig:
 
     @property
     def theta0(self) -> np.ndarray:
-        return np.array(self.beta0 + self.gamma0)
+        return np.array(_BETA0[self.setting] + _GAMMA0[self.setting])
 
 
 def _equicorrelated_normal(rng, n, dim, corr):
@@ -205,7 +197,7 @@ def gen_dataset(cfg: SimConfig, rep_index: int = 0):
     w = x[:, None, :] + u
     eps = (np.sqrt(cfg.sigma_eps_sq) * rng.standard_normal(cfg.n)
            * _law_factors(cfg.error_law, rng, cfg.n))
-    gamma0 = np.asarray(cfg.gamma0)
-    y = x @ np.asarray(cfg.beta0) + gamma0[0] + z_tilde @ gamma0[1:] + eps
+    gamma0 = np.asarray(_GAMMA0[cfg.setting])
+    y = x @ np.asarray(_BETA0[cfg.setting]) + gamma0[0] + z_tilde @ gamma0[1:] + eps
     d = make_dataset(y, z_tilde, w)
     return d, x

@@ -416,6 +416,9 @@ class TestBatchedBootstrap:
         d = make_dataset(y, np.empty((n, 0)), list(w))
         cov, design = estimate_covariances(d), build_design(d)
         args = (d, np.array([0.5, 0.1]), 60, 4, SCHEMES, design, cov)
+        # minimax weighting fails on exactly those resamples too: the failed
+        # scan's message outranks the weight error's
+        fail_minimax(monkeypatch, lambda sx, counts: counts[:3].sum() == 0)
         oracle = loop_bootstrap(*args)
         for scheme in SCHEMES:
             fails = oracle[0][scheme][2]
@@ -613,15 +616,21 @@ class TestFullSampleRow:
         w = x[:, None, :] + 0.3 * rng.normal(size=(n, 2, 1))
         d = make_dataset(np.ones(n), np.empty((n, 0)), list(w))
         calls = []
-        scan = gmm_module._t_star_from_counts
+        scan, draw = gmm_module._t_star_from_counts, gmm_module._resample_counts
 
         def counting_scan(vals, counts):
             calls.append(vals.size)
             return scan(vals, counts)
 
+        def recording_draw(*draw_args):
+            calls.append("draw")
+            return draw(*draw_args)
+
         monkeypatch.setattr(gmm_module, "_t_star_from_counts", counting_scan)
+        monkeypatch.setattr(gmm_module, "_resample_counts", recording_draw)
         with pytest.raises(DegenerateInputError, match="outcome is constant"):
             fit_gmm_multi(d, SCHEMES, b=100, seed=0)
+        # one scan, the full sample's, and no resample drawn
         assert calls == [1]
 
 

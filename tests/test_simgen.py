@@ -232,8 +232,6 @@ class TestGenDataset:
             SimConfig(setting="I", n_rep=1)
         with pytest.raises(ValidationError):
             SimConfig(setting="I", error_law="cauchy")
-        with pytest.raises(ValidationError):
-            SimConfig(setting="I", beta0=(1.0,))
         for bad in ({"u_scale": 0.0}, {"u_scale": -1.0}, {"u_scale": np.inf},
                     {"u_scale": np.nan}, {"sigma_eps_sq": -1.0},
                     {"sigma_eps_sq": np.nan}, {"sigma_eps_sq": np.inf}, {"m_reps": -1},
