@@ -7,7 +7,7 @@ bootstrap-estimated equation covariance and sandwich standard errors. A
 simulation harness reproduces the reference numerical studies at desk scale.
 """
 
-from .covariance import CovarianceSet, estimate_covariances
+from .covariance import estimate_covariances
 from .errors import (
     BootstrapInstabilityError,
     CsvParseError,

@@ -25,12 +25,11 @@ REFERENCE_U_SCALE = 0.5
 CRITERIA = ("naive-ordering", "heavy-tails", "contaminated-simple", "se")
 
 
-def _cfg(setting, n, error_law, rho, m_reps, seed, calibrated=True):
-    kwargs = {}
-    if calibrated:
-        kwargs = {"sigma_eps_sq": REFERENCE_EPS_VAR, "u_scale": REFERENCE_U_SCALE}
-    return SimConfig(setting=setting, n=n, n_rep=2, m_reps=m_reps,
-                     error_law=error_law, rho=rho, seed=seed, **kwargs)
+def _cfg(setting, n, error_law, rho, m_reps, seed):
+    """A multi-covariate scenario at the calibrated error scale."""
+    return SimConfig(setting=setting, n=n, n_rep=2, m_reps=m_reps, error_law=error_law,
+                     rho=rho, seed=seed, sigma_eps_sq=REFERENCE_EPS_VAR,
+                     u_scale=REFERENCE_U_SCALE)
 
 
 def _det_metrics(res, names):
@@ -50,7 +49,7 @@ def _fit_counts(res):
             "det_fallback": res.det_fallback}
 
 
-def run_naive_ordering(m_reps=100, b=100, seed=20250810, workers=1):
+def run_naive_ordering(*, m_reps, b, seed, workers):
     """Setting I, rho=0.5, normal, n=1000: naive det at least 10x every
     corrected estimator's det."""
     cfg = _cfg("I", 1000, "normal", 0.5, m_reps, seed)
@@ -69,7 +68,7 @@ def run_naive_ordering(m_reps=100, b=100, seed=20250810, workers=1):
     }
 
 
-def run_heavy_tails(m_reps=100, b=100, seed=20250810, workers=1):
+def run_heavy_tails(*, m_reps, b, seed, workers):
     """Setting I, rho=0, t2.5, n=1000: GMM-MM det <= 0.75x MC det, both within
     3x of the reference magnitudes (MC 0.021, GMM-MM 0.011)."""
     cfg = _cfg("I", 1000, "t2_5", 0.0, m_reps, seed)
@@ -90,7 +89,7 @@ def run_heavy_tails(m_reps=100, b=100, seed=20250810, workers=1):
     }
 
 
-def run_contaminated_simple(m_reps=100, b=100, seed=20250810, workers=1):
+def run_contaminated_simple(*, m_reps, b, seed, workers):
     """Simple model, contaminated normal, n=1000: GMM-QL det <= 0.2x MC det."""
     cfg = SimConfig(setting="simple", n=1000, n_rep=2, m_reps=m_reps,
                     error_law="contaminated_normal", seed=seed)
@@ -109,7 +108,7 @@ def run_contaminated_simple(m_reps=100, b=100, seed=20250810, workers=1):
     }
 
 
-def run_se_calibration(m_reps=100, b=100, seed=20250810, workers=1):
+def run_se_calibration(*, m_reps, b, seed, workers):
     """Setting I, normal, rho=0.5, n=500: average reported SE of the first
     error-prone coefficient within +/-30% of its Monte Carlo SE, both within
     [0.02, 0.045]."""

@@ -132,15 +132,15 @@ def cmd_fit(args) -> int:
         if "naive" in estimators:
             results["naive"] = {"coef": fit_ols(d.y, design.v, d.p).theta.tolist(), "se": None}
         if "mc" in estimators or "gmm" in estimators:
-            cov = estimate_covariances(d)
-            mc = fit_mc(d, cov, design)
+            sigma_j = estimate_covariances(d)
+            mc = fit_mc(d, sigma_j, design)
         if "mc" in estimators:
             results["mc"] = {"coef": mc.theta.theta.tolist(), "se": None,
                              "sigma_eps_sq": mc.sigma_eps_sq}
         diagnostics = {}
         if "gmm" in estimators:
             fits = fit_gmm_multi(d, tuple(schemes), b=args.bootstrap, seed=args.seed,
-                                 mc=mc, cov=cov, design=design)
+                                 mc=mc, sigma_j=sigma_j, design=design)
             for scheme, fit in fits.items():
                 key = f"gmm_{scheme}"
                 if isinstance(fit, EivError):
@@ -364,8 +364,19 @@ def cmd_reproduce(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _seed(text) -> int:
+    """argparse type of --seed: an integer >= 0, as numpy's seed streams need."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="master random seed")
+    sub.add_argument("--seed", type=_seed, default=0, help="master random seed (>= 0)")
     sub.add_argument("--json", help="write the JSON report to this path")
     sub.add_argument("--print-json", action="store_true", help="also print JSON to stdout")
 

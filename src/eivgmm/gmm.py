@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CovarianceSet, estimate_covariances, pooled_error_covariance
+from .covariance import estimate_covariances, pooled_error_covariance, psd_project
 from .errors import BootstrapInstabilityError, EivError, StandardErrorError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
@@ -155,7 +155,7 @@ def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarr
 
 
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
-                          design: RegressionDesign, cov: CovarianceSet):
+                          design: RegressionDesign, sigma_j: np.ndarray):
     """Shared bootstrap pass: the full sample and one set of resamples, one
     gradient per scheme.
 
@@ -170,12 +170,14 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     go in blocks of about _BOOT_BLOCK_ROWS / n. Per block, one product of
     the (block, n) multiplicities with a per-row table gives every sample's
     pooled error covariance sum_j c_j sigma_j / n_j, covariate covariance
-    (from second moments of the globally centered w_bar) and corrected-LS
-    gradient (theta is fixed, so the residuals are computed once); each
-    scheme's weights come from one _block_weights call, and one
-    _BootstrapPhase.block call gives every sample's outcome ECF and phase
-    gradients under every scheme, from trig tables shared by all samples
-    plus the exact sums of the few values they leave out.
+    sigma_x (from second moments of the globally centered w_bar; the one
+    place the package forms it, projected onto the PSD cone once per block
+    for every scheme) and corrected-LS gradient (theta is fixed, so the
+    residuals are computed once); each scheme's weights come from one
+    _block_weights call, and one _BootstrapPhase.block call gives every
+    sample's outcome ECF and phase gradients under every scheme, from trig
+    tables shared by all samples plus the exact sums of the few values they
+    leave out.
 
     The pass keeps one array per quantity, with a row per sample (row 0 the
     full sample) and a column per scheme: the stacked gradients grads
@@ -210,7 +212,7 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     # per-row terms whose count-weighted sums the block needs, in column
     # blocks [sigma_j / n_j | wc wc' | wc | v resid]
     table = np.hstack([
-        (cov.sigma_j / n_rep[:, None, None]).reshape(n, pp),
+        (sigma_j / n_rep[:, None, None]).reshape(n, pp),
         (wc[:, :, None] * wc[:, None, :]).reshape(n, pp),
         wc,
         v * (y - v @ theta)[:, None],
@@ -246,13 +248,13 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         sums = counts[rows] @ table
         sig_w = sums[:, :pp].reshape(-1, p, p)
         w_mean = sums[:, 2 * pp:2 * pp + p] / n
-        sigma_x = ((sums[:, pp:2 * pp].reshape(-1, p, p)
-                    - n * w_mean[:, :, None] * w_mean[:, None, :]) / (n - 1) - sig_w / n)
+        sigma_x = psd_project((sums[:, pp:2 * pp].reshape(-1, p, p)
+                               - n * w_mean[:, :, None] * w_mean[:, None, :]) / (n - 1)
+                              - sig_w / n)
         s_mc = sums[:, 2 * pp + p:]
         s_mc[:, :p] += sig_w @ theta[:p]
         grads[rows, :, :k] = -2.0 / n * s_mc[:, None]
-        cov_block = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=sigma_x)
-        weights = [_block_weights(s, counts[rows], cov_block, w_bar, n_rep)
+        weights = [_block_weights(s, counts[rows], sigma_j, sigma_x, w_bar, n_rep)
                    for s in schemes]
         errors = np.array([w.errors for w in weights], dtype=object).T
         failed = np.not_equal(errors, None)
@@ -368,7 +370,7 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
 
 def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
                   compute_se: bool = True, mc: McFit | None = None,
-                  cov: CovarianceSet | None = None,
+                  sigma_j: np.ndarray | None = None,
                   design: RegressionDesign | None = None) -> dict:
     """Two-step combined fit for each weight scheme, sharing one bootstrap.
 
@@ -400,15 +402,15 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
             raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
     if b < MIN_BOOTSTRAP:
         raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples")
-    if cov is None:
-        cov = estimate_covariances(d)
+    if sigma_j is None:
+        sigma_j = estimate_covariances(d)
     if design is None:
         design = build_design(d)
     if mc is None:
-        mc = fit_mc(d, cov, design)
-    ecf, per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, cov)
+        mc = fit_mc(d, sigma_j, design)
+    ecf, per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, sigma_j)
     v = design.v
-    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+    sig_w = pooled_error_covariance(sigma_j, d.n_rep)
     jac_mc = 2.0 / d.n * mc.gram
     fits = {}
     for scheme, boot in per_scheme.items():

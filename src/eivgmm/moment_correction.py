@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceSet, pooled_error_covariance
+from .covariance import pooled_error_covariance
 from .errors import EstimationError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 
@@ -55,17 +55,18 @@ def grad_corrected_l2(theta, v: np.ndarray, y: np.ndarray, sig_w: np.ndarray) ->
     return -2.0 / n * grad
 
 
-def fit_mc(d: Dataset, cov: CovarianceSet, design: RegressionDesign | None = None) -> McFit:
+def fit_mc(d: Dataset, sigma_j: np.ndarray, design: RegressionDesign | None = None) -> McFit:
     """Solve the corrected estimating equations for the full coefficient vector.
 
     The corrected normal equations are gram theta = rhs with
     gram = sum_j v_j v_j^T - blockdiag(sum_j n_j^{-1} sigma_j, 0) and
     rhs = sum_j v_j y_j. Raises EstimationError when gram has condition
-    number above MAX_CONDITION.
+    number above MAX_CONDITION. sigma_j is the (n, p, p) stack of
+    estimate_covariances.
     """
     if design is None:
         design = build_design(d)
-    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+    sig_w = pooled_error_covariance(sigma_j, d.n_rep)
     gram = design.v.T @ design.v
     gram[:d.p, :d.p] -= sig_w
     rhs = design.v.T @ d.y

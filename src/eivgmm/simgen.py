@@ -84,6 +84,8 @@ class SimConfig:
             raise ValidationError("need rho in [0, 1)")
         if self.m_reps < 0:
             raise ValidationError("need m_reps >= 0")
+        if self.seed < 0:
+            raise ValidationError("need seed >= 0")
         if not (np.isfinite(self.u_scale) and self.u_scale > 0.0):
             raise ValidationError("need a finite u_scale > 0")
         if not (np.isfinite(self.sigma_eps_sq) and self.sigma_eps_sq >= 0.0):

@@ -127,12 +127,12 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
 
     gmm_names = [name for name in estimators if name in GMM_SCHEMES]
     gmm_fits = {}
-    cov = design = mc = None
+    sigma_j = design = mc = None
     if any(name not in ("true", "naive") for name in estimators):
         try:
-            cov = estimate_covariances(d)
+            sigma_j = estimate_covariances(d)
             design = build_design(d)
-            mc = fit_mc(d, cov, design)
+            mc = fit_mc(d, sigma_j, design)
         except (EivError, np.linalg.LinAlgError) as exc:
             errors.extend((name, str(exc)) for name in estimators
                           if name not in ("true", "naive"))
@@ -142,7 +142,7 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
             fits = fit_gmm_multi(
                 d, tuple(GMM_SCHEMES[name] for name in gmm_names), b=b,
                 seed=_bootstrap_seed(cfg, m, 0), compute_se=compute_se,
-                mc=mc, cov=cov, design=design,
+                mc=mc, sigma_j=sigma_j, design=design,
             )
             gmm_fits = {name: fits[GMM_SCHEMES[name]] for name in gmm_names}
         except (EivError, np.linalg.LinAlgError) as exc:

@@ -12,7 +12,9 @@ multiplicity times the weight of each of its copies, so rows a sample leaves
 out weigh zero. The full sample is the row whose multiplicities are all
 ones, row 0 of the bootstrap's first block, so its weights come from the
 same _block_weights call as the resamples'; that call is the one place
-where a scheme name selects its weight function.
+where a scheme name selects its weight function. Each sample's covariate
+covariance sigma_x arrives PSD-projected, from the bootstrap's count
+product (see gmm._bootstrap_accumulate); no scheme projects it again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceSet, omega_matrices, psd_project
+from .covariance import omega_matrices
 from .errors import DegenerateCovarianceError, WeightSolveError
 
 __all__ = [
@@ -95,12 +97,12 @@ def _top_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., -1]
 
 
-def _minimax(counts: np.ndarray, cov: CovarianceSet, n_rep: np.ndarray) -> _WeightBlock:
-    """Minimax weights of every sample; cov.sigma_x is the (B, p, p) stack of
-    the samples' covariate covariances. A sample fails when a row it holds
-    has a zero top eigenvalue."""
-    sx = psd_project(cov.sigma_x)
-    mats = sx[:, None, :, :] + (cov.sigma_j / n_rep[:, None, None])[None]
+def _minimax(counts: np.ndarray, sigma_j: np.ndarray, sigma_x: np.ndarray,
+             n_rep: np.ndarray) -> _WeightBlock:
+    """Minimax weights of every sample; sigma_x is the (B, p, p) stack of the
+    samples' PSD-projected covariate covariances. A sample fails when a row
+    it holds has a zero top eigenvalue."""
+    mats = sigma_x[:, None, :, :] + (sigma_j / n_rep[:, None, None])[None]
     lam = _top_eigenvalues(mats)
     held = counts > 0.0
     degenerate = held & (lam <= 0.0)
@@ -225,15 +227,15 @@ def _solve_ql_system(counts: np.ndarray, omega_inv: np.ndarray, w_bar: np.ndarra
     return q, lam, tuple(errors)
 
 
-def _quasi_likelihood(counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
-                      n_rep: np.ndarray) -> _WeightBlock:
-    """Quasi-likelihood weights of every sample; cov.sigma_x is the (B, p, p)
-    stack of the samples' covariate covariances. The penalty on squared
+def _quasi_likelihood(counts: np.ndarray, sigma_j: np.ndarray, sigma_x: np.ndarray,
+                      w_bar: np.ndarray, n_rep: np.ndarray) -> _WeightBlock:
+    """Quasi-likelihood weights of every sample; sigma_x is the (B, p, p)
+    stack of the samples' PSD-projected covariate covariances. The penalty on squared
     weight differences is 1/N_b for a sample of N_b copies. A sample whose
     system is singular falls back to equal weights; negative solutions on
     held rows are clamped at zero and the weights renormalized."""
     n_copies = counts.sum(axis=1)
-    omega_inv, singular = _inv_held(omega_matrices(cov, n_rep), counts)
+    omega_inv, singular = _inv_held(omega_matrices(sigma_x, sigma_j, n_rep), counts)
     q, _, errors = _solve_ql_system(counts, omega_inv, w_bar, 1.0 / n_copies)
     fallback = singular | np.array([e is not None for e in errors])
     held = counts > 0.0
@@ -246,19 +248,19 @@ def _quasi_likelihood(counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
     return _block(q, fallback=fallback, max_clamp=max_clamp)
 
 
-def _block_weights(scheme: str, counts: np.ndarray, cov: CovarianceSet, w_bar: np.ndarray,
-                   n_rep) -> _WeightBlock:
-    """One scheme's weights for B samples over the rows of cov.sigma_j (n, p, p),
+def _block_weights(scheme: str, counts: np.ndarray, sigma_j: np.ndarray,
+                   sigma_x: np.ndarray, w_bar: np.ndarray, n_rep) -> _WeightBlock:
+    """One scheme's weights for B samples over the rows of sigma_j (n, p, p),
     w_bar (n, p) and n_rep (n,): sample b holds row j counts[b, j] times and
-    has covariate covariance cov.sigma_x[b] (a (B, p, p) stack). Dispatches on
-    scheme name, one of SCHEMES.
+    has covariate covariance sigma_x[b], from a (B, p, p) stack that is
+    already PSD-projected. Dispatches on scheme name, one of SCHEMES.
     """
     counts = np.asarray(counts, dtype=float)
     n_rep = np.asarray(n_rep, dtype=float)
     if scheme == "equal":
         return _equal(counts)
     if scheme == "minimax":
-        return _minimax(counts, cov, n_rep)
+        return _minimax(counts, sigma_j, sigma_x, n_rep)
     if scheme == "quasi_likelihood":
-        return _quasi_likelihood(counts, cov, np.asarray(w_bar, dtype=float), n_rep)
+        return _quasi_likelihood(counts, sigma_j, sigma_x, np.asarray(w_bar, dtype=float), n_rep)
     raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import eivgmm.weights as weights_module
-from eivgmm.covariance import CovarianceSet
+from eivgmm.covariance import psd_project
 from eivgmm.errors import DegenerateCovarianceError
 from eivgmm.model_data import make_dataset
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.weights import WeightVector, _block_weights, _solve_ql_system
+from gmm_oracles import sigma_x_from_parts
 
 
 @pytest.fixture
@@ -51,12 +52,16 @@ def solve_ql_one(omega_inv, w_bar, gamma):
     return q[0], lam[0]
 
 
-def full_sample_weights(scheme, cov, w_bar, n_rep) -> WeightVector:
+def full_sample_weights(scheme, sigma_j, w_bar, n_rep, sigma_x=None) -> WeightVector:
     """Weights of scheme for the sample that holds every row once: the one
     all-ones row through _block_weights, as the bootstrap forms them for its
-    row 0. Raises the error that stopped the scheme."""
-    one_row = CovarianceSet(sigma_j=cov.sigma_j, sigma_x=np.asarray(cov.sigma_x)[None])
-    block = _block_weights(scheme, np.ones((1, len(n_rep))), one_row, w_bar, n_rep)
+    row 0. sigma_x, the (p, p) covariate covariance, defaults to the row-sum
+    oracle sigma_x_from_parts and is PSD-projected, as the bootstrap
+    projects its own. Raises the error that stopped the scheme."""
+    if sigma_x is None:
+        sigma_x = sigma_x_from_parts(w_bar, sigma_j, n_rep)
+    block = _block_weights(scheme, np.ones((1, len(n_rep))), sigma_j, psd_project(sigma_x[None]),
+                           w_bar, n_rep)
     if block.errors[0] is not None:
         raise block.errors[0]
     return WeightVector(q=block.q[0], scheme=scheme, fallback=bool(block.fallback[0]),
@@ -70,10 +75,10 @@ def fail_minimax(monkeypatch, fails=lambda sigma_x, counts: True):
     first block) alike."""
     minimax = weights_module._minimax
 
-    def flaky(counts, cov, n_rep):
-        out = minimax(counts, cov, n_rep)
+    def flaky(counts, sigma_j, sigma_x, n_rep):
+        out = minimax(counts, sigma_j, sigma_x, n_rep)
         errors = tuple(DegenerateCovarianceError("forced failure") if fails(sx, row) else err
-                       for sx, row, err in zip(cov.sigma_x, counts, out.errors))
+                       for sx, row, err in zip(sigma_x, counts, out.errors))
         return dataclasses.replace(out, errors=errors)
 
     monkeypatch.setattr(weights_module, "_minimax", flaky)

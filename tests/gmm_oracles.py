@@ -2,7 +2,20 @@
 
 import numpy as np
 
+from eivgmm.covariance import pooled_error_covariance
 from eivgmm.gmm import MAX_EVAL, MU_MAX, STEP_TOL
+
+
+def sigma_x_from_parts(w_bar, sigma_j, n_rep):
+    """Pooled covariance of the true error-prone covariates of one sample,
+    summed over its rows: (n-1)^{-1} sum_j (w_bar_j - w_bar)(w_bar_j - w_bar)^T
+    - n^{-1} sum_j n_j^{-1} sigma_j. Symmetric but possibly indefinite. The
+    oracle for the bootstrap's count product (gmm._bootstrap_accumulate),
+    which forms the same matrix for every sample from multiplicities."""
+    n = w_bar.shape[0]
+    centered = w_bar - w_bar.mean(axis=0)
+    sample_cov = centered.T @ centered / (n - 1)
+    return sample_cov - pooled_error_covariance(sigma_j, n_rep) / n
 
 
 def gauss_newton_lm(resid_jac, omega_inv, x0):

@@ -13,13 +13,19 @@ import pytest
 
 from eivgmm.acceptance import run_criterion
 from eivgmm.cli import main
-from eivgmm.covariance import estimate_covariances, omega_matrices, pooled_error_covariance
+from eivgmm.covariance import (
+    estimate_covariances,
+    omega_matrices,
+    pooled_error_covariance,
+    psd_project,
+)
 from eivgmm.gmm import fit_gmm_multi
 from eivgmm.model_data import CsvSchema, build_design, make_dataset, write_csv
 from eivgmm.moment_correction import fit_mc, grad_corrected_l2
 from eivgmm.phase import grad_and_hessian, kernel
 from eivgmm.simgen import SimConfig, gen_dataset
 from conftest import full_sample_weights, solve_ql_one
+from gmm_oracles import sigma_x_from_parts
 from phase_oracles import build_ecf, dtilde, ecf_values, wepf
 
 SEED = 20250810
@@ -82,22 +88,22 @@ class TestCriterion5Properties:
 
     def test_weights_sum_to_one(self):
         d = _sim_data(n=250)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
         ok = True
         for scheme in ("equal", "minimax", "quasi_likelihood"):
-            w = full_sample_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
+            w = full_sample_weights(scheme, sigma_j, design.v[:, :d.p], d.n_rep)
             ok &= abs(w.q.sum() - 1.0) <= 1e-10
         _report("5b sum q = 1", {"passed": ok, "summary": "all schemes to 1e-10"})
         assert ok
 
     def test_sigma_j_closed_form_two_replicates(self):
         d = _sim_data(n=100)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         ok = True
         for j in range(d.n):
             diff = d.w_reps[j][0] - d.w_reps[j][1]
-            ok &= np.allclose(cov.sigma_j[j], 0.5 * np.outer(diff, diff), atol=1e-12)
+            ok &= np.allclose(sigma_j[j], 0.5 * np.outer(diff, diff), atol=1e-12)
         _report("5c sigma_j closed form (n_j=2)",
                 {"passed": ok, "summary": "half outer product of the difference"})
         assert ok
@@ -106,8 +112,8 @@ class TestCriterion5Properties:
         rng = np.random.default_rng(2)
         d = _sim_data(n=150)
         design = build_design(d)
-        cov = estimate_covariances(d)
-        w = full_sample_weights("minimax", cov, design.v[:, :d.p], d.n_rep)
+        sigma_j = estimate_covariances(d)
+        w = full_sample_weights("minimax", sigma_j, design.v[:, :d.p], d.n_rep)
         ecf = build_ecf(d.y)
         worst = 0.0
         for _ in range(5):
@@ -129,9 +135,9 @@ class TestCriterion5Properties:
     def test_q_at_gmm_below_q_at_mc(self):
         d = _sim_data(n=200, law="t2_5", rho=0.0)
         fit = fit_gmm_multi(d, ("minimax",), b=50, seed=3, compute_se=False)["minimax"]
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        sig_w = pooled_error_covariance(sigma_j, d.n_rep)
         s = np.concatenate([
             grad_corrected_l2(fit.theta_init, design.v, d.y, sig_w),
             grad_and_hessian(fit.theta_init, design.v, fit.weights.q, fit.ecf)[0],
@@ -144,10 +150,10 @@ class TestCriterion5Properties:
 
     def test_mc_gradient_at_solution(self):
         d = _sim_data(n=220)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
-        mc = fit_mc(d, cov, design)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        mc = fit_mc(d, sigma_j, design)
+        sig_w = pooled_error_covariance(sigma_j, d.n_rep)
         g = grad_corrected_l2(mc.theta.theta, design.v, d.y, sig_w)
         bound = 1e-8 * (1.0 + np.abs(design.v.T @ d.y).max())
         ok = np.max(np.abs(g)) <= bound
@@ -157,11 +163,12 @@ class TestCriterion5Properties:
 
     def test_ql_bordered_system_residual(self):
         d = _sim_data(n=300)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
         w_bar = design.v[:, :d.p]
         gamma = 1.0 / d.n
-        omega_inv = np.linalg.inv(omega_matrices(cov, d.n_rep))
+        sigma_x = psd_project(sigma_x_from_parts(w_bar, sigma_j, d.n_rep))
+        omega_inv = np.linalg.inv(omega_matrices(sigma_x[None], sigma_j, d.n_rep)[0])
         q, lam = solve_ql_one(omega_inv, w_bar, gamma)
         a2 = omega_inv.sum(axis=0)
         a1 = np.einsum("jab,jb->a", omega_inv, w_bar)
@@ -209,10 +216,8 @@ class TestCriterion6Oracles:
         w = [rng.normal(loc=j, size=(2, 1)) for j in range(5)]
         y = np.array([0.8, 2.1, 2.9, 4.2, 4.8])
         d = make_dataset(y, np.empty((5, 0)), w)
-        from eivgmm.covariance import CovarianceSet
         sigma_j = np.array([[[0.2]], [[0.4]], [[0.1]], [[0.3]], [[0.25]]])
-        cov = CovarianceSet(sigma_j=sigma_j, sigma_x=np.eye(1))
-        mc = fit_mc(d, cov)
+        mc = fit_mc(d, sigma_j)
         w_bar = np.array([wj.mean() for wj in w])
         a = np.array([[w_bar @ w_bar - sigma_j.sum() / 2, w_bar.sum()],
                       [w_bar.sum(), 5.0]])

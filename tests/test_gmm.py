@@ -10,12 +10,7 @@ from scipy.optimize import least_squares
 import eivgmm.gmm as gmm_module
 import eivgmm.phase as phase_module
 import eivgmm.weights as weights_module
-from eivgmm.covariance import (
-    CovarianceSet,
-    estimate_covariances,
-    pooled_error_covariance,
-    sigma_x_from_parts,
-)
+from eivgmm.covariance import estimate_covariances, pooled_error_covariance
 from eivgmm.errors import (
     BootstrapInstabilityError,
     DegenerateCovarianceError,
@@ -52,26 +47,26 @@ from phase_oracles import SHARED_ECF_ATOL, SHARED_GRAD_RTOL, build_ecf, dtilde, 
 
 def prepared(rng, **kw):
     d, x = toy_dataset(rng, **kw)
-    cov = estimate_covariances(d)
+    sigma_j = estimate_covariances(d)
     design = build_design(d)
-    mc = fit_mc(d, cov, design)
-    weights = full_sample_weights("minimax", cov, design.v[:, :d.p], d.n_rep)
+    mc = fit_mc(d, sigma_j, design)
+    weights = full_sample_weights("minimax", sigma_j, design.v[:, :d.p], d.n_rep)
     ecf = build_ecf(d.y)
-    return d, cov, design, mc, weights, ecf
+    return d, sigma_j, design, mc, weights, ecf
 
 
-def stacked(theta, d, cov, design, mc, weights, ecf):
+def stacked(theta, d, sigma_j, design, mc, weights, ecf):
     """(s, J, curv) of the stacked equations, as the optimizer evaluates them."""
-    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+    sig_w = pooled_error_covariance(sigma_j, d.n_rep)
     return _stacked_equations(theta, design.v, d.y, sig_w, 2.0 / d.n * mc.gram,
                               weights.q, ecf)
 
 
-def scheme_omega(d, theta, b, seed, scheme, design=None, cov=None):
+def scheme_omega(d, theta, b, seed, scheme, design=None, sigma_j=None):
     """Eigenvalue-floored bootstrap covariance of one scheme's stacked equations."""
     design = build_design(d) if design is None else design
-    cov = estimate_covariances(d) if cov is None else cov
-    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), design, cov)[1][scheme]
+    sigma_j = estimate_covariances(d) if sigma_j is None else sigma_j
+    out = _bootstrap_accumulate(d, theta, b, seed, (scheme,), design, sigma_j)[1][scheme]
     if isinstance(out, EivError):
         raise out
     return out[0]
@@ -79,37 +74,37 @@ def scheme_omega(d, theta, b, seed, scheme, design=None, cov=None):
 
 class TestStackedGradient:
     def test_mc_block_zero_at_mc_solution(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=50)
-        s, _, _ = stacked(mc.theta, d, cov, design, mc, weights, ecf)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=50)
+        s, _, _ = stacked(mc.theta, d, sigma_j, design, mc, weights, ecf)
         k = d.p + d.q + 1
         assert np.max(np.abs(s[:k])) <= 1e-8
 
     def test_dimensions(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=60, p=2, q=2)
-        s, jac, _ = stacked(mc.theta, d, cov, design, mc, weights, ecf)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=60, p=2, q=2)
+        s, jac, _ = stacked(mc.theta, d, sigma_j, design, mc, weights, ecf)
         assert s.shape == (10,)
         assert jac.shape == (10, 5)
 
     def test_jacobian_matches_central_differences(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=40)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=40)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.2 * rng.normal(size=k)
-        _, jac, _ = stacked(theta, d, cov, design, mc, weights, ecf)
+        _, jac, _ = stacked(theta, d, sigma_j, design, mc, weights, ecf)
         fd = np.empty((2 * k, k))
         for i in range(k):
             h = 1e-6 * (1.0 + abs(theta[i]))
             e = np.zeros(k)
             e[i] = h
-            fd[:, i] = (stacked(theta + e, d, cov, design, mc, weights, ecf)[0]
-                        - stacked(theta - e, d, cov, design, mc, weights, ecf)[0]) / (2 * h)
+            fd[:, i] = (stacked(theta + e, d, sigma_j, design, mc, weights, ecf)[0]
+                        - stacked(theta - e, d, sigma_j, design, mc, weights, ecf)[0]) / (2 * h)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.abs(fd).max())
 
     def test_matches_joint_finite_differences(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=40)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=40)
+        sig_w = pooled_error_covariance(sigma_j, d.n_rep)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.2 * rng.normal(size=k)
-        s, _, _ = stacked(theta, d, cov, design, mc, weights, ecf)
+        s, _, _ = stacked(theta, d, sigma_j, design, mc, weights, ecf)
         fd = np.empty(2 * k)
         for i in range(k):
             h = 1e-6 * (1.0 + abs(theta[i]))
@@ -124,7 +119,7 @@ class TestStackedGradient:
 
 class TestBootstrapOmega:
     def test_deterministic(self, rng):
-        d, cov, design, mc, _, _ = prepared(rng, n=40)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=40)
         o1 = scheme_omega(d, mc.theta, 30, seed=9, scheme="equal")
         o2 = scheme_omega(d, mc.theta, 30, seed=9, scheme="equal")
         assert np.array_equal(o1, o2)
@@ -132,16 +127,16 @@ class TestBootstrapOmega:
         assert not np.array_equal(o1, o3)
 
     def test_symmetric_psd(self, rng):
-        d, cov, design, mc, _, _ = prepared(rng, n=45)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=45)
         for scheme in ("equal", "minimax", "quasi_likelihood"):
             omega = scheme_omega(d, mc.theta, 30, seed=3, scheme=scheme)
             assert np.allclose(omega, omega.T)
             assert np.linalg.eigvalsh(omega).min() > 0
 
     def test_minimum_resamples_enforced(self, rng):
-        d, cov, design, mc, _, _ = prepared(rng, n=40)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=40)
         with pytest.raises(ValueError, match="25"):
-            fit_gmm_multi(d, ("equal",), b=10, seed=1, mc=mc, cov=cov, design=design)
+            fit_gmm_multi(d, ("equal",), b=10, seed=1, mc=mc, sigma_j=sigma_j, design=design)
 
     def test_instability_raises(self):
         # outcomes almost surely constant within a resample: the frequency
@@ -162,17 +157,17 @@ class TestBootstrapOmega:
                 cfg = SimConfig(setting="I", n=n, n_rep=2, m_reps=1,
                                 error_law="normal", rho=0.0, seed=400 + m)
                 d, _ = gen_dataset(cfg, m)
-                cov = estimate_covariances(d)
+                sigma_j = estimate_covariances(d)
                 design = build_design(d)
-                mc = fit_mc(d, cov, design)
+                mc = fit_mc(d, sigma_j, design)
                 omega = scheme_omega(d, mc.theta, 30, seed=m, scheme="equal",
-                                        design=design, cov=cov)
+                                        design=design, sigma_j=sigma_j)
                 diags[n] = np.diag(omega)
             ratios.append(np.median(diags[2000] / diags[1000]))
         assert 0.35 <= np.mean(ratios) <= 0.65
 
 
-def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
+def loop_bootstrap(d, theta, b, seed, schemes, design, sigma_j):
     """Reference: every resample's full n rows, gathered, one weight vector
     and one phase gradient per scheme. Returns ({scheme: (omega, omega_inv,
     failures, events)}, per-resample (t*, capped))."""
@@ -190,10 +185,9 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx_b]))
         idx = rng.integers(0, n, size=n)
         vb, yb = v[idx], y[idx]
-        sj, nr = cov.sigma_j[idx], n_rep[idx]
+        sj, nr = sigma_j[idx], n_rep[idx]
         w_bar_b = vb[:, :p]
         try:
-            cov_b = CovarianceSet(sigma_j=sj, sigma_x=sigma_x_from_parts(w_bar_b, sj, nr))
             ecf_b = build_ecf(yb)
             s_mc = grad_corrected_l2(theta, vb, yb, pooled_error_covariance(sj, nr))
         except EivError as exc:
@@ -204,7 +198,7 @@ def loop_bootstrap(d, theta, b, seed, schemes, design, cov):
         for scheme in schemes:
             events[scheme]["boot_capped"] += int(ecf_b.capped)
             try:
-                q_b = full_sample_weights(scheme, cov_b, w_bar_b, nr)
+                q_b = full_sample_weights(scheme, sj, w_bar_b, nr)
                 s_vec = np.concatenate([s_mc, node_pair_grad(theta, vb, q_b.q, ecf_b)])
             except EivError as exc:
                 failures[scheme].append((idx_b, str(exc)))
@@ -272,12 +266,12 @@ def assert_normwise_close(got, want, rtol):
 def gmm_estimate(args, scheme, omega_inv):
     """The estimate fit_gmm_multi minimizes to for scheme with this inverse
     bootstrap covariance, from the bootstrap's initial estimate."""
-    d, theta, _, _, _, design, cov = args
-    weights = full_sample_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
+    d, theta, _, _, _, design, sigma_j = args
+    weights = full_sample_weights(scheme, sigma_j, design.v[:, :d.p], d.n_rep)
     resid_jac = functools.partial(
         _stacked_equations, v=design.v, y=d.y,
-        sig_w=pooled_error_covariance(cov.sigma_j, d.n_rep),
-        jac_mc=2.0 / d.n * fit_mc(d, cov, design).gram, q=weights.q, ecf=build_ecf(d.y))
+        sig_w=pooled_error_covariance(sigma_j, d.n_rep),
+        jac_mc=2.0 / d.n * fit_mc(d, sigma_j, design).gram, q=weights.q, ecf=build_ecf(d.y))
     x, _, _, converged, _ = _levenberg_marquardt(resid_jac, omega_inv, theta)
     assert converged
     return x
@@ -321,10 +315,10 @@ class TestBatchedBootstrap:
     def inputs(setting, law, seed=31, b=30):
         cfg = SimConfig(setting=setting, n=200, n_rep=2, m_reps=1, error_law=law, seed=seed)
         d, _ = gen_dataset(cfg, 0)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
-        mc = fit_mc(d, cov, design)
-        return d, mc.theta.theta, b, seed, SCHEMES, design, cov
+        mc = fit_mc(d, sigma_j, design)
+        return d, mc.theta.theta, b, seed, SCHEMES, design, sigma_j
 
     @staticmethod
     def outlier_inputs():
@@ -336,8 +330,8 @@ class TestBatchedBootstrap:
         y = d0.y.copy()
         y[0] = 1e6
         d = make_dataset(y, d0.z[:, 1:], d0.w)
-        cov, design = estimate_covariances(d), build_design(d)
-        return d, fit_mc(d, cov, design).theta.theta, 25, 3, SCHEMES, design, cov
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        return d, fit_mc(d, sigma_j, design).theta.theta, 25, 3, SCHEMES, design, sigma_j
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
@@ -414,8 +408,8 @@ class TestBatchedBootstrap:
         y = np.zeros(n)
         y[:3] = [1.0, 2.0, 3.0]
         d = make_dataset(y, np.empty((n, 0)), list(w))
-        cov, design = estimate_covariances(d), build_design(d)
-        args = (d, np.array([0.5, 0.1]), 60, 4, SCHEMES, design, cov)
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        args = (d, np.array([0.5, 0.1]), 60, 4, SCHEMES, design, sigma_j)
         # minimax weighting fails on exactly those resamples too: the failed
         # scan's message outranks the weight error's
         fail_minimax(monkeypatch, lambda sx, counts: counts[:3].sum() == 0)
@@ -547,8 +541,8 @@ class TestSharedTrigTables:
 #: row 0's weights (the full sample's) against the one-row block of
 #: full_sample_weights, normwise relative to the largest weight. Equal
 #: weights are counts over their sum on both sides. Minimax weights take
-#: sigma_x from the bootstrap's count product instead of
-#: estimate_covariances, which moves it at rounding level. The
+#: sigma_x from the bootstrap's count product, where the oracle sums over
+#: rows (sigma_x_from_parts), which moves it at rounding level. The
 #: quasi-likelihood Woodbury solve amplifies that rounding, by an amount
 #: that depends on the input: its largest gap measured was 5.6e-10 over the
 #: nine inputs below and 6.5e-8 over 45 fits at n = 500 and 1000 (CHANGES.md).
@@ -567,7 +561,7 @@ class TestFullSampleRow:
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
     def test_ecf_and_weights_match_oracles(self, setting, law):
         args = TestBatchedBootstrap.inputs(setting, law)
-        d, design, cov = args[0], args[5], args[6]
+        d, design, sigma_j = args[0], args[5], args[6]
         ecf, out = _bootstrap_accumulate(*args)
         want = build_ecf(d.y)
         assert (ecf.t_star, ecf.capped) == (want.t_star, want.capped)
@@ -577,7 +571,7 @@ class TestFullSampleRow:
         assert np.max(np.abs(ecf.s_y - want.s_y)) <= SHARED_ECF_ATOL
         for scheme in SCHEMES:
             got = out[scheme][4]
-            want = full_sample_weights(scheme, cov, design.v[:, :d.p], d.n_rep)
+            want = full_sample_weights(scheme, sigma_j, design.v[:, :d.p], d.n_rep)
             assert got.scheme == scheme
             assert_normwise_close(got.q, want.q, FULL_WEIGHTS_RTOL[scheme])
             assert got.fallback == want.fallback
@@ -587,9 +581,9 @@ class TestFullSampleRow:
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
     def test_estimate_matches_oracle_ingredients(self, setting, law):
         args = TestBatchedBootstrap.inputs(setting, law)
-        d, _, b, seed, _, design, cov = args
+        d, _, b, seed, _, design, sigma_j = args
         fits = fit_gmm_multi(d, SCHEMES, b=b, seed=seed, compute_se=False,
-                             cov=cov, design=design)
+                             sigma_j=sigma_j, design=design)
         for scheme, fit in fits.items():
             assert fit.converged
             assert_normwise_close(fit.theta.theta, gmm_estimate(args, scheme, fit.omega_inv),
@@ -705,19 +699,19 @@ class TestMinimizeQ:
         cfg = SimConfig(setting=setting, n=200, n_rep=2, m_reps=1,
                         error_law=law, seed=seed)
         d, _ = gen_dataset(cfg, 0)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
-        mc = fit_mc(d, cov, design)
+        mc = fit_mc(d, sigma_j, design)
         fit = fit_gmm_multi(d, ("minimax",), b=25, seed=seed, compute_se=False,
-                            mc=mc, cov=cov, design=design)["minimax"]
+                            mc=mc, sigma_j=sigma_j, design=design)["minimax"]
         assert fit.converged
         lt = np.linalg.cholesky(fit.omega_inv).T
 
         def resid(theta):
-            return lt @ stacked(theta, d, cov, design, mc, fit.weights, fit.ecf)[0]
+            return lt @ stacked(theta, d, sigma_j, design, mc, fit.weights, fit.ecf)[0]
 
         def jac(theta):
-            return lt @ stacked(theta, d, cov, design, mc, fit.weights, fit.ecf)[1]
+            return lt @ stacked(theta, d, sigma_j, design, mc, fit.weights, fit.ecf)[1]
 
         ref = least_squares(resid, fit.theta_init.theta, jac=jac, method="trf",
                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
@@ -732,17 +726,17 @@ class TestStackedCurvature:
         # column i of sum_m u_m d^2 s_m / d theta d theta' is the central
         # difference of J' u along coordinate i; the corrected-LS half of u
         # meets a constant Jacobian and drops out
-        d, cov, design, mc, weights, ecf = prepared(rng, n=60)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=60)
         k = d.p + d.q + 1
         theta = mc.theta.theta + 0.1 * rng.normal(size=k)
         u = rng.normal(size=2 * k)
-        got = stacked(theta, d, cov, design, mc, weights, ecf)[2](u)
+        got = stacked(theta, d, sigma_j, design, mc, weights, ecf)[2](u)
         fd = np.empty((k, k))
         for i in range(k):
             e = np.zeros(k)
             e[i] = 1e-5
-            fd[:, i] = (stacked(theta + e, d, cov, design, mc, weights, ecf)[1].T @ u
-                        - stacked(theta - e, d, cov, design, mc, weights, ecf)[1].T @ u) / 2e-5
+            fd[:, i] = (stacked(theta + e, d, sigma_j, design, mc, weights, ecf)[1].T @ u
+                        - stacked(theta - e, d, sigma_j, design, mc, weights, ecf)[1].T @ u) / 2e-5
         assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
@@ -763,15 +757,15 @@ class TestNewtonAgainstGaussNewton:
     def test_same_minimum_fewer_evaluations(self, setting, law):
         d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
                                      error_law=law, seed=23), 0)
-        cov, design = estimate_covariances(d), build_design(d)
-        mc = fit_mc(d, cov, design)
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        mc = fit_mc(d, sigma_j, design)
         fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False,
-                             mc=mc, cov=cov, design=design)
+                             mc=mc, sigma_j=sigma_j, design=design)
         n_newton = n_gauss_newton = 0
         for fit in fits.values():
             resid_jac = functools.partial(
                 _stacked_equations, v=design.v, y=d.y,
-                sig_w=pooled_error_covariance(cov.sigma_j, d.n_rep),
+                sig_w=pooled_error_covariance(sigma_j, d.n_rep),
                 jac_mc=2.0 / d.n * mc.gram, q=fit.weights.q, ecf=fit.ecf)
             x, q, n_eval, converged, _ = gauss_newton_lm(resid_jac, fit.omega_inv,
                                                          mc.theta.theta)
@@ -799,13 +793,13 @@ class TestNewtonAgainstGaussNewton:
         # led this fit to another local minimum (Q 1.962 against 1.873)
         d, _ = gen_dataset(SimConfig(setting="simple", n=200, n_rep=2, m_reps=1,
                                      error_law="normal", seed=0), 0)
-        cov, design = estimate_covariances(d), build_design(d)
-        mc = fit_mc(d, cov, design)
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        mc = fit_mc(d, sigma_j, design)
         fit = fit_gmm_multi(d, ("quasi_likelihood",), b=25, seed=0, compute_se=False,
-                            mc=mc, cov=cov, design=design)["quasi_likelihood"]
+                            mc=mc, sigma_j=sigma_j, design=design)["quasi_likelihood"]
         resid_jac = functools.partial(
             _stacked_equations, v=design.v, y=d.y,
-            sig_w=pooled_error_covariance(cov.sigma_j, d.n_rep),
+            sig_w=pooled_error_covariance(sigma_j, d.n_rep),
             jac_mc=2.0 / d.n * mc.gram, q=fit.weights.q, ecf=fit.ecf)
         s, jac, curv = resid_jac(mc.theta.theta)
         full = jac.T @ fit.omega_inv @ jac + curv(fit.omega_inv @ s)
@@ -832,9 +826,9 @@ class TestFitGmm:
         assert np.max(np.abs(fit.theta.theta - fit.theta_init.theta)) <= 1e-4
 
     def test_q_never_worse_than_mc_start(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=60)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=60)
         fit = fit_gmm_multi(d, ("minimax",), b=40, seed=6, compute_se=False)["minimax"]
-        s_mc, _, _ = stacked(mc.theta, d, cov, design, mc, fit.weights, fit.ecf)
+        s_mc, _, _ = stacked(mc.theta, d, sigma_j, design, mc, fit.weights, fit.ecf)
         q_at_mc = s_mc @ fit.omega_inv @ s_mc
         assert fit.q_value <= q_at_mc + 1e-12
         assert fit.q_value >= 0.0
@@ -865,11 +859,11 @@ class TestFitGmm:
             assert np.array_equal(twice[scheme].se, once[scheme].se)
 
     def test_grad_q_matches_finite_differences(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=45)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=45)
         omega = scheme_omega(d, mc.theta, 30, seed=5, scheme="minimax",
-                             design=design, cov=cov)
+                             design=design, sigma_j=sigma_j)
         _, omega_inv = _floor_eigh(omega)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        sig_w = pooled_error_covariance(sigma_j, d.n_rep)
         k = d.p + d.q + 1
 
         def q_of(theta):
@@ -880,7 +874,7 @@ class TestFitGmm:
             return s @ omega_inv @ s
 
         theta = mc.theta.theta + 0.1 * rng.normal(size=k)
-        s, jac, _ = stacked(theta, d, cov, design, mc, weights, ecf)
+        s, jac, _ = stacked(theta, d, sigma_j, design, mc, weights, ecf)
         grad = 2.0 * jac.T @ (omega_inv @ s)
         fd = np.empty(k)
         for i in range(k):
@@ -891,8 +885,8 @@ class TestFitGmm:
         assert np.max(np.abs(grad - fd)) <= 1e-4 * max(1.0, np.abs(fd).max())
 
     def test_identity_omega_zero_phase_recovers_mc(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=55)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=55)
+        sig_w = pooled_error_covariance(sigma_j, d.n_rep)
         k = d.p + d.q + 1
         jac_mc = 2.0 / d.n * mc.gram
 
@@ -906,11 +900,11 @@ class TestFitGmm:
         assert np.max(np.abs(x - mc.theta.theta)) <= 1e-6
 
     def test_q_invariant_under_stacking_permutation(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=45)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=45)
         omega = scheme_omega(d, mc.theta, 30, seed=5, scheme="equal",
-                             design=design, cov=cov)
+                             design=design, sigma_j=sigma_j)
         _, omega_inv = _floor_eigh(omega)
-        s, _, _ = stacked(mc.theta.theta + 0.05, d, cov, design, mc, weights, ecf)
+        s, _, _ = stacked(mc.theta.theta + 0.05, d, sigma_j, design, mc, weights, ecf)
         q0 = s @ omega_inv @ s
         perm = rng.permutation(s.size)
         pmat = np.eye(s.size)[perm]
@@ -923,8 +917,8 @@ class TestSchemeFailures:
     bit for bit as in an unforced run."""
 
     @staticmethod
-    def fit_all(d, cov, design, mc):
-        return fit_gmm_multi(d, SCHEMES, b=30, seed=8, mc=mc, cov=cov, design=design)
+    def fit_all(d, sigma_j, design, mc):
+        return fit_gmm_multi(d, SCHEMES, b=30, seed=8, mc=mc, sigma_j=sigma_j, design=design)
 
     @staticmethod
     def assert_others_unchanged(forced, ref):
@@ -937,8 +931,8 @@ class TestSchemeFailures:
                 want.q_value, want.n_iter, want.diagnostics)
 
     def test_standard_error_failure_keeps_estimate(self, rng, monkeypatch):
-        d, cov, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, cov, design, mc)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, sigma_j, design, mc)
         sandwich = gmm_module.gmm_standard_errors
 
         def failing(jac, omega_inv):
@@ -947,7 +941,7 @@ class TestSchemeFailures:
             return sandwich(jac, omega_inv)
 
         monkeypatch.setattr(gmm_module, "gmm_standard_errors", failing)
-        forced = self.fit_all(d, cov, design, mc)
+        forced = self.fit_all(d, sigma_j, design, mc)
         self.assert_others_unchanged(forced, ref)
         got = forced["minimax"]
         assert got.se is None and ref["minimax"].se is not None
@@ -955,19 +949,19 @@ class TestSchemeFailures:
         assert np.array_equal(got.theta.theta, ref["minimax"].theta.theta)
 
     def test_bootstrap_over_limit_fails_alone(self, rng, monkeypatch):
-        d, cov, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, cov, design, mc)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, sigma_j, design, mc)
         fail_minimax(monkeypatch)
-        forced = self.fit_all(d, cov, design, mc)
+        forced = self.fit_all(d, sigma_j, design, mc)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], BootstrapInstabilityError)
         assert "30/30 bootstrap resamples failed" in str(forced["minimax"])
 
     def test_full_sample_weight_failure_fails_alone(self, rng, monkeypatch):
-        d, cov, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, cov, design, mc)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, sigma_j, design, mc)
         fail_minimax(monkeypatch, lambda sx, counts: np.all(counts == 1.0))
-        forced = self.fit_all(d, cov, design, mc)
+        forced = self.fit_all(d, sigma_j, design, mc)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], DegenerateCovarianceError)
         assert str(forced["minimax"]) == "forced failure"
@@ -975,8 +969,8 @@ class TestSchemeFailures:
     def test_full_sample_ql_events_are_counts_not_warnings(self, rng, monkeypatch):
         # the quasi-likelihood solve fails on the full sample only: that fit
         # runs on equal weights and says so in its diagnostics, silently
-        d, cov, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, cov, design, mc)
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, sigma_j, design, mc)
         solve = weights_module._solve_ql_system
 
         def failing(counts, omega_inv, w_bar, gamma):
@@ -987,7 +981,7 @@ class TestSchemeFailures:
         monkeypatch.setattr(weights_module, "_solve_ql_system", failing)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            forced = self.fit_all(d, cov, design, mc)
+            forced = self.fit_all(d, sigma_j, design, mc)
         got, want = forced["quasi_likelihood"], ref["quasi_likelihood"]
         assert got.weights.fallback and not want.weights.fallback
         assert (got.diagnostics["ql_fallback"], got.diagnostics["ql_clamped"]) == (1, 0)
@@ -1022,9 +1016,9 @@ class TestSchemeFailures:
             fit_gmm_multi(d, ("equal",), b=30, seed=8)
 
 
-def corrected_ls_jacobian(d, cov, design):
+def corrected_ls_jacobian(d, sigma_j, design):
     """(2/n) x the corrected Gram matrix, from its definition."""
-    sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+    sig_w = pooled_error_covariance(sigma_j, d.n_rep)
     gram = design.v.T @ design.v
     gram[:d.p, :d.p] -= sig_w
     return 2.0 / d.n * gram
@@ -1032,7 +1026,7 @@ def corrected_ls_jacobian(d, cov, design):
 
 class TestStandardErrors:
     def test_positive_and_shapes(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=60)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=60)
         fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7)["minimax"]
         k = d.p + d.q + 1
         assert fit.se is not None and fit.se.shape == (k,)
@@ -1041,9 +1035,9 @@ class TestStandardErrors:
                              compute_se=False)["minimax"].se is None
 
     def test_recompute_matches_fit(self, rng):
-        d, cov, design, mc, weights, ecf = prepared(rng, n=60)
+        d, sigma_j, design, mc, weights, ecf = prepared(rng, n=60)
         fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7)["minimax"]
-        _, jac, _ = stacked(fit.theta, d, cov, design, mc, fit.weights, fit.ecf)
+        _, jac, _ = stacked(fit.theta, d, sigma_j, design, mc, fit.weights, fit.ecf)
         se = gmm_standard_errors(jac, fit.omega_inv)
         assert np.array_equal(se, fit.se)
 
@@ -1055,9 +1049,9 @@ class TestStandardErrors:
         # corrected least-squares Jacobian
         d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
                                      error_law=law, seed=23), 0)
-        cov, design = estimate_covariances(d), build_design(d)
-        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, cov=cov, design=design)
-        jac_mc = corrected_ls_jacobian(d, cov, design)
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, sigma_j=sigma_j, design=design)
+        jac_mc = corrected_ls_jacobian(d, sigma_j, design)
         for fit in fits.values():
             assert fit.se is not None
             _, jac_ph, _ = grad_and_hessian(fit.theta.theta, design.v, fit.weights.q, fit.ecf)
@@ -1070,12 +1064,12 @@ class TestStandardErrors:
         # oracle: the sandwich with the phase block as a symmetrized central
         # difference of the phase gradient, step 1e-5 (1 + |theta_i|)
         if setting == "toy":
-            d, cov, design, *_ = prepared(rng, n=60)
+            d, sigma_j, design, *_ = prepared(rng, n=60)
         else:
             d, _ = gen_dataset(SimConfig(setting="III", n=300, n_rep=2, m_reps=1,
                                          error_law="t2_5", seed=17), 0)
-            cov, design = estimate_covariances(d), build_design(d)
-        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7, cov=cov, design=design)["minimax"]
+            sigma_j, design = estimate_covariances(d), build_design(d)
+        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7, sigma_j=sigma_j, design=design)["minimax"]
         assert fit.se is not None
         theta = fit.theta.theta
         k = theta.size
@@ -1088,6 +1082,6 @@ class TestStandardErrors:
                             - grad_and_hessian(theta - e, design.v, fit.weights.q, fit.ecf)[0]
                             ) / (2 * h)
         jac_ph = 0.5 * (jac_ph + jac_ph.T)
-        p1 = np.hstack([corrected_ls_jacobian(d, cov, design).T, jac_ph.T])
+        p1 = np.hstack([corrected_ls_jacobian(d, sigma_j, design).T, jac_ph.T])
         se_fd = np.sqrt(np.diag(np.linalg.inv(p1 @ fit.omega_inv @ p1.T)))
         assert np.allclose(fit.se, se_fd, rtol=1e-6, atol=0.0)

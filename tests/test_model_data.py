@@ -258,7 +258,7 @@ class TestDenseLayout:
         assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
                    for a, b in zip(views, blocks))
         assert np.array_equal(d.w_bar, [b.mean(axis=0) for b in blocks])
-        sigma_j = estimate_covariances(d).sigma_j
+        sigma_j = estimate_covariances(d)
         for j, block in enumerate(blocks):
             np.testing.assert_allclose(sigma_j[j], estimate_sigma_j(d, j), rtol=0, atol=1e-12)
             np.testing.assert_allclose(sigma_j[j], pairwise_oracle(block), rtol=0, atol=1e-12)

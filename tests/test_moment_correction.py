@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eivgmm.covariance import CovarianceSet, estimate_covariances, pooled_error_covariance
+from eivgmm.covariance import estimate_covariances, pooled_error_covariance
 from eivgmm.errors import EstimationError
 from eivgmm.model_data import build_design, make_dataset
 from eivgmm.moment_correction import fit_mc, fit_ols, grad_corrected_l2
@@ -36,8 +36,7 @@ class TestFitMc:
     def test_zero_sigma_equals_ols(self, rng):
         d, _ = toy_dataset(rng, n=60)
         design = build_design(d)
-        cov = CovarianceSet(sigma_j=np.zeros((d.n, d.p, d.p)), sigma_x=np.eye(d.p))
-        mc = fit_mc(d, cov, design)
+        mc = fit_mc(d, np.zeros((d.n, d.p, d.p)), design)
         ols = fit_ols(d.y, design.v, d.p)
         assert np.allclose(mc.theta.theta, ols.theta, atol=1e-10)
 
@@ -48,8 +47,7 @@ class TestFitMc:
         y = np.array([1.1, 2.3, 0.4, 3.2, 2.0])
         d = make_dataset(y, np.empty((5, 0)), w)
         sigma_j = np.array([[[0.3]], [[0.1]], [[0.2]], [[0.05]], [[0.4]]])
-        cov = CovarianceSet(sigma_j=sigma_j, sigma_x=np.eye(1))
-        mc = fit_mc(d, cov)
+        mc = fit_mc(d, sigma_j)
 
         w_bar = np.array([wj.mean(axis=0) for wj in w]).ravel()
         sw = (sigma_j.ravel() / 2.0).sum()
@@ -63,18 +61,18 @@ class TestFitMc:
 
     def test_gradient_zero_at_solution(self, rng):
         d, _ = toy_dataset(rng, n=80)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
-        mc = fit_mc(d, cov, design)
-        sig_w = pooled_error_covariance(cov.sigma_j, d.n_rep)
+        mc = fit_mc(d, sigma_j, design)
+        sig_w = pooled_error_covariance(sigma_j, d.n_rep)
         grad = grad_corrected_l2(mc.theta.theta, design.v, d.y, sig_w)
         rhs = design.v.T @ d.y
         assert np.max(np.abs(grad)) <= 1e-8 * (1.0 + np.abs(rhs).max())
 
     def test_solution_residual_small(self, rng):
         d, _ = toy_dataset(rng, n=80)
-        cov = estimate_covariances(d)
-        mc = fit_mc(d, cov)
+        sigma_j = estimate_covariances(d)
+        mc = fit_mc(d, sigma_j)
         design = build_design(d)
         rhs = design.v.T @ d.y
         resid = mc.gram @ mc.theta.theta - rhs
@@ -90,32 +88,31 @@ class TestFitMc:
         # sum w^2 - s = (sum w)^2 / 8
         s = w_bar @ w_bar - w_bar.sum() ** 2 / 8.0
         sigma_j = np.full((8, 1, 1), 2.0 * s / 8.0)
-        cov = CovarianceSet(sigma_j=sigma_j, sigma_x=np.eye(1))
         with pytest.raises(EstimationError, match="near-singular"):
-            fit_mc(d, cov)
+            fit_mc(d, sigma_j)
 
     def test_sigma_eps_clamped_nonnegative(self, rng):
         d, _ = toy_dataset(rng, n=50, noise_sd=0.8, eps_sd=0.01)
-        cov = estimate_covariances(d)
-        mc = fit_mc(d, cov)
+        sigma_j = estimate_covariances(d)
+        mc = fit_mc(d, sigma_j)
         assert mc.sigma_eps_sq >= 0.0
 
 
 class TestEquivariance:
     def test_outcome_scaling(self, rng):
         d, _ = toy_dataset(rng, n=70)
-        cov = estimate_covariances(d)
-        theta1 = fit_mc(d, cov).theta.theta
+        sigma_j = estimate_covariances(d)
+        theta1 = fit_mc(d, sigma_j).theta.theta
         d2 = make_dataset(3.0 * d.y, d.z[:, 1:], d.w_reps)
-        theta2 = fit_mc(d2, cov).theta.theta
+        theta2 = fit_mc(d2, sigma_j).theta.theta
         assert np.allclose(theta2, 3.0 * theta1, rtol=1e-10)
 
     def test_z_shift(self, rng):
         d, _ = toy_dataset(rng, n=70, q=1)
-        cov = estimate_covariances(d)
-        theta1 = fit_mc(d, cov).theta.theta
+        sigma_j = estimate_covariances(d)
+        theta1 = fit_mc(d, sigma_j).theta.theta
         d2 = make_dataset(d.y + 2.5 * d.z[:, 1], d.z[:, 1:], d.w_reps)
-        theta2 = fit_mc(d2, cov).theta.theta
+        theta2 = fit_mc(d2, sigma_j).theta.theta
         expected = theta1.copy()
         expected[-1] += 2.5
         assert np.allclose(theta2, expected, rtol=1e-8, atol=1e-10)
@@ -128,13 +125,13 @@ class TestConsistency:
         cfg = SimConfig(setting="simple", n=10_000, n_rep=2, m_reps=1,
                         error_law="normal", seed=5)
         d, x = gen_dataset(cfg, 0)
-        cov = estimate_covariances(d)
+        sigma_j = estimate_covariances(d)
         design = build_design(d)
-        mc = fit_mc(d, cov, design)
+        mc = fit_mc(d, sigma_j, design)
         naive = fit_ols(d.y, design.v, d.p)
         assert abs(mc.theta.beta[0] - 1.0) < 0.03
         # attenuation factor var(x) / (var(x) + mean averaged error variance)
-        avg_noise = (cov.sigma_j[:, 0, 0] / d.n_rep).mean()
+        avg_noise = (sigma_j[:, 0, 0] / d.n_rep).mean()
         lam = x.var() / (x.var() + avg_noise)
         assert abs(naive.beta[0] - lam) < 0.05
         assert naive.beta[0] < 0.75

@@ -235,7 +235,7 @@ class TestGenDataset:
         for bad in ({"u_scale": 0.0}, {"u_scale": -1.0}, {"u_scale": np.inf},
                     {"u_scale": np.nan}, {"sigma_eps_sq": -1.0},
                     {"sigma_eps_sq": np.nan}, {"sigma_eps_sq": np.inf}, {"m_reps": -1},
-                    {"n": 3}):
+                    {"n": 3}, {"seed": -1}):
             with pytest.raises(ValidationError):
                 SimConfig(setting="I", **bad)
         assert SimConfig(setting="I", m_reps=0, sigma_eps_sq=0.0).m_reps == 0

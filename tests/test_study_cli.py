@@ -132,7 +132,12 @@ def failing_last_estimator(cfg, m, estimators, b, compute_se):
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    """(exit code, stdout, stderr) of one command; an argparse usage error
+    exits 2 through SystemExit, as it does from the console script."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -217,6 +222,11 @@ class TestCliFit:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", csv_path])
         assert exc.value.code == 2
+        # a negative seed is rejected by the parser as well
+        code, out, err = run_cli(["fit", "--data", csv_path, "--y", "y", "--seed", "-1"], capsys)
+        assert code == 2
+        assert "argument --seed: need an integer >= 0, got '-1'" in err
+        assert out == ""
 
     def test_gmm_without_bootstrap_rejected(self, csv_path, capsys):
         code, *_ = run_cli(["fit", "--data", csv_path, "--y", "y",
@@ -387,6 +397,13 @@ class TestCliSimulate:
             assert code == 2, flag
             assert err.startswith("error: need"), flag
             assert out == ""
+        # a negative seed is rejected by the parser, before SimConfig sees it
+        code, out, err = run_cli(["simulate", "--setting", "I", "--n", "60", "--M", "2",
+                                  "--estimators", "naive", "--workers", "1",
+                                  "--seed", "-1"], capsys)
+        assert code == 2
+        assert "argument --seed: need an integer >= 0, got '-1'" in err
+        assert out == ""
 
     def test_too_small_n_usage_error(self, capsys):
         # rejected with the other scalars, before any dataset is drawn
@@ -416,6 +433,10 @@ class TestCliReproduce:
     def test_unknown_criterion_usage_error(self, capsys):
         code, *_ = run_cli(["reproduce", "--only", "nope"], capsys)
         assert code == 2
+        code, out, err = run_cli(["reproduce", "--only", "se", "--seed", "-1"], capsys)
+        assert code == 2
+        assert "argument --seed: need an integer >= 0, got '-1'" in err
+        assert out == ""
 
     def test_too_few_resamples_usage_error(self, capsys):
         code, _, err = run_cli(["reproduce", "--M", "2", "--b", "10"], capsys)
