@@ -16,6 +16,7 @@ from .errors import (
     EivError,
     EstimationError,
     StandardErrorError,
+    UsageError,
     ValidationError,
     WeightSolveError,
 )

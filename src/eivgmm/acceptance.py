@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from .errors import EstimationError
+from .errors import EstimationError, UsageError
 from .metrics import MIN_DET_REPS
 from .simgen import SimConfig
 from .study import run_study
@@ -143,6 +143,13 @@ _RUNNERS = {
 
 
 def run_criterion(name, m_reps=100, b=100, seed=20250810, workers=1):
+    """Run and check one criterion, timed as wall_time_s. A bad name or m_reps,
+    or b and workers that run_study rejects, raise UsageError before any work."""
+    if name not in _RUNNERS:
+        raise UsageError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
+    if m_reps < MIN_DET_REPS:
+        raise UsageError(f"need m_reps >= {MIN_DET_REPS}, got {m_reps}: every criterion's "
+                         "study computes the trimmed det metric")
     start = time.perf_counter()
     outcome = _RUNNERS[name](m_reps=m_reps, b=b, seed=seed, workers=workers)
     outcome["wall_time_s"] = round(time.perf_counter() - start, 2)

@@ -3,8 +3,9 @@ reproduce the acceptance grid.
 
 Reports are emitted as deterministic JSON (stable key order, volatile fields
 such as wall time kept out of the canonical document) plus aligned text for
-humans. Exit codes: 0 success, 1 estimation/ingestion failure, 2 usage error,
-3 acceptance failure.
+humans. Exit codes, mapped from errors in main only: 0 success; 1 estimation,
+ingestion or file failure (a JSON error on stdout); 2 an argument the CLI or
+the library rejects (UsageError); 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import numpy as np
 
 from . import __version__
 from .covariance import estimate_covariances
-from .errors import EivError
-from .gmm import MIN_BOOTSTRAP, fit_gmm_multi
-from .metrics import MIN_DET_REPS
+from .errors import EivError, UsageError
+from .gmm import fit_gmm_multi
 from .model_data import CsvSchema, build_design, load_csv, write_csv
 from .moment_correction import fit_mc, fit_ols
 from .simgen import SimConfig, gen_dataset
-from .study import DISPLAY_NAMES, ESTIMATORS, GMM_SCHEMES, run_study
+from .study import DISPLAY_NAMES, ESTIMATORS, run_study
 
 EXIT_OK = 0
 EXIT_ESTIMATION = 1
@@ -99,70 +99,55 @@ def cmd_fit(args) -> int:
     start = time.perf_counter()
     estimators = [tok.strip() for tok in args.estimators.split(",") if tok.strip()]
     if not estimators:
-        print("error: no estimators given", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("no estimators given")
     unknown = [e for e in estimators if e not in ("naive", "mc", "gmm")]
     if unknown:
-        print(f"error: unknown estimators {unknown}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown estimators {unknown}; expected names from naive, mc, gmm")
     try:
         # aliases of one scheme ("mm,minimax") name one fit
         schemes = list(dict.fromkeys(
             _WEIGHT_TOKENS[tok.strip()] for tok in args.weights.split(",") if tok.strip()))
     except KeyError as exc:
-        print(f"error: unknown weight scheme {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if "gmm" in estimators and not schemes:
-        print("error: the gmm estimator needs at least one --weights scheme", file=sys.stderr)
-        return EXIT_USAGE
-    if "gmm" in estimators and args.bootstrap < MIN_BOOTSTRAP:
-        print(f"error: the gmm estimator needs --bootstrap >= {MIN_BOOTSTRAP} resamples",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown weight scheme {exc}; expected names from "
+                         f"{', '.join(_WEIGHT_TOKENS)}") from None
 
-    schema = CsvSchema(
-        y=args.y,
-        z=tuple(tok.strip() for tok in args.z.split(",") if tok.strip()) if args.z else (),
-        w_prefix=args.w_prefix,
-    )
-    try:
-        d = load_csv(args.data, schema)
-        design = build_design(d)
-        results = {}
-        if "naive" in estimators:
-            results["naive"] = {"coef": fit_ols(d.y, design.v, d.p).theta.tolist(), "se": None}
-        if "mc" in estimators or "gmm" in estimators:
-            sigma_j = estimate_covariances(d)
-            mc = fit_mc(d, sigma_j, design)
-        if "mc" in estimators:
-            results["mc"] = {"coef": mc.theta.theta.tolist(), "se": None,
-                             "sigma_eps_sq": mc.sigma_eps_sq}
-        diagnostics = {}
-        if "gmm" in estimators:
-            fits = fit_gmm_multi(d, tuple(schemes), b=args.bootstrap, seed=args.seed,
-                                 mc=mc, sigma_j=sigma_j, design=design)
-            for scheme, fit in fits.items():
-                key = f"gmm_{scheme}"
-                if isinstance(fit, EivError):
-                    diagnostics[key] = {"error": str(fit)}
-                    continue
-                results[key] = {
-                    "coef": fit.theta.theta.tolist(),
-                    "se": None if fit.se is None else fit.se.tolist(),
-                }
-                diagnostics[key] = {
-                    "q_value": fit.q_value,
-                    "converged": fit.converged,
-                    "n_iter": fit.n_iter,
-                    "t_star": fit.ecf.t_star,
-                    "weight_scheme": fit.weights.scheme,
-                    "max_q_times_n": fit.weights.max_q_times_n,
-                    "bootstrap_b": args.bootstrap,
-                    "bootstrap_failed": fit.n_boot_failed,
-                    **fit.diagnostics,
-                }
-    except EivError as exc:
-        return _fail(str(exc), EXIT_ESTIMATION)
+    z = tuple(tok.strip() for tok in args.z.split(",") if tok.strip())
+    schema = CsvSchema(y=args.y, z=z, w_prefix=args.w_prefix)
+    d = load_csv(args.data, schema)
+    design = build_design(d)
+    results = {}
+    if "naive" in estimators:
+        results["naive"] = {"coef": fit_ols(d.y, design.v, d.p).theta.tolist(), "se": None}
+    if "mc" in estimators or "gmm" in estimators:
+        sigma_j = estimate_covariances(d)
+        mc = fit_mc(d, sigma_j, design)
+    if "mc" in estimators:
+        results["mc"] = {"coef": mc.theta.theta.tolist(), "se": None,
+                         "sigma_eps_sq": mc.sigma_eps_sq}
+    diagnostics = {}
+    if "gmm" in estimators:
+        fits = fit_gmm_multi(d, tuple(schemes), b=args.bootstrap, seed=args.seed,
+                             mc=mc, sigma_j=sigma_j, design=design)
+        for scheme, fit in fits.items():
+            key = f"gmm_{scheme}"
+            if isinstance(fit, EivError):
+                diagnostics[key] = {"error": str(fit)}
+                continue
+            results[key] = {
+                "coef": fit.theta.theta.tolist(),
+                "se": None if fit.se is None else fit.se.tolist(),
+            }
+            diagnostics[key] = {
+                "q_value": fit.q_value,
+                "converged": fit.converged,
+                "n_iter": fit.n_iter,
+                "t_star": fit.ecf.t_star,
+                "weight_scheme": fit.weights.scheme,
+                "max_q_times_n": fit.weights.max_q_times_n,
+                "bootstrap_b": args.bootstrap,
+                "bootstrap_failed": fit.n_boot_failed,
+                **fit.diagnostics,
+            }
 
     coef_names = [f"beta{i + 1}" for i in range(d.p)]
     coef_names += ["intercept"] + list(schema.z)
@@ -258,39 +243,20 @@ def _study_report(result, estimators, command, args):
 
 def cmd_simulate(args) -> int:
     start = time.perf_counter()
-    try:
-        cfg = _sim_config(args)
-    except EivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _sim_config(args)
     estimators = tuple(tok.strip() for tok in args.estimators.split(",") if tok.strip())
-    if not estimators:
-        print("error: no estimators given", file=sys.stderr)
-        return EXIT_USAGE
-    bad = [e for e in estimators if e not in ESTIMATORS]
-    if bad:
-        print(f"error: unknown estimators {bad}; known: {ESTIMATORS}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.b < MIN_BOOTSTRAP and any(name in GMM_SCHEMES for name in estimators):
-        print(f"error: the gmm_* estimators need --b >= {MIN_BOOTSTRAP} bootstrap resamples",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.workers < 1:
-        print(f"error: need --workers >= 1, got {args.workers}", file=sys.stderr)
-        return EXIT_USAGE
-
+    result = run_study(cfg, estimators=estimators, b=args.b, workers=args.workers,
+                       compute_se=not args.no_se)
     if args.dump_data:
         os.makedirs(args.dump_data, exist_ok=True)
         for m in range(cfg.m_reps):
             d, _ = gen_dataset(cfg, m)
             write_csv(d, os.path.join(args.dump_data, f"dataset_{m:04d}.csv"))
-
-    result = run_study(cfg, estimators=estimators, b=args.b, workers=args.workers,
-                       compute_se=not args.no_se)
     report = _study_report(result, estimators, "simulate", args)
-    if cfg.m_reps < MIN_DET_REPS:
-        # too few replications for the trimmed metric; add the raw estimates
-        report["note"] = (f"M < {MIN_DET_REPS}: trimmed det metric skipped, "
+    if not result.det_metrics:
+        # no estimator has enough successful replications for the trimmed
+        # metric; add the raw estimates
+        report["note"] = ("too few successful replications for the trimmed det metric: "
                           "raw estimates reported")
         report["estimates"] = {m: {name: result.estimates[name][m].tolist() for name in estimators}
                                for m in range(cfg.m_reps)}
@@ -322,21 +288,8 @@ def cmd_reproduce(args) -> int:
     only = {tok.strip() for tok in args.only.split(",") if tok.strip()} if args.only else None
     names = [name for name in CRITERIA if only is None or name in only]
     if only and len(names) != len(only):
-        print(f"error: unknown criteria {sorted(only - set(names))}; "
-              f"known: {list(CRITERIA)}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.b < MIN_BOOTSTRAP:
-        print(f"error: every criterion fits gmm estimators and needs --b >= {MIN_BOOTSTRAP} "
-              "bootstrap resamples", file=sys.stderr)
-        return EXIT_USAGE
-    if args.M < MIN_DET_REPS:
-        print(f"error: need --M >= {MIN_DET_REPS}: every criterion's study computes "
-              f"the trimmed det metric, which needs {MIN_DET_REPS} replications",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.workers < 1:
-        print(f"error: need --workers >= 1, got {args.workers}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown criteria {sorted(only - set(names))}; "
+                         f"known: {list(CRITERIA)}")
     outcomes = {}
     all_pass = True
     for name in names:
@@ -345,7 +298,8 @@ def cmd_reproduce(args) -> int:
         elapsed = outcome.pop("wall_time_s", 0.0)
         outcomes[name] = outcome
         status = "PASS" if outcome["passed"] else "FAIL"
-        print(f"[{status}] {name}: {outcome['summary']} [{elapsed:.0f}s]")
+        print(f"[{status}] {name}: {outcome['summary']}")
+        print(f"[{elapsed:.0f}s] {name}", file=sys.stderr)
         all_pass &= outcome["passed"]
     report = {
         "command": "reproduce",
@@ -440,7 +394,7 @@ def _default_workers() -> int:
     if not env:
         return os.cpu_count() or 1
     try:
-        return max(1, int(env))
+        return int(env)
     except ValueError:
         print(f"error: EIVGMM_WORKERS must be an integer, got {env!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
@@ -450,7 +404,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EivError as exc:
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (EivError, OSError) as exc:
         return _fail(str(exc), EXIT_ESTIMATION)
 
 

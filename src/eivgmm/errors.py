@@ -18,6 +18,10 @@ class ValidationError(EivError):
     """Input data violates a model requirement (dimensions, replicates, finiteness)."""
 
 
+class UsageError(ValidationError, ValueError):
+    """An argument outside its allowed set or range; also a ValueError."""
+
+
 class EstimationError(EivError):
     """A linear system or least-squares problem is too ill-conditioned to solve."""
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import estimate_covariances, pooled_error_covariance, psd_project
-from .errors import BootstrapInstabilityError, EivError, StandardErrorError
+from .errors import BootstrapInstabilityError, EivError, StandardErrorError, UsageError
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
 from .phase import EcfOutcome, _BootstrapPhase, _quad_rule, _t_star_from_counts, grad_and_hessian
@@ -368,6 +368,17 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     return x, float(q), n_eval, False, jac
 
 
+def _check_fit_args(schemes, b):
+    """UsageError for no scheme, a name not in SCHEMES or b below MIN_BOOTSTRAP."""
+    if not schemes:
+        raise UsageError(f"no weight scheme given; expected one or more of {SCHEMES}")
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise UsageError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
+    if b < MIN_BOOTSTRAP:
+        raise UsageError(f"need b >= {MIN_BOOTSTRAP} bootstrap resamples, got {b}")
+
+
 def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
                   compute_se: bool = True, mc: McFit | None = None,
                   sigma_j: np.ndarray | None = None,
@@ -382,8 +393,8 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     estimate by damped Newton steps on the exact Hessian of the quadratic
     form. The sandwich standard errors use the Jacobian the optimizer
     evaluated at the estimate it returns. A scheme listed twice is fit once;
-    no scheme, or a scheme name not in weights.SCHEMES, raises ValueError
-    before any work.
+    no scheme, a scheme name not in weights.SCHEMES, or b below
+    MIN_BOOTSTRAP raises UsageError (a ValueError) before any work.
 
     The full sample's t*, outcome ECF and weights are row 0 of the bootstrap
     pass; a constant outcome raises DegenerateInputError from its t* scan,
@@ -395,13 +406,7 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     diagnostics["se_error"].
     """
     schemes = tuple(dict.fromkeys(schemes))
-    if not schemes:
-        raise ValueError(f"no weight scheme given; expected one or more of {SCHEMES}")
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
-    if b < MIN_BOOTSTRAP:
-        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples")
+    _check_fit_args(schemes, b)
     if sigma_j is None:
         sigma_j = estimate_covariances(d)
     if design is None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .model_data import as_theta
 
 __all__ = ["RobustMse", "robust_mse", "SeSummary", "mc_se_summary"]
@@ -135,12 +136,13 @@ def robust_mse(estimates, truth, seed=0) -> RobustMse:
     beyond the nearest-rank 90th percentile are dropped (ties kept), and the
     uncentered second moment of the kept rows is returned along with
     det(1000 x MSE). Falls back to a diagonal squared-MAD scatter, and sets
-    ``mad_fallback`` to say so, when the MCD scatter is singular.
+    ``mad_fallback`` to say so, when the MCD scatter is singular. Fewer than
+    MIN_DET_REPS rows raise UsageError.
     """
     estimates = np.asarray(estimates, dtype=float)
     m, k = estimates.shape
     if m < MIN_DET_REPS:
-        raise ValueError(f"need at least {MIN_DET_REPS} replications for the trimmed metric")
+        raise UsageError(f"need m >= {MIN_DET_REPS} replications, got {m}")
     a = estimates - as_theta(truth)
     a_med = np.median(a, axis=0)
     _, scatter = fast_mcd(a, seed=seed)
@@ -161,11 +163,11 @@ def robust_mse(estimates, truth, seed=0) -> RobustMse:
 
 
 def mc_se_summary(estimates, avg_se) -> SeSummary:
-    """Column standard deviations of estimates versus column means of reported SEs."""
+    """Column SDs of estimates vs column means of reported SEs; UsageError below 2 rows."""
     estimates = np.asarray(estimates, dtype=float)
     avg_se = np.asarray(avg_se, dtype=float)
     if estimates.shape[0] < 2:
-        raise ValueError("need at least 2 replications")
+        raise UsageError(f"need m >= 2 replications, got {estimates.shape[0]}")
     return SeSummary(
         mc_se=estimates.std(axis=0, ddof=1),
         avg_se=avg_se.mean(axis=0),

@@ -213,13 +213,16 @@ def _parse_cells(cells, locate):
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load a wide-format CSV file into a Dataset.
 
-    Raises CsvParseError for malformed numeric cells and for rows with more
-    or fewer cells than the header, and ValidationError for an empty file,
-    schema problems or rows with fewer than 2 complete replicate vectors.
-    Data rows are numbered from 0; blank lines are skipped.
+    Raises CsvParseError for a non-UTF-8 file, malformed numeric cells and
+    rows with more or fewer cells than the header, and ValidationError for an
+    empty file, schema problems or rows with fewer than 2 complete replicate
+    vectors. Data rows are numbered from 0; blank lines are skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [line for line in csv.reader(fh) if line]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [line for line in csv.reader(fh) if line]
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from None
     if not lines:
         raise ValidationError("empty file: no header row")
     header, rows = lines[0], lines[1:]

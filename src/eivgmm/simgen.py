@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UsageError, ValidationError
 from .model_data import make_dataset
 
 __all__ = [
@@ -57,7 +57,7 @@ class SimConfig:
 
     setting picks dimensions and covariate laws; error_law and rho control the
     measurement-error distribution and the correlation between its components;
-    theta0 holds the setting's true coefficients.
+    theta0 holds the setting's true coefficients. Bad fields raise UsageError.
     """
 
     setting: str = "I"
@@ -74,25 +74,25 @@ class SimConfig:
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
-            raise ValidationError(f"unknown setting {self.setting!r}; expected one of {SETTINGS}")
+            raise UsageError(f"unknown setting {self.setting!r}; expected one of {SETTINGS}")
         if self.error_law not in ERROR_LAWS:
-            raise ValidationError(
+            raise UsageError(
                 f"unknown error law {self.error_law!r}; expected one of {ERROR_LAWS}")
         if self.n_rep < 2:
-            raise ValidationError("need n_rep >= 2")
+            raise UsageError(f"need n_rep >= 2, got {self.n_rep}")
         if not 0.0 <= self.rho < 1.0:
-            raise ValidationError("need rho in [0, 1)")
+            raise UsageError(f"need rho in [0, 1), got {self.rho}")
         if self.m_reps < 0:
-            raise ValidationError("need m_reps >= 0")
+            raise UsageError(f"need m_reps >= 0, got {self.m_reps}")
         if self.seed < 0:
-            raise ValidationError("need seed >= 0")
+            raise UsageError(f"need seed >= 0, got {self.seed}")
         if not (np.isfinite(self.u_scale) and self.u_scale > 0.0):
-            raise ValidationError("need a finite u_scale > 0")
+            raise UsageError(f"need a finite u_scale > 0, got {self.u_scale}")
         if not (np.isfinite(self.sigma_eps_sq) and self.sigma_eps_sq >= 0.0):
-            raise ValidationError("need a finite sigma_eps_sq >= 0")
+            raise UsageError(f"need a finite sigma_eps_sq >= 0, got {self.sigma_eps_sq}")
         p, q = _SETTING_DIMS[self.setting]
         if self.n < p + q + 2:
-            raise ValidationError(f"need n >= p+q+2 = {p + q + 2}, got n = {self.n}")
+            raise UsageError(f"need n >= p+q+2 = {p + q + 2}, got n = {self.n}")
 
     @property
     def p(self) -> int:

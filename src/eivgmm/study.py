@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import estimate_covariances
-from .errors import EivError
-from .gmm import fit_gmm_multi
+from .errors import EivError, UsageError
+from .gmm import _check_fit_args, fit_gmm_multi
 from .metrics import MIN_DET_REPS, mc_se_summary, robust_mse
 from .model_data import build_design
 from .moment_correction import fit_mc, fit_ols
@@ -110,6 +110,19 @@ def _bootstrap_seed(cfg: SimConfig, m: int, scheme_idx: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _check_estimators(estimators, b):
+    """UsageError unless estimators names one or more of ESTIMATORS and, when
+    it lists a gmm_* estimator, fit_gmm_multi accepts b."""
+    if not estimators:
+        raise UsageError(f"no estimators given; expected one or more of {ESTIMATORS}")
+    unknown = [name for name in estimators if name not in ESTIMATORS]
+    if unknown:
+        raise UsageError(f"unknown estimators {unknown}; expected names from {ESTIMATORS}")
+    schemes = [GMM_SCHEMES[name] for name in estimators if name in GMM_SCHEMES]
+    if schemes:
+        _check_fit_args(schemes, b)
+
+
 def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
                     compute_se: bool = True):
     """Generate dataset m and fit the requested estimators.
@@ -118,8 +131,10 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
     list of (estimator, message) for failed fits. Each GMM scheme reports
     its own outcome: one whose fit failed gets a NaN estimate and its own
     message, and one whose standard errors failed keeps its estimate with a
-    message that starts with SE_FAILURE_PREFIX.
+    message that starts with SE_FAILURE_PREFIX. Bad estimators or b raise
+    UsageError before the dataset is drawn.
     """
+    _check_estimators(estimators, b)
     d, x_true = gen_dataset(cfg, m)
     k = cfg.p + cfg.q + 1
     estimates, ses, errors = {}, {}, []
@@ -188,7 +203,11 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
 
     Trimmed det metrics need at least MIN_DET_REPS successful replications
     per estimator; SE summaries cover the GMM variants when compute_se is set.
+    Bad estimators, b or workers raise UsageError before any dataset is drawn.
     """
+    _check_estimators(estimators, b)
+    if workers < 1:
+        raise UsageError(f"need workers >= 1, got {workers}")
     m_reps = cfg.m_reps
     k = cfg.p + cfg.q + 1
     estimates = {name: np.full((m_reps, k), np.nan) for name in estimators}

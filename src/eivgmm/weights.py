@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import omega_matrices
-from .errors import DegenerateCovarianceError, WeightSolveError
+from .errors import DegenerateCovarianceError, UsageError, WeightSolveError
 
 __all__ = [
     "WeightVector",
@@ -253,7 +253,7 @@ def _block_weights(scheme: str, counts: np.ndarray, sigma_j: np.ndarray,
     """One scheme's weights for B samples over the rows of sigma_j (n, p, p),
     w_bar (n, p) and n_rep (n,): sample b holds row j counts[b, j] times and
     has covariate covariance sigma_x[b], from a (B, p, p) stack that is
-    already PSD-projected. Dispatches on scheme name, one of SCHEMES.
+    already PSD-projected. Dispatches on scheme name; UsageError unless in SCHEMES.
     """
     counts = np.asarray(counts, dtype=float)
     n_rep = np.asarray(n_rep, dtype=float)
@@ -263,4 +263,4 @@ def _block_weights(scheme: str, counts: np.ndarray, sigma_j: np.ndarray,
         return _minimax(counts, sigma_j, sigma_x, n_rep)
     if scheme == "quasi_likelihood":
         return _quasi_likelihood(counts, sigma_j, sigma_x, np.asarray(w_bar, dtype=float), n_rep)
-    raise ValueError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")
+    raise UsageError(f"unknown weight scheme {scheme!r}; expected one of {SCHEMES}")

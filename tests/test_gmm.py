@@ -333,10 +333,36 @@ class TestBatchedBootstrap:
         sigma_j, design = estimate_covariances(d), build_design(d)
         return d, fit_mc(d, sigma_j, design).theta.theta, 25, 3, SCHEMES, design, sigma_j
 
+    @staticmethod
+    def ragged_inputs(p, seed, ragged=True, b=30):
+        # no simulated setting has p > 2 or a replicate count other than
+        # n_rep for every row: here n_j is drawn from {2, 3, 4} (or is 3 for
+        # every row), and the measurement error has a per-row scale
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = rng.exponential(1.0, size=(n, p))
+        z = rng.normal(size=(n, 1))
+        y = 1.0 + x @ np.linspace(1.0, 0.5, p) + 0.5 * z[:, 0] + 0.3 * rng.normal(size=n)
+        n_j = rng.integers(2, 5, size=n) if ragged else np.full(n, 3)
+        scale = rng.uniform(0.2, 0.6, size=n)
+        w = [x[j] + scale[j] * rng.normal(size=(n_j[j], p)) for j in range(n)]
+        d = make_dataset(y, z, w)
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        return d, fit_mc(d, sigma_j, design).theta.theta, b, seed, SCHEMES, design, sigma_j
+
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
     def test_matches_loop(self, monkeypatch, setting, law):
         args = self.inputs(setting, law)
+        assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args),
+                              loop_bootstrap(*args))
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("p, ragged", [(1, True), (2, True), (3, True), (3, False)])
+    def test_matches_loop_ragged_and_p3(self, monkeypatch, p, ragged, seed):
+        # p = 3 takes the general branches of _top_eigenvalues and _inv_held
+        args = self.ragged_inputs(p, seed, ragged)
+        assert ragged == (np.unique(args[0].n_rep).size > 1)
         assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args),
                               loop_bootstrap(*args))
 

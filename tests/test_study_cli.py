@@ -1,6 +1,7 @@
 import ctypes
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -10,7 +11,13 @@ import eivgmm.gmm as gmm_module
 import eivgmm.study as study_module
 from eivgmm.acceptance import run_criterion
 from eivgmm.cli import main
-from eivgmm.errors import BootstrapInstabilityError, EstimationError, StandardErrorError
+from eivgmm.errors import (
+    BootstrapInstabilityError,
+    EstimationError,
+    StandardErrorError,
+    UsageError,
+    ValidationError,
+)
 from eivgmm.model_data import CsvSchema, write_csv
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.study import _OPENBLAS_SET_THREADS, _pin_blas_threads, run_replication, run_study
@@ -47,6 +54,27 @@ class TestStudy:
             assert np.array_equal(r1.estimates[name], r2.estimates[name])
             assert np.array_equal(r1.ses[name], r2.ses[name], equal_nan=True)
         assert np.all(np.isfinite(r1.ses["gmm_equal"]))
+
+    def test_bad_arguments_raise_before_any_dataset(self, monkeypatch):
+        def no_draw(cfg, m):
+            raise AssertionError("a dataset was drawn")
+
+        assert issubclass(UsageError, ValidationError) and issubclass(UsageError, ValueError)
+        monkeypatch.setattr(study_module, "gen_dataset", no_draw)
+        cfg = SimConfig(setting="simple", n=60, n_rep=2, m_reps=2, seed=1)
+        for kwargs, message in (
+                ({"estimators": ("bogus", "naive")}, r"unknown estimators \['bogus'\]"),
+                ({"estimators": ()}, "no estimators given"),
+                ({"workers": 0}, "need workers >= 1, got 0"),
+                ({"estimators": ("mc", "gmm_ql"), "b": 10}, "b >= 25 bootstrap resamples, got 10")):
+            with pytest.raises(UsageError, match=message):
+                run_study(cfg, **kwargs)
+        with pytest.raises(UsageError, match="b >= 25 bootstrap resamples, got 10"):
+            run_replication(cfg, 0, estimators=("naive", "gmm_mm"), b=10)
+        # the bootstrap count binds only when a gmm_* estimator is listed
+        monkeypatch.undo()
+        est, _, errors = run_replication(cfg, 0, estimators=("naive", "mc"), b=10)
+        assert set(est) == {"naive", "mc"} and errors == []
 
     def test_pool_workers_run_blas_single_threaded(self):
         if not openblas_threads():
@@ -244,7 +272,7 @@ class TestCliFit:
         code, out, err = run_cli(["fit", "--data", csv_path, "--y", "y",
                                   "--estimators", "mc,gmm", "--weights", ","], capsys)
         assert code == 2
-        assert "--weights" in err
+        assert "no weight scheme given" in err
         assert out == ""
 
     def test_naive_needs_no_corrected_fit(self, tmp_path, capsys):
@@ -263,6 +291,25 @@ class TestCliFit:
                                 "--estimators", "mc"], capsys)
         assert code == 1
         assert "near-singular" in json.loads(out.splitlines()[0])["error"]
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "json-dir"])
+    def test_file_error_json_exit_1(self, csv_path, tmp_path, capsys, case):
+        data, extra = csv_path, []
+        if case == "missing":
+            data = str(tmp_path / "missing.csv")
+        elif case == "directory":
+            data = str(tmp_path)
+        elif case == "not-utf8":
+            data = str(tmp_path / "latin1.csv")
+            with open(data, "wb") as fh:
+                fh.write(b"y,w1_r1,w1_r2\n1.0,2.0,\xff\n2.0,1.0,1.5\n")
+        else:
+            extra = ["--json", str(tmp_path / "no" / "dir" / "r.json")]
+        code, out, _ = run_cli(["fit", "--data", data, "--y", "y",
+                                "--estimators", "naive", *extra], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]
 
     def test_estimation_error_json_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -343,7 +390,7 @@ class TestCliSimulate:
         code, _, err = run_cli(["simulate", "--M", "2", "--b", "10",
                                 "--estimators", "mc,gmm_mm"], capsys)
         assert code == 2
-        assert "--b >= 25" in err
+        assert "b >= 25 bootstrap resamples, got 10" in err
 
     def test_study_json_and_csv(self, capsys, tmp_path):
         json_path = str(tmp_path / "sim.json")
@@ -413,13 +460,29 @@ class TestCliSimulate:
         assert err.startswith("error: need n >= p+q+2 = 4, got n = 3")
         assert out == ""
 
-    def test_workers_below_one_usage_error(self, capsys):
+    def test_workers_below_one_usage_error(self, monkeypatch, capsys):
         for workers in ("0", "-2"):
             code, out, err = run_cli(["simulate", "--n", "60", "--M", "2",
                                       "--estimators", "naive", "--workers", workers], capsys)
             assert code == 2, workers
-            assert err.startswith(f"error: need --workers >= 1, got {workers}")
+            assert err.startswith(f"error: need workers >= 1, got {workers}")
             assert out == ""
+        # EIVGMM_WORKERS sets the default, which the same check rejects
+        monkeypatch.setenv("EIVGMM_WORKERS", "0")
+        code, out, err = run_cli(["simulate", "--n", "60", "--M", "2",
+                                  "--estimators", "naive"], capsys)
+        assert code == 2
+        assert err.startswith("error: need workers >= 1, got 0")
+        assert out == ""
+
+    def test_rejected_argument_dumps_no_data(self, capsys, tmp_path):
+        dump = tmp_path / "dumped"
+        for argv in (["--estimators", "bogus"], ["--workers", "0"],
+                     ["--estimators", "mc,gmm_mm", "--b", "10"]):
+            code, out, _ = run_cli(["simulate", "--n", "60", "--M", "2",
+                                    "--dump-data", str(dump), *argv], capsys)
+            assert code == 2, argv
+            assert out == "" and not dump.exists(), argv
 
     def test_non_integer_workers_env_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("EIVGMM_WORKERS", "two")
@@ -439,21 +502,27 @@ class TestCliReproduce:
         assert out == ""
 
     def test_too_few_resamples_usage_error(self, capsys):
-        code, _, err = run_cli(["reproduce", "--M", "2", "--b", "10"], capsys)
+        code, _, err = run_cli(["reproduce", "--M", "20", "--b", "10"], capsys)
         assert code == 2
-        assert "--b >= 25" in err
+        assert "b >= 25 bootstrap resamples, got 10" in err
 
     def test_too_few_replications_usage_error(self, capsys):
         code, out, err = run_cli(["reproduce", "--M", "5"], capsys)
         assert code == 2
-        assert "--M >= 20" in err
+        assert "m_reps >= 20, got 5" in err
         assert out == ""
+
+    def test_run_criterion_rejects_bad_arguments(self):
+        with pytest.raises(UsageError, match="unknown criterion 'nope'"):
+            run_criterion("nope", m_reps=20, b=25)
+        with pytest.raises(UsageError, match="m_reps >= 20, got 5"):
+            run_criterion("se", m_reps=5, b=25)
 
     def test_workers_below_one_usage_error(self, capsys):
         for workers in ("0", "-2"):
             code, out, err = run_cli(["reproduce", "--workers", workers], capsys)
             assert code == 2, workers
-            assert err.startswith(f"error: need --workers >= 1, got {workers}")
+            assert err.startswith(f"error: need workers >= 1, got {workers}")
             assert out == ""
 
     @pytest.mark.parametrize("criterion", ["naive-ordering", "heavy-tails",
@@ -470,6 +539,17 @@ class TestCliReproduce:
                                 "--b", "25", "--workers", "1"], capsys)
         assert code == 1
         assert "no det metric for ['gmm_mm']" in json.loads(out)["error"]
+
+    def test_wall_time_on_stderr_only(self, monkeypatch, capsys):
+        # the stdout line ends with the criterion's summary, so reruns'
+        # stdout is identical; the seconds go to stderr
+        monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)
+        _, out, err = run_cli(["reproduce", "--only", "heavy-tails", "--M", "20",
+                               "--b", "25", "--workers", "1"], capsys)
+        summary = run_criterion("heavy-tails", m_reps=20, b=25)["summary"]
+        assert re.fullmatch(rf"\[(PASS|FAIL)\] heavy-tails: {re.escape(summary)}",
+                            out.splitlines()[0])
+        assert re.search(r"^\[\d+s\] heavy-tails$", err, re.MULTILINE)
 
     def test_criterion_reports_det_fallback(self, monkeypatch):
         monkeypatch.setattr(study_module, "run_replication", constant_last_estimator)
