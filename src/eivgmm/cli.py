@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .covariance import estimate_covariances
 from .errors import EivError, UsageError
-from .gmm import fit_gmm_multi
+from .gmm import _check_fit_args, fit_gmm_multi
 from .model_data import CsvSchema, build_design, load_csv, write_csv
 from .moment_correction import fit_mc, fit_ols
 from .simgen import SimConfig, gen_dataset
@@ -111,6 +111,8 @@ def cmd_fit(args) -> int:
         raise UsageError(f"unknown weight scheme {exc}; expected names from "
                          f"{', '.join(_WEIGHT_TOKENS)}") from None
 
+    if "gmm" in estimators:
+        _check_fit_args(schemes, args.bootstrap)
     z = tuple(tok.strip() for tok in args.z.split(",") if tok.strip())
     schema = CsvSchema(y=args.y, z=z, w_prefix=args.w_prefix)
     d = load_csv(args.data, schema)
@@ -126,7 +128,7 @@ def cmd_fit(args) -> int:
                          "sigma_eps_sq": mc.sigma_eps_sq}
     diagnostics = {}
     if "gmm" in estimators:
-        fits = fit_gmm_multi(d, tuple(schemes), b=args.bootstrap, seed=args.seed,
+        fits = fit_gmm_multi(d, schemes, b=args.bootstrap, seed=args.seed,
                              mc=mc, sigma_j=sigma_j, design=design)
         for scheme, fit in fits.items():
             key = f"gmm_{scheme}"
@@ -245,7 +247,7 @@ def cmd_simulate(args) -> int:
     start = time.perf_counter()
     cfg = _sim_config(args)
     estimators = tuple(tok.strip() for tok in args.estimators.split(",") if tok.strip())
-    result = run_study(cfg, estimators=estimators, b=args.b, workers=args.workers,
+    result = run_study(cfg, estimators=estimators, b=args.b, workers=_workers(args),
                        compute_se=not args.no_se)
     if args.dump_data:
         os.makedirs(args.dump_data, exist_ok=True)
@@ -285,6 +287,7 @@ def cmd_reproduce(args) -> int:
     from .acceptance import CRITERIA, run_criterion
 
     start = time.perf_counter()
+    workers = _workers(args)
     only = {tok.strip() for tok in args.only.split(",") if tok.strip()} if args.only else None
     names = [name for name in CRITERIA if only is None or name in only]
     if only and len(names) != len(only):
@@ -294,7 +297,7 @@ def cmd_reproduce(args) -> int:
     all_pass = True
     for name in names:
         outcome = run_criterion(name, m_reps=args.M, b=args.b, seed=args.seed,
-                                workers=args.workers)
+                                workers=workers)
         elapsed = outcome.pop("wall_time_s", 0.0)
         outcomes[name] = outcome
         status = "PASS" if outcome["passed"] else "FAIL"
@@ -304,7 +307,7 @@ def cmd_reproduce(args) -> int:
     report = {
         "command": "reproduce",
         "config": {"only": sorted(only) if only else None, "M": args.M, "b": args.b,
-                   "workers": args.workers},
+                   "workers": workers},
         "criteria": outcomes,
         "all_passed": all_pass,
         "provenance": _provenance(args.seed),
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiplier on measurement-error standard deviations")
     p_sim.add_argument("--estimators", default=",".join(ESTIMATORS))
     p_sim.add_argument("--no-se", action="store_true", help="skip standard errors")
-    p_sim.add_argument("--workers", type=int, default=_default_workers())
+    p_sim.add_argument("--workers", type=int, help="default: EIVGMM_WORKERS, else the CPU count")
     p_sim.add_argument("--csv", help="write the det-metric table to this CSV path")
     p_sim.add_argument("--dump-data", help="write each generated dataset to this directory")
     _add_common(p_sim)
@@ -383,21 +386,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--only", default="", help="comma list of criterion names")
     p_rep.add_argument("--M", type=int, default=100, help="replications per criterion")
     p_rep.add_argument("--b", type=int, default=100, help="bootstrap resamples")
-    p_rep.add_argument("--workers", type=int, default=_default_workers())
+    p_rep.add_argument("--workers", type=int, help="default: EIVGMM_WORKERS, else the CPU count")
     _add_common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce, seed=20250810)
     return parser
 
 
-def _default_workers() -> int:
+def _workers(args) -> int:
+    """--workers, else EIVGMM_WORKERS (UsageError if not an integer), else the CPU count."""
+    if args.workers is not None:
+        return args.workers
     env = os.environ.get("EIVGMM_WORKERS")
-    if not env:
-        return os.cpu_count() or 1
     try:
-        return int(env)
+        return int(env) if env else os.cpu_count() or 1
     except ValueError:
-        print(f"error: EIVGMM_WORKERS must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+        raise UsageError(f"EIVGMM_WORKERS must be an integer, got {env!r}") from None
 
 
 def main(argv=None) -> int:

@@ -13,25 +13,24 @@ corrected-LS gradient) is one matrix product per block of resamples over the
 original rows, and the weights of every scheme are formed for the block at
 once. The full sample is the resample whose multiplicities are all one: it
 is row 0 of the same pass, which gives its t*, outcome ECF and weights, and
-its gradient does not enter the covariance. The full sample's exact t* scan
-runs first, over its distinct outcomes and their counts, so a constant
-outcome fails before any resample is drawn; the resamples are drawn once
-and scanned next. Then each block forms the outcome ECFs and the phase
-gradients of every sample and weight scheme at the quadrature nodes of
-each sample's own band, from one set of trig tables shared by all samples
-(see phase._BootstrapPhase). The pass keeps one array per quantity, a row
-per sample and a column per scheme (stacked gradients, the reason a sample
-is left out, quasi-likelihood events); each scheme's covariance, failures
-and event counts are reductions over its column.
+its gradient does not enter the covariance. Every sample's t* comes from an
+exact scan, the full sample's first; then each block forms the outcome ECFs
+and the phase gradients of every sample and weight scheme at the quadrature
+nodes of each sample's own band, from one set of trig tables shared by all
+samples (see phase._BootstrapPhase). The pass keeps one array per quantity,
+a row per sample and a column per scheme (stacked gradients, the reason a
+sample is left out, quasi-likelihood events); each scheme's covariance,
+failures and event counts are reductions over its column.
 The final estimate minimizes the quadratic form in the stacked equations
 weighted by the inverse bootstrap covariance, by damped Newton steps on its
 exact Hessian: the Gauss-Newton part J'WJ plus the stacked equations'
 second derivatives contracted with W s, which only the phase block has
 (its discrepancy's third derivatives, from the trig tables of the same
 evaluation); where that Hessian is not positive definite, on J'WJ alone.
-The search stops at the first taken step below STEP_TOL, or at Q's rounding
-floor: at a point whose undamped Newton step is below STEP_TOL, no step is
-verifiably downhill, so the point is returned without evaluating one.
+The search has one stop, at Q's relative rounding floor: at the start or
+after a taken step, when the next step promises a decrease of Q of at most
+FLOOR_ULPS * eps * Q, a bound no unit of theta or of the equations moves,
+the point is returned without evaluating that step.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import estimate_covariances, pooled_error_covariance, psd_project
-from .errors import BootstrapInstabilityError, EivError, StandardErrorError, UsageError
+from .errors import (BootstrapInstabilityError, DegenerateCovarianceError, EivError,
+                     StandardErrorError, UsageError)
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import McFit, fit_mc, grad_corrected_l2
 from .phase import EcfOutcome, _BootstrapPhase, _quad_rule, _t_star_from_counts, grad_and_hessian
@@ -54,12 +54,12 @@ __all__ = [
     "gmm_standard_errors",
 ]
 
-#: eigenvalue floor for the bootstrap covariance, relative to trace/dim
+#: eigenvalue floor of the bootstrap covariance's correlation matrix
 OMEGA_FLOOR = 1e-10
-#: convergence: max-norm of a taken Levenberg-Marquardt step, or of the
-#: undamped Newton step from the current point (Q's rounding floor: its
-#: evaluation noise hides any further decrease)
-STEP_TOL = 1e-9
+#: convergence: the next step's predicted decrease of Q is at most this
+#: many units of eps * Q (Q's rounding floor: its evaluation noise hides any
+#: further decrease)
+FLOOR_ULPS = 128
 #: non-convergence: damping or evaluation count beyond these caps
 MU_MAX = 1e16
 MAX_EVAL = 500
@@ -125,14 +125,16 @@ def _stacked_equations(theta, v, y, sig_w, jac_mc, q, ecf: EcfOutcome):
 
 
 def _floor_eigh(omega: np.ndarray):
-    """Symmetrize and floor the spectrum; returns (floored matrix, inverse)."""
+    """Symmetrize, floor the spectrum of the unit-free correlation matrix
+    D^{-1/2} omega D^{-1/2} (D = diag omega) at OMEGA_FLOOR and scale back;
+    returns (floored matrix, inverse). DegenerateCovarianceError if D <= 0."""
     sym = 0.5 * (omega + omega.T)
-    vals, vecs = np.linalg.eigh(sym)
-    floor = max(OMEGA_FLOOR * np.trace(sym) / sym.shape[0], 1e-30)
-    vals = np.maximum(vals, floor)
-    floored = (vecs * vals) @ vecs.T
-    inv = (vecs / vals) @ vecs.T
-    return floored, inv
+    sd = np.sqrt(np.diag(sym))
+    if not np.all(sd > 0.0):
+        raise DegenerateCovarianceError("bootstrap covariance has a non-positive variance")
+    vals, vecs = np.linalg.eigh(sym / np.outer(sd, sd))
+    vals = np.maximum(vals, OMEGA_FLOOR)
+    return (vecs * vals) @ vecs.T * np.outer(sd, sd), (vecs / vals) @ vecs.T / np.outer(sd, sd)
 
 
 def _resample_counts(seed: int, b: int, n: int) -> np.ndarray:
@@ -160,18 +162,16 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     gradient per scheme.
 
     The full sample's exact t* scan runs first, over its distinct outcomes
-    and their counts, before any resample is drawn: its EivError (a
-    constant outcome) propagates. Resample i then draws n row indices from
-    the stream keyed by (seed, i) and is kept as its row multiplicities c.
-    All b resamples are drawn once and stacked under row 0, the full
-    sample, whose multiplicities are all one; the (b + 1, n) row and
-    (b + 1, n_y) outcome multiplicities are kept (1.6 MB at n = 1000,
-    b = 100), and each resample's exact t* scan runs next. Then the samples
-    go in blocks of about _BOOT_BLOCK_ROWS / n. Per block, one product of
-    the (block, n) multiplicities with a per-row table gives every sample's
-    pooled error covariance sum_j c_j sigma_j / n_j, covariate covariance
-    sigma_x (from second moments of the globally centered w_bar; the one
-    place the package forms it, projected onto the PSD cone once per block
+    and their counts: its EivError (a constant outcome) propagates before
+    any resample is drawn. Resample i draws n row indices from the stream
+    keyed by (seed, i); all b resamples are drawn once as row multiplicities
+    c, stacked under row 0, the full sample (all ones), and kept with their
+    outcome multiplicities (1.6 MB at n = 1000, b = 100); each resample's
+    exact t* scan runs next. Then the samples go in blocks of about
+    _BOOT_BLOCK_ROWS / n. Per block, one product of the multiplicities with
+    a per-row table gives every sample's pooled error covariance
+    sum_j c_j sigma_j / n_j, covariate covariance sigma_x (from second
+    moments of the globally centered w_bar, PSD-projected once per block
     for every scheme) and corrected-LS gradient (theta is fixed, so the
     residuals are computed once); each scheme's weights come from one
     _block_weights call, and one _BootstrapPhase.block call gives every
@@ -190,17 +190,15 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
 
     Returns (ecf, {scheme: (omega, omega_inv, failures, events, weights)})
     with ecf the full sample's EcfOutcome and, from the scheme's column:
-    omega the eigenvalue-floored covariance of the gradients of rows 1 .. b
-    kept, omega_inv its inverse; failures the (resample, reason) pairs of
-    rows 1 .. b, resamples numbered 0 .. b-1; events boot_capped
-    (resamples whose scan hit its cap), boot_ql_fallback and
-    boot_ql_clamped (resamples whose scan and weights succeeded and whose
-    weights fell back or were clamped) and boot_trig_nodes, the Chebyshev
-    point count of the shared tables; weights row 0's WeightVector, or the
+    omega the floored covariance (_floor_eigh) of the gradients of rows
+    1 .. b kept, omega_inv its inverse; failures the (resample, reason)
+    pairs of rows 1 .. b, resamples numbered 0 .. b-1; events the boot_*
+    counts of GmmFit.diagnostics (quasi-likelihood events only of resamples
+    whose scan and weights succeeded); weights row 0's WeightVector, or the
     EivError that stopped the scheme on it. A scheme with more than
     MAX_BOOT_FAILURE_FRAC of its resamples failed maps to a
-    BootstrapInstabilityError instead; the other schemes keep their
-    covariances.
+    BootstrapInstabilityError instead, and one whose covariance has a zero
+    variance to a DegenerateCovarianceError; the other schemes keep theirs.
     """
     theta = as_theta(theta)
     v, y = design.v, d.y
@@ -293,7 +291,11 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         # combination exists for)
         centered = grads[1:, col][kept[:, col]]
         centered -= centered.mean(axis=0)
-        omega, omega_inv = _floor_eigh(centered.T @ centered / len(centered))
+        try:
+            omega, omega_inv = _floor_eigh(centered.T @ centered / len(centered))
+        except DegenerateCovarianceError as exc:
+            out[scheme] = exc
+            continue
         events = {"boot_capped": int(capped[1:].sum()),
                   "boot_ql_fallback": int(fallback[1:, col][scanned].sum()),
                   "boot_ql_clamped": int((max_clamp[1:, col][scanned] > 0.0).sum()),
@@ -318,12 +320,15 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     -(2 g'dx + dx'H dx), g = J'Ws, is not positive is refused unevaluated; a
     step that does not raise Q is taken, and mu is rescaled by the gain ratio
     of actual to predicted decrease (Nielsen's update); any other step is
-    refused and mu grows by a doubling factor. Converged once a taken step
-    has max-norm <= STEP_TOL, or at Q's rounding floor: at a point (the
-    start, or where a step was taken) whose undamped step -H^{-1} g is that
-    short, Q cannot be lowered beyond its rounding, so the search returns
-    that point without evaluating the step. A singular H is not at the
-    floor. mu > MU_MAX or MAX_EVAL evaluations end the search unconverged.
+    refused and mu grows by a doubling factor. One test stops the search,
+    at Q's rounding floor: at the start and after each taken step, when the
+    next step predicts a decrease of at most FLOOR_ULPS * eps * Q, Q cannot
+    confirm it, so the point is returned without evaluating the step. Near
+    the minimum mu is negligible and that prediction is the undamped Newton
+    step's g'H^{-1}g; where the noise of Q's evaluation (above eps * Q when
+    s cancels) has refused steps that the model trusts, mu has grown and it
+    is the prediction of the shorter step Q still takes. mu > MU_MAX or
+    MAX_EVAL evaluations end the search unconverged.
     Returns (x, q, n_eval, converged, jac) with n_eval the number of
     resid_jac calls and jac the Jacobian already evaluated at the returned x.
     """
@@ -333,12 +338,6 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
         full = jtwj + curv(w_s)
         return jac.T @ w_s, jtwj, full if np.linalg.eigvalsh(full)[0] > 0.0 else jtwj
 
-    def at_floor(hess, grad):
-        try:
-            return np.max(np.abs(np.linalg.solve(hess, grad))) <= STEP_TOL
-        except np.linalg.LinAlgError:
-            return False
-
     x = np.asarray(x0, dtype=float).copy()
     s, jac, curv = resid_jac(x)
     q = s @ omega_inv @ s
@@ -346,17 +345,16 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     mu, nu = 1e-3, 2.0
     n_eval = 1
     while n_eval < MAX_EVAL and mu <= MU_MAX:
-        if at_floor(hess, grad):
-            return x, float(q), n_eval, True, jac
         dx = np.linalg.solve(hess + mu * np.diag(np.diag(jtwj)), -grad)
         pred = -(2.0 * grad @ dx + dx @ hess @ dx)
+        # nu is 2 at the start and after a taken step, and doubles with each refusal
+        if nu == 2.0 and pred <= FLOOR_ULPS * np.finfo(float).eps * q:
+            return x, float(q), n_eval, True, jac
         if pred > 0.0:
             s_new, jac_new, curv_new = resid_jac(x + dx)
             q_new = s_new @ omega_inv @ s_new
             n_eval += 1
             if q_new <= q:
-                if np.max(np.abs(dx)) <= STEP_TOL:
-                    return x + dx, float(q_new), n_eval, True, jac_new
                 gain = (q - q_new) / pred
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
                 nu = 2.0
@@ -400,10 +398,10 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     pass; a constant outcome raises DegenerateInputError from its t* scan,
     before any resample is drawn. Each scheme carries its own outcome:
     returns {scheme: GmmFit}, where a scheme whose bootstrap exceeded the
-    failure limit, or whose full-sample weights could not be formed, maps
-    to the EivError that stopped it. A failed standard-error sandwich keeps
-    the estimate, leaves se None and records the reason as
-    diagnostics["se_error"].
+    failure limit or has a zero variance, or whose full-sample weights could
+    not be formed, maps to the EivError that stopped it. A failed
+    standard-error sandwich keeps the estimate, leaves se None and records
+    the reason as diagnostics["se_error"].
     """
     schemes = tuple(dict.fromkeys(schemes))
     _check_fit_args(schemes, b)
@@ -414,7 +412,6 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     if mc is None:
         mc = fit_mc(d, sigma_j, design)
     ecf, per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, sigma_j)
-    v = design.v
     sig_w = pooled_error_covariance(sigma_j, d.n_rep)
     jac_mc = 2.0 / d.n * mc.gram
     fits = {}
@@ -426,7 +423,7 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
         if isinstance(weights, EivError):
             fits[scheme] = weights
             continue
-        resid_jac = functools.partial(_stacked_equations, v=v, y=d.y, sig_w=sig_w,
+        resid_jac = functools.partial(_stacked_equations, v=design.v, y=d.y, sig_w=sig_w,
                                       jac_mc=jac_mc, q=weights.q, ecf=ecf)
         x, q_val, n_iter, converged, jac = _levenberg_marquardt(
             resid_jac, omega_inv, mc.theta.theta)

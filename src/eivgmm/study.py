@@ -105,8 +105,8 @@ def _pin_blas_threads():
                 break
 
 
-def _bootstrap_seed(cfg: SimConfig, m: int, scheme_idx: int) -> int:
-    ss = np.random.SeedSequence([int(cfg.seed), 1000003, int(m), int(scheme_idx)])
+def _bootstrap_seed(cfg: SimConfig, m: int) -> int:
+    ss = np.random.SeedSequence([int(cfg.seed), 1000003, int(m), 0])
     return int(ss.generate_state(1)[0])
 
 
@@ -156,7 +156,7 @@ def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
         try:
             fits = fit_gmm_multi(
                 d, tuple(GMM_SCHEMES[name] for name in gmm_names), b=b,
-                seed=_bootstrap_seed(cfg, m, 0), compute_se=compute_se,
+                seed=_bootstrap_seed(cfg, m), compute_se=compute_se,
                 mc=mc, sigma_j=sigma_j, design=design,
             )
             gmm_fits = {name: fits[GMM_SCHEMES[name]] for name in gmm_names}

@@ -3,7 +3,10 @@
 import numpy as np
 
 from eivgmm.covariance import pooled_error_covariance
-from eivgmm.gmm import MAX_EVAL, MU_MAX, STEP_TOL
+from eivgmm.gmm import MAX_EVAL, MU_MAX
+
+#: the Gauss-Newton search's convergence: max-norm of a taken step
+STEP_TOL = 1e-9
 
 
 def sigma_x_from_parts(w_bar, sigma_j, n_rep):

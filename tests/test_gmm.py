@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import sys
 import warnings
@@ -132,6 +133,24 @@ class TestBootstrapOmega:
             omega = scheme_omega(d, mc.theta, 30, seed=3, scheme=scheme)
             assert np.allclose(omega, omega.T)
             assert np.linalg.eigvalsh(omega).min() > 0
+
+    def test_floor_is_unit_free(self, rng):
+        # a covariance with eigenvalues below the floor, its equations in
+        # units 1e-3 .. 1e3 apart: rescaling the equations rescales the
+        # floored matrix and its inverse alike
+        a = rng.normal(size=(6, 3))
+        omega = a @ a.T + 1e-14 * np.eye(6)
+        d = np.diag([1e-3, 1e-2, 1.0, 1.0, 1e2, 1e3])
+        floored, inv = _floor_eigh(omega)
+        got, got_inv = _floor_eigh(d @ omega @ d)
+        np.testing.assert_allclose(np.diag(got), np.diag(d @ floored @ d), rtol=1e-12)
+        assert_normwise_close(np.linalg.inv(d) @ got @ np.linalg.inv(d), floored, 1e-12)
+        assert_normwise_close(d @ got_inv @ d, inv, 1e-8)
+        assert np.linalg.eigvalsh(got).min() > 0.0
+
+    def test_zero_variance_is_a_typed_error(self):
+        with pytest.raises(DegenerateCovarianceError, match="non-positive variance"):
+            _floor_eigh(np.diag([1.0, 0.0, 2.0]))
 
     def test_minimum_resamples_enforced(self, rng):
         d, sigma_j, design, mc, _, _ = prepared(rng, n=40)
@@ -277,9 +296,10 @@ def gmm_estimate(args, scheme, omega_inv):
     return x
 
 
-def assert_same_bootstrap(args, batched, oracle, refit=True):
-    """The batched bootstrap matches the loop oracle; refit says whether the
-    estimates fitted with either inverse covariance are compared too."""
+def assert_same_bootstrap(args, batched, oracle, inv_rtol=0.0):
+    """The batched bootstrap matches the loop oracle, and so do the
+    estimates fitted with either inverse covariance; inv_rtol raises the
+    inverse's tolerance for an ill-conditioned input."""
     (got, got_t), (ref, ref_t) = batched, oracle
     # a sample's ECF comes from its distinct outcomes and their counts on
     # both sides, so every t* and capped flag is the same to the last bit,
@@ -293,15 +313,13 @@ def assert_same_bootstrap(args, batched, oracle, refit=True):
             continue
         omega, omega_inv, fails, events = want
         assert_normwise_close(got[scheme][0], omega, OMEGA_RTOL[scheme])
-        assert_normwise_close(got[scheme][1], omega_inv, OMEGA_INV_RTOL[scheme])
+        assert_normwise_close(got[scheme][1], omega_inv, max(OMEGA_INV_RTOL[scheme], inv_rtol))
         assert got[scheme][2] == fails
         assert got[scheme][3].pop("boot_trig_nodes") > 0
         assert got[scheme][3] == events
-        if not refit:
-            continue
         # the estimate fitted with either inverse, to perfbench's estimate
-        # tolerance; the measured gaps (up to 2e-8) are the optimizer's
-        # STEP_TOL stopping point, not the weighting matrix
+        # tolerance; the measured gaps are the optimizer's stopping point at
+        # Q's rounding floor, not the weighting matrix
         np.testing.assert_allclose(gmm_estimate(args, scheme, got[scheme][1]),
                                    gmm_estimate(args, scheme, omega_inv),
                                    rtol=1e-6, atol=1e-7)
@@ -451,9 +469,12 @@ class TestBatchedBootstrap:
         # near 1e4: T max|a - mean a| would call for far more Chebyshev
         # points than 30 resamples' exact sums over that one value take, so
         # it is left out of the shared tables and summed at each resample's
-        # own nodes. Omega then sits on its eigenvalue floor (cond 6e10),
-        # where a 1e-13 relative change of the oracle's own inverse moves the
-        # fitted estimate by 0.1, so the fits are not compared.
+        # own nodes. Omega's standard deviations then span 1e6 .. 5e-3 and
+        # its correlation matrix has eigenvalues down to 1.2e-7, above the
+        # floor, so its inverse carries more of the sums' rounding than the
+        # other inputs': measured 1.3e-10 (equal), 3.1e-11 (minimax) and
+        # 1.5e-9 (quasi-likelihood) of its largest entry, hence 1e-9. The
+        # estimates fitted with either inverse agree to 1.8e-8.
         d0, theta, b, seed, schemes, _, _ = self.inputs("I", "normal")
         w = d0.w.copy()
         w[0, :, 0] += 1e4
@@ -462,7 +483,7 @@ class TestBatchedBootstrap:
         phase = recorded_blocks(monkeypatch, args)[0][0]
         assert phase.far[0][0].size > 0
         assert_same_bootstrap(args, batched_with_t_stars(monkeypatch, *args),
-                              loop_bootstrap(*args), refit=False)
+                              loop_bootstrap(*args), inv_rtol=1e-9)
 
     def test_matches_loop_with_outlier(self, monkeypatch):
         # the mean centers move with the outlier, so all but two index
@@ -704,8 +725,8 @@ class TestMinimizeQ:
 
     def test_singular_hessian_is_not_at_the_floor(self):
         # both coordinates enter only through their sum, so J'WJ is singular
-        # at every point while its damped form is not: the rounding-floor
-        # check must treat the singular H as not at the floor, not raise
+        # at every point while its damped form is not: the stop test, on the
+        # damped step's prediction, must not raise
         def rj(x):
             r = x[0] + x[1] - 1.0
             return (np.array([r, 2.0 * r]), np.array([[1.0, 1.0], [2.0, 2.0]]),
@@ -715,6 +736,28 @@ class TestMinimizeQ:
         assert converged
         assert abs(x.sum() - 1.0) <= 1e-8
         assert q <= 1e-15
+
+    def test_stops_where_noise_hides_the_last_steps(self):
+        # Q evaluated with relative noise 1e-11, some 45000 eps Q, as when
+        # the stacked equations cancel: near the minimum the undamped Newton
+        # step promises more than the floor and Q still refuses it. The
+        # search must stop converged at the noise floor, from every start,
+        # not raise mu to MU_MAX (a test on the undamped step alone ends 3
+        # of these 20 searches unconverged after 49 or 50 evaluations)
+        a = np.array([[2.0, 0.3], [0.1, 1.0], [0.5, -0.4]])
+        b = np.array([1.0, -2.0, 0.5])
+        ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        q_ref = np.sum((a @ ref - b) ** 2)
+        for k in range(20):
+            def rj(x):
+                noise = 1.0 + 1e-11 * np.sin(1e9 * (x @ [1.0, np.pi]) + k)
+                return (a @ x - b) * noise, a, lambda u: np.zeros((2, 2))
+
+            x, q, n_eval, converged, _ = _levenberg_marquardt(
+                rj, np.eye(3), np.array([0.1 * k, -0.05 * k]))
+            assert converged, k
+            assert np.max(np.abs(x - ref)) <= 1e-5
+            assert q <= q_ref * (1.0 + 1e-9)
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**16), setting=st.sampled_from(["simple", "I", "III"]),
@@ -766,6 +809,22 @@ class TestStackedCurvature:
         assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
+def rounding_floor_fits(perturb=False):
+    """n_iter of the 27 fits of TestNewtonAgainstGaussNewton (settings simple,
+    I and III x error laws x schemes), with y moved by its last bit when
+    perturb is set."""
+    n_iter = []
+    for setting in ("simple", "I", "III"):
+        for law in ERROR_LAWS:
+            d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
+                                         error_law=law, seed=23), 0)
+            if perturb:
+                d = dataclasses.replace(d, y=np.nextafter(d.y, np.inf))
+            fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False)
+            n_iter += [fits[scheme].n_iter for scheme in SCHEMES]
+    return n_iter
+
+
 class TestNewtonAgainstGaussNewton:
     """The Newton search against the Gauss-Newton one it replaced: both stop
     at the same minimizer of Q, to the rounding floor where Q's evaluation
@@ -773,10 +832,17 @@ class TestNewtonAgainstGaussNewton:
     evaluations."""
 
     #: evaluations the 27 fits of test_same_minimum_fewer_evaluations took
-    #: when the Newton search still evaluated its last step at the rounding
-    #: floor (493 for Gauss-Newton); stopping where the undamped step is
-    #: within STEP_TOL takes 167
-    EVALS_WITHOUT_FLOOR_STOP = 193
+    #: when the Newton search also stopped at a taken step, or an undamped
+    #: one, of max-norm 1e-9 (493 for Gauss-Newton); the relative rounding
+    #: floor takes 136
+    EVALS_AT_STEP_TOL = 168
+    #: sum over those fits of |n_iter(y) - n_iter(y moved by its last bit)|
+    #: with the absolute step stop; the relative rounding floor gives 0
+    N_ITER_GAP_AT_STEP_TOL = 37
+    #: evaluations of the 81 fits of test_no_step_refused_at_the_floor with
+    #: the absolute step stop, 27 of them refused within 1e-6 of the best
+    #: point in 8 fits; the relative rounding floor takes 429
+    EVALS_81_AT_STEP_TOL = 481
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
@@ -803,16 +869,49 @@ class TestNewtonAgainstGaussNewton:
         assert n_newton < n_gauss_newton
 
     def test_floor_stop_saves_evaluations(self):
-        # the 27 fits of the test above, summed over its settings and laws
-        total = 0
+        assert sum(rounding_floor_fits()) < self.EVALS_AT_STEP_TOL
+
+    def test_evaluations_do_not_hang_on_the_last_bit_of_y(self):
+        # a stop tied to Q's own rounding does not turn on where the last
+        # bit of the data falls
+        gap = sum(abs(a - b) for a, b in zip(rounding_floor_fits(),
+                                             rounding_floor_fits(perturb=True)))
+        assert gap <= self.N_ITER_GAP_AT_STEP_TOL
+
+    def test_no_step_refused_at_the_floor(self, monkeypatch):
+        # over 81 fits, no evaluation within 1e-6 (max-norm) of the best
+        # point so far raises Q: the search stops before a step that only
+        # Q's rounding would refuse
+        evals = []
+
+        def recording(theta, *args, **kwargs):
+            out = _stacked_equations(theta, *args, **kwargs)
+            evals.append((np.array(theta), out[0]))
+            return out
+
+        monkeypatch.setattr(gmm_module, "_stacked_equations", recording)
+        refused = total = 0
         for setting in ("simple", "I", "III"):
             for law in ERROR_LAWS:
-                d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
-                                             error_law=law, seed=23), 0)
-                fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False)
-                total += sum(fit.n_iter for fit in fits.values())
-        assert total < self.EVALS_WITHOUT_FLOOR_STOP
-
+                for seed in range(3):
+                    d, _ = gen_dataset(SimConfig(setting, n=500, error_law=law, seed=seed), 0)
+                    evals.clear()
+                    fits = fit_gmm_multi(d, SCHEMES, b=25, seed=seed, compute_se=False)
+                    # the schemes are fitted one after another, in order
+                    for fit in fits.values():
+                        assert fit.converged
+                        fit_evals, evals[:fit.n_iter] = evals[:fit.n_iter], []
+                        best_x, best_q = None, np.inf
+                        for x, s in fit_evals:
+                            q = s @ fit.omega_inv @ s
+                            if q <= best_q:
+                                best_x, best_q = x, q
+                            elif np.max(np.abs(x - best_x)) <= 1e-6:
+                                refused += 1
+                        total += fit.n_iter
+                    assert not evals
+        assert refused == 0
+        assert total < self.EVALS_81_AT_STEP_TOL
 
     def test_indefinite_start_stays_in_its_basin(self):
         # the start's full Hessian of Q is indefinite; a Newton step on it
@@ -938,6 +1037,21 @@ class TestFitGmm:
         assert np.isclose(q0, q1, rtol=1e-8)
 
 
+class TestUnitEquivariance:
+    def test_estimate_follows_the_units_of_y(self):
+        # y in units c times smaller: every coefficient scales by c, for
+        # every scheme, because the floor of the bootstrap covariance and
+        # the stop of the search are both unit-free
+        d, _ = gen_dataset(SimConfig(setting="I", n=500, error_law="t2_5", seed=0), 0)
+        base = fit_gmm_multi(d, SCHEMES, b=50, seed=0, compute_se=False)
+        for c in (1e-2, 1e2):
+            scaled = fit_gmm_multi(dataclasses.replace(d, y=c * d.y), SCHEMES, b=50,
+                                   seed=0, compute_se=False)
+            for scheme in SCHEMES:
+                assert_normwise_close(scaled[scheme].theta.theta,
+                                      c * base[scheme].theta.theta, 1e-7)
+
+
 class TestSchemeFailures:
     """A failure forced on the minimax scheme leaves the other schemes' fits
     bit for bit as in an unforced run."""
@@ -982,6 +1096,24 @@ class TestSchemeFailures:
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], BootstrapInstabilityError)
         assert "30/30 bootstrap resamples failed" in str(forced["minimax"])
+
+    def test_zero_variance_fails_alone(self, rng, monkeypatch):
+        # minimax's phase gradients the same for every resample: that scheme
+        # fails with the typed error instead of weighting with a NaN
+        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
+        ref = self.fit_all(d, sigma_j, design, mc)
+        block = _BootstrapPhase.block
+
+        def constant_minimax(self, *args):
+            c_y, s_y, grads = block(self, *args)
+            grads[:, SCHEMES.index("minimax")] = 1.0
+            return c_y, s_y, grads
+
+        monkeypatch.setattr(_BootstrapPhase, "block", constant_minimax)
+        forced = self.fit_all(d, sigma_j, design, mc)
+        self.assert_others_unchanged(forced, ref)
+        assert isinstance(forced["minimax"], DegenerateCovarianceError)
+        assert "non-positive variance" in str(forced["minimax"])
 
     def test_full_sample_weight_failure_fails_alone(self, rng, monkeypatch):
         d, sigma_j, design, mc, _, _ = prepared(rng, n=60)

@@ -261,6 +261,18 @@ class TestCliFit:
                             "--estimators", "gmm", "--bootstrap", "0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["missing", "not-utf8"])
+    def test_gmm_arguments_checked_before_data(self, tmp_path, capsys, case):
+        # a bad bootstrap count exits 2 whatever is wrong with --data
+        data = tmp_path / "data.csv"
+        if case == "not-utf8":
+            data.write_bytes(b"y,w1_r1,w1_r2\n1.0,2.0,\xff\n2.0,1.0,1.5\n")
+        code, out, err = run_cli(["fit", "--data", str(data), "--y", "y",
+                                  "--bootstrap", "0"], capsys)
+        assert code == 2
+        assert err.startswith("error: need b >= 25 bootstrap resamples, got 0")
+        assert out == ""
+
     def test_empty_estimator_list_usage_error(self, csv_path, capsys):
         code, out, err = run_cli(["fit", "--data", csv_path, "--y", "y",
                                   "--estimators", ","], capsys)
@@ -484,12 +496,20 @@ class TestCliSimulate:
             assert code == 2, argv
             assert out == "" and not dump.exists(), argv
 
-    def test_non_integer_workers_env_usage_error(self, monkeypatch, capsys):
+    def test_non_integer_workers_env_usage_error(self, monkeypatch, capsys, tmp_path):
+        # only the commands that start a pool read EIVGMM_WORKERS
         monkeypatch.setenv("EIVGMM_WORKERS", "two")
-        with pytest.raises(SystemExit) as exc:
-            main(["fit", "--data", "unused.csv", "--y", "y"])
-        assert exc.value.code == 2
-        assert "error: EIVGMM_WORKERS" in capsys.readouterr().err
+        path = tmp_path / "small.csv"
+        write_csv(gen_dataset(SimConfig(setting="simple", n=60), 0)[0], path)
+        code, _, err = run_cli(["fit", "--data", str(path), "--y", "y",
+                                "--estimators", "naive"], capsys)
+        assert code == 0 and "EIVGMM_WORKERS" not in err
+        for argv in (["simulate", "--n", "60", "--M", "2", "--estimators", "naive"],
+                     ["reproduce", "--only", "se"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2, argv
+            assert err.startswith("error: EIVGMM_WORKERS must be an integer, got 'two'")
+            assert out == ""
 
 
 class TestCliReproduce:
