@@ -132,9 +132,12 @@ def _floor_eigh(omega: np.ndarray):
     sd = np.sqrt(np.diag(sym))
     if not np.all(sd > 0.0):
         raise DegenerateCovarianceError("bootstrap covariance has a non-positive variance")
-    vals, vecs = np.linalg.eigh(sym / np.outer(sd, sd))
+    scale = np.outer(sd, sd)
+    vals, vecs = np.linalg.eigh(sym / scale)
     vals = np.maximum(vals, OMEGA_FLOOR)
-    return (vecs * vals) @ vecs.T * np.outer(sd, sd), (vecs / vals) @ vecs.T / np.outer(sd, sd)
+    floored = (vecs * vals) @ vecs.T * scale
+    inv = (vecs / vals) @ vecs.T / scale
+    return floored, inv
 
 
 def _resample_counts(seed: int, b: int, n: int) -> np.ndarray:
@@ -146,14 +149,6 @@ def _resample_counts(seed: int, b: int, n: int) -> np.ndarray:
     ])
     flat = (idx + n * np.arange(b)[:, None]).ravel()
     return np.bincount(flat, minlength=flat.size).reshape(b, n).astype(float)
-
-
-def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarray:
-    """(b, n_y) multiplicities of the distinct outcomes from the (b, n) row
-    multiplicities; y_inv maps each row to its distinct outcome."""
-    b = counts.shape[0]
-    flat = (y_inv + n_y * np.arange(b)[:, None]).ravel()
-    return np.bincount(flat, weights=counts.ravel(), minlength=b * n_y).reshape(b, n_y)
 
 
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
@@ -225,7 +220,11 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     t_stars[0], capped[0] = _t_star_from_counts(y_vals, np.bincount(y_inv).astype(float))
     # row 0 is the full sample, rows 1 .. b the resamples
     counts = np.vstack([np.ones((1, n)), _resample_counts(seed, b, n)])
-    y_counts = _outcome_counts(counts, y_inv, y_vals.size)
+    # (b + 1, n_y) multiplicities of the distinct outcomes: y_inv maps each
+    # row to its outcome
+    flat = (y_inv + y_vals.size * np.arange(b + 1)[:, None]).ravel()
+    y_counts = np.bincount(flat, weights=counts.ravel(),
+                           minlength=(b + 1) * y_vals.size).reshape(b + 1, -1)
     # each stage sets the reasons it finds only where none is set yet, so a
     # failed scan outranks a weight error, which outranks a non-finite
     # stacked gradient
@@ -343,12 +342,11 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
     q = s @ omega_inv @ s
     grad, jtwj, hess = model(s, jac, curv)
     mu, nu = 1e-3, 2.0
-    n_eval = 1
+    n_eval, taken = 1, True
     while n_eval < MAX_EVAL and mu <= MU_MAX:
         dx = np.linalg.solve(hess + mu * np.diag(np.diag(jtwj)), -grad)
         pred = -(2.0 * grad @ dx + dx @ hess @ dx)
-        # nu is 2 at the start and after a taken step, and doubles with each refusal
-        if nu == 2.0 and pred <= FLOOR_ULPS * np.finfo(float).eps * q:
+        if taken and pred <= FLOOR_ULPS * np.finfo(float).eps * q:
             return x, float(q), n_eval, True, jac
         if pred > 0.0:
             s_new, jac_new, curv_new = resid_jac(x + dx)
@@ -357,12 +355,13 @@ def _levenberg_marquardt(resid_jac, omega_inv, x0):
             if q_new <= q:
                 gain = (q - q_new) / pred
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                nu = 2.0
+                nu, taken = 2.0, True
                 x, q, jac = x + dx, q_new, jac_new
                 grad, jtwj, hess = model(s_new, jac_new, curv_new)
                 continue
         mu *= nu
         nu *= 2.0
+        taken = False
     return x, float(q), n_eval, False, jac
 
 
