@@ -151,6 +151,14 @@ def _resample_counts(seed: int, b: int, n: int) -> np.ndarray:
     return np.bincount(flat, minlength=flat.size).reshape(b, n).astype(float)
 
 
+def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarray:
+    """(b, n_y) multiplicities of the distinct outcomes from the (b, n) row
+    multiplicities; y_inv maps each row to its distinct outcome."""
+    b = counts.shape[0]
+    flat = (y_inv + n_y * np.arange(b)[:, None]).ravel()
+    return np.bincount(flat, weights=counts.ravel(), minlength=b * n_y).reshape(b, n_y)
+
+
 def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
                           design: RegressionDesign, sigma_j: np.ndarray):
     """Shared bootstrap pass: the full sample and one set of resamples, one
@@ -220,11 +228,7 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     t_stars[0], capped[0] = _t_star_from_counts(y_vals, np.bincount(y_inv).astype(float))
     # row 0 is the full sample, rows 1 .. b the resamples
     counts = np.vstack([np.ones((1, n)), _resample_counts(seed, b, n)])
-    # (b + 1, n_y) multiplicities of the distinct outcomes: y_inv maps each
-    # row to its outcome
-    flat = (y_inv + y_vals.size * np.arange(b + 1)[:, None]).ravel()
-    y_counts = np.bincount(flat, weights=counts.ravel(),
-                           minlength=(b + 1) * y_vals.size).reshape(b + 1, -1)
+    y_counts = _outcome_counts(counts, y_inv, y_vals.size)
     # each stage sets the reasons it finds only where none is set yet, so a
     # failed scan outranks a weight error, which outranks a non-finite
     # stacked gradient
