@@ -11,6 +11,7 @@ counts n_j and the replicate means.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -176,6 +177,10 @@ def build_design(d: Dataset) -> RegressionDesign:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+#: rows per block: load_csv and write_csv hold at most one block as text
+_CHUNK_ROWS = 4096
+
+
 @dataclass(frozen=True)
 class CsvSchema:
     """Column mapping for the wide CSV layout.
@@ -210,22 +215,14 @@ def _parse_cells(cells, locate):
         raise
 
 
-def load_csv(path, schema: CsvSchema) -> Dataset:
-    """Load a wide-format CSV file into a Dataset.
+def _replicate_pattern(w_prefix):
+    """Matches a replicate column name; groups covariate k and replicate r."""
+    return re.compile(rf"^{re.escape(w_prefix)}(\d+)_r(\d+)$")
 
-    Raises CsvParseError for a non-UTF-8 file, malformed numeric cells and
-    rows with more or fewer cells than the header, and ValidationError for an
-    empty file, schema problems or rows with fewer than 2 complete replicate
-    vectors. Data rows are numbered from 0; blank lines are skipped.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = [line for line in csv.reader(fh) if line]
-    except UnicodeDecodeError as exc:
-        raise CsvParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from None
-    if not lines:
-        raise ValidationError("empty file: no header row")
-    header, rows = lines[0], lines[1:]
+
+def _layout(header, schema: CsvSchema):
+    """Check a header against the schema. Returns (rep_cols, p, n_rep_cols):
+    rep_cols maps (covariate k, replicate r), both from 1, to the column name."""
     duplicates = sorted({name for name in header if header.count(name) > 1})
     if duplicates:
         raise ValidationError(f"duplicate column names {duplicates} in header")
@@ -236,7 +233,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         if name not in header:
             raise ValidationError(f"error-free column '{name}' not in header {header}")
 
-    pat = re.compile(rf"^{re.escape(schema.w_prefix)}(\d+)_r(\d+)$")
+    pat = _replicate_pattern(schema.w_prefix)
     rep_cols = {}
     for name in header:
         m = pat.match(name)
@@ -254,8 +251,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise ValidationError(f"incomplete replicate column grid; missing {missing}")
     if n_rep_cols < 2:
         raise ValidationError("n_j<2: schema provides a single replicate column per covariate")
-    if not rows:
-        raise ValidationError("no data rows after the header")
+    return rep_cols, p, n_rep_cols
+
+
+def _parse_rows(rows, start, header, schema: CsvSchema, rep_cols, p, n_rep_cols):
+    """Parse a block of data rows whose first is data row ``start``. Returns
+    (y, z, flat, n_rep) for the block, flat holding its complete replicate
+    vectors row by row; errors name global data-row numbers."""
     lengths = np.fromiter(map(len, rows), dtype=int, count=len(rows))
     bad = np.flatnonzero(lengths != len(header))
     if bad.size:
@@ -263,12 +265,13 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         # a short row names its first missing column, a long row its first extra cell
         column = header[cells] if cells < len(header) else len(header)
         raise CsvParseError(
-            f"row {i}: {cells} cells, header has {len(header)}", row=i, column=column)
+            f"row {start + i}: {cells} cells, header has {len(header)}",
+            row=start + i, column=column)
 
     n = len(rows)
     cols = dict(zip(header, zip(*rows)))
-    y = _parse_cells(cols[schema.y], lambda m: (m, schema.y))
-    z = np.array([_parse_cells(cols[name], lambda m, name=name: (m, name))
+    y = _parse_cells(cols[schema.y], lambda m: (start + m, schema.y))
+    z = np.array([_parse_cells(cols[name], lambda m, name=name: (start + m, name))
                   for name in schema.z]).reshape(len(schema.z), n).T
     # text[j, r, k] is the cell of covariate k+1, replicate r+1 in row j
     text = np.array([cols[rep_cols[(k, r)]] for r in range(1, n_rep_cols + 1)
@@ -277,9 +280,46 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     complete = filled.reshape(text.shape).all(axis=2)
     row_of, slot_of = np.nonzero(complete)
     cells = text[complete].ravel()
-    flat = _parse_cells(cells, lambda m: (int(row_of[m // p]),
+    flat = _parse_cells(cells, lambda m: (start + int(row_of[m // p]),
                                           rep_cols[(m % p + 1, int(slot_of[m // p]) + 1)]))
-    return _dataset(y, z, flat.reshape(-1, p), complete.sum(axis=1))
+    return y, z, flat.reshape(-1, p), complete.sum(axis=1)
+
+
+def load_csv(path, schema: CsvSchema) -> Dataset:
+    """Load a wide-format CSV file into a Dataset.
+
+    Raises CsvParseError for a non-UTF-8 file, malformed numeric cells and
+    rows with more or fewer cells than the header, and ValidationError for an
+    empty file, schema problems or rows with fewer than 2 complete replicate
+    vectors. Data rows are numbered from 0; blank lines are skipped. A UTF-8
+    byte-order mark before the header is dropped.
+
+    The rows are read and parsed in blocks of ``_CHUNK_ROWS``, so at most one
+    block is held as text. Within a block every row's length is checked
+    before any cell is parsed, so a file with faults in several blocks
+    reports the first faulty block's: a malformed cell in the first block
+    before a short row in a later one. A non-UTF-8 byte is reported when the
+    reader reaches it. Rows with too few replicates and non-finite values
+    are reported once the whole file is read.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = filter(None, csv.reader(fh))
+            header = next(rows, None)
+            if header is None:
+                raise ValidationError("empty file: no header row")
+            layout = _layout(header, schema)
+            blocks = []
+            start = 0
+            while block := list(itertools.islice(rows, _CHUNK_ROWS)):
+                blocks.append(_parse_rows(block, start, header, schema, *layout))
+                start += len(block)
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x}") from None
+    if not blocks:
+        raise ValidationError("no data rows after the header")
+    y, z, flat, n_rep = map(np.concatenate, zip(*blocks))
+    return _dataset(y, z, flat, n_rep)
 
 
 def write_csv(d: Dataset, path, schema: CsvSchema | None = None) -> None:
@@ -287,7 +327,11 @@ def write_csv(d: Dataset, path, schema: CsvSchema | None = None) -> None:
 
     Floats are written with repr so a load_csv round trip is bit-identical.
     The intercept column is never written; padded replicate slots are empty
-    cells.
+    cells. Rows are formatted in blocks of ``_CHUNK_ROWS``, so at most one
+    block is held as text; lines end in CRLF, as csv.writer ends them.
+    Raises ValidationError, before the file is opened, when the outcome and
+    error-free names repeat each other or have the replicate columns' form
+    (which load_csv would read as a replicate column).
     """
     if schema is None:
         schema = CsvSchema(y="y", z=tuple(f"z{i + 1}" for i in range(d.q)))
@@ -298,13 +342,19 @@ def write_csv(d: Dataset, path, schema: CsvSchema | None = None) -> None:
     header = [schema.y, *schema.z]
     header += [f"{schema.w_prefix}{k}_r{r}" for r in range(1, r_max + 1)
                for k in range(1, d.p + 1)]
-    # w[j].ravel() runs over replicates, then covariates: the header's order
-    values = np.column_stack([d.y, d.z[:, 1:], d.w.reshape(d.n, -1)])
-    filled = np.column_stack([np.ones((d.n, 1 + d.q), dtype=bool),
-                              np.repeat(np.arange(r_max) < d.n_rep[:, None], d.p, axis=1)])
-    table = np.full(values.shape, "", dtype=object)
-    table[filled] = list(map(repr, values[filled].tolist()))
+    named, pat = header[:1 + d.q], _replicate_pattern(schema.w_prefix)
+    clashes = sorted({name for name in named if named.count(name) > 1 or pat.match(name)})
+    if clashes:
+        raise ValidationError(
+            f"schema column names {clashes} repeat each other or have the replicate "
+            f"columns' form '{schema.w_prefix}<k>_r<r>'")
+    # row j's filled cells come first: y, z, then w[j, :n_j].ravel(), which
+    # runs over replicates, then covariates, the header's order
+    n_filled = (1 + d.q + d.p * d.n_rep).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table.tolist())
+        csv.writer(fh).writerow(header)
+        for s in range(0, d.n, _CHUNK_ROWS):
+            e = min(s + _CHUNK_ROWS, d.n)
+            values = np.column_stack([d.y[s:e], d.z[s:e, 1:], d.w[s:e].reshape(e - s, -1)])
+            fh.writelines(",".join(map(repr, row[:k])) + "," * (len(header) - k) + "\r\n"
+                          for row, k in zip(values.tolist(), n_filled[s:e]))

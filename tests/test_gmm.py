@@ -1042,19 +1042,51 @@ class TestFitGmm:
         assert np.isclose(q0, q1, rtol=1e-8)
 
 
+@functools.cache
+def equivariance_fit(y_scale=1.0, y_shift=0.0, w_scale=1.0, z_scale=1.0):
+    """fit_gmm_multi, SEs on, of a setting III t2.5 dataset (n=500, B=50)
+    after a change of units: y -> y_scale * y + y_shift, w -> w_scale * w,
+    z -> z_scale * z (the intercept column stays one)."""
+    d, _ = gen_dataset(SimConfig(setting="III", n=500, error_law="t2_5", seed=0), 0)
+    moved = make_dataset(y_scale * d.y + y_shift, z_scale * d.z[:, 1:], w_scale * d.w)
+    return fit_gmm_multi(moved, SCHEMES, b=50, seed=0)
+
+
 class TestUnitEquivariance:
+    """theta-hat and its sandwich SEs follow each change of units, for every
+    scheme, because the floor of the bootstrap covariance and the stop of
+    the search are both unit-free. theta is [beta (2), intercept, gamma_z (2)]."""
+
+    @staticmethod
+    def assert_follows(moved, scale, shift=0.0):
+        base = equivariance_fit()
+        for scheme in SCHEMES:
+            got, want = moved[scheme], base[scheme]
+            assert_normwise_close(got.theta.theta, scale * want.theta.theta + shift, 1e-7)
+            assert_normwise_close(got.se, np.abs(scale) * want.se, 1e-7)
+
     def test_estimate_follows_the_units_of_y(self):
-        # y in units c times smaller: every coefficient scales by c, for
-        # every scheme, because the floor of the bootstrap covariance and
-        # the stop of the search are both unit-free
-        d, _ = gen_dataset(SimConfig(setting="I", n=500, error_law="t2_5", seed=0), 0)
-        base = fit_gmm_multi(d, SCHEMES, b=50, seed=0, compute_se=False)
+        # y in units c times smaller: every coefficient and SE scales by c
         for c in (1e-2, 1e2):
-            scaled = fit_gmm_multi(dataclasses.replace(d, y=c * d.y), SCHEMES, b=50,
-                                   seed=0, compute_se=False)
-            for scheme in SCHEMES:
-                assert_normwise_close(scaled[scheme].theta.theta,
-                                      c * base[scheme].theta.theta, 1e-7)
+            self.assert_follows(equivariance_fit(y_scale=c), c)
+
+    def test_estimate_follows_a_shift_of_y(self):
+        # only the intercept moves, by delta; no SE moves
+        for delta in (5.0, 1e3):
+            self.assert_follows(equivariance_fit(y_shift=delta), 1.0,
+                                np.array([0.0, 0.0, delta, 0.0, 0.0]))
+
+    def test_estimate_follows_the_units_of_w(self):
+        # beta and its SEs scale by 1/c
+        for c in (1e-2, 1e2):
+            self.assert_follows(equivariance_fit(w_scale=c),
+                                np.array([1 / c, 1 / c, 1.0, 1.0, 1.0]))
+
+    def test_estimate_follows_the_units_of_z(self):
+        # gamma_z and its SEs scale by 1/c; the intercept does not
+        for c in (1e-2, 1e2):
+            self.assert_follows(equivariance_fit(z_scale=c),
+                                np.array([1.0, 1.0, 1.0, 1 / c, 1 / c]))
 
 
 class TestSchemeFailures:

@@ -1,4 +1,6 @@
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from eivgmm.covariance import estimate_covariances
 from eivgmm.errors import CsvParseError, ValidationError
 from eivgmm.model_data import (
+    _CHUNK_ROWS,
     CsvSchema,
     ParamVector,
     build_design,
@@ -15,6 +18,7 @@ from eivgmm.model_data import (
     make_dataset,
     write_csv,
 )
+from csv_oracles import load_csv_whole, write_csv_whole
 from test_covariance import estimate_sigma_j, pairwise_oracle
 
 
@@ -174,12 +178,149 @@ class TestRoundTrip:
         for a, b in zip(d.w_reps, d2.w_reps):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("y, z, clash", [
+        ("y", ("a", "a"), ["a"]),
+        ("a", ("a", "b"), ["a"]),
+        ("y", ("w1_r2", "b"), ["w1_r2"]),
+        ("w2_r3", ("a", "b"), ["w2_r3"]),
+    ])
+    def test_schema_with_clashing_names_rejected(self, tmp_path, rng, y, z, clash):
+        # load_csv would refuse the file, or read w2_r3 as a third replicate
+        d = make_dataset(rng.normal(size=10), rng.normal(size=(10, 2)),
+                         rng.normal(size=(10, 2, 2)))
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValidationError, match=re.escape(f"schema column names {clash}")):
+            write_csv(d, path, CsvSchema(y=y, z=z))
+        assert not path.exists()
+
     def test_schema_with_wrong_z_count_rejected(self, tmp_path, rng):
         # a one-name z schema for q=2 data would shift every row by a column
         d = make_dataset(rng.normal(size=10), rng.normal(size=(10, 2)),
                          rng.normal(size=(10, 3, 1)))
         with pytest.raises(ValidationError, match="q = 2"):
             write_csv(d, tmp_path / "out.csv", CsvSchema(y="y", z=("a",)))
+
+
+def ragged_dataset(n, seed):
+    """n rows with 2-4 replicates each, p = q = 2."""
+    rng = np.random.default_rng(seed)
+    return make_dataset(rng.normal(size=n), rng.normal(size=(n, 2)),
+                        [rng.normal(size=(c, 2)) for c in rng.integers(2, 5, size=n)])
+
+
+def assert_same_data(got, want):
+    for name in ("y", "z", "w", "n_rep", "w_bar"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestStreaming:
+    """write_csv and load_csv format and parse the file in blocks of
+    _CHUNK_ROWS rows; tests/csv_oracles.py holds the whole-file versions."""
+
+    n = 2 * _CHUNK_ROWS + 17
+    schema = CsvSchema(y="y", z=("z1", "z2"))
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return ragged_dataset(self.n, 2025)
+
+    @pytest.fixture
+    def lines(self, data, tmp_path):
+        """The oracle's file of data, split into lines: the header, then data
+        row j at line j + 1, whose cells are y, z1, z2, w1_r1, w2_r1, w1_r2,
+        ...: replicate r starts at cell 3 + 2 (r - 1)."""
+        path = tmp_path / "oracle.csv"
+        write_csv_whole(data, path, self.schema)
+        return path.read_bytes().decode().split("\r\n")[:-1]
+
+    @staticmethod
+    def write(path, lines):
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+
+    def test_writer_matches_oracle_bytes(self, data, tmp_path):
+        write_csv(data, tmp_path / "new.csv", self.schema)
+        write_csv_whole(data, tmp_path / "old.csv", self.schema)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_loader_matches_oracle(self, data, lines, tmp_path):
+        path = tmp_path / "d.csv"
+        self.write(path, lines)
+        assert_same_data(load_csv(path, self.schema), data)
+        four = np.flatnonzero(data.n_rep == 4)
+        # a whitespace-only cell leaves its replicate vector incomplete, a
+        # missing middle replicate leaves a gap the loader packs away
+        spaced, gapped = int(four[1]), int(four[-1])
+        cells = lines[spaced + 1].split(",")
+        cells[7] = "  "  # w1_r3
+        lines[spaced + 1] = ",".join(cells)
+        cells = lines[gapped + 1].split(",")
+        cells[5:7] = ["", ""]  # w1_r2, w2_r2
+        lines[gapped + 1] = ",".join(cells)
+        # blank lines where the blocks meet and at the end
+        for j in (2 * _CHUNK_ROWS, _CHUNK_ROWS, _CHUNK_ROWS - 1):
+            lines.insert(j + 1, "")
+        lines.append("")
+        self.write(path, lines)
+        got, want = load_csv(path, self.schema), load_csv_whole(path, self.schema)
+        assert_same_data(got, want)
+        assert (got.n_rep[spaced], got.n_rep[gapped], got.n) == (3, 3, self.n)
+
+    def test_malformed_cell_in_third_block_reports_global_row(self, lines, tmp_path):
+        row = 2 * _CHUNK_ROWS + 5
+        cells = lines[row + 1].split(",")
+        cells[3] = "oops"
+        lines[row + 1] = ",".join(cells)
+        self.write(tmp_path / "d.csv", lines)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(tmp_path / "d.csv", self.schema)
+        assert (err.value.row, err.value.column) == (row, "w1_r1")
+
+    def test_short_row_in_third_block_reports_global_row(self, lines, tmp_path):
+        row = 2 * _CHUNK_ROWS + 9
+        lines[row + 1] = ",".join(lines[row + 1].split(",")[:4])
+        self.write(tmp_path / "d.csv", lines)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(tmp_path / "d.csv", self.schema)
+        assert (err.value.row, err.value.column) == (row, "w2_r1")
+
+    def test_first_block_fault_reported_first(self, lines, tmp_path):
+        # the whole-file reader checked every row's length first and reported
+        # the short row; blocks report the malformed cell of the first block
+        malformed, short = _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS
+        lines[short + 1] = ",".join(lines[short + 1].split(",")[:4])
+        cells = lines[malformed + 1].split(",")
+        cells[0] = "1.0.0"
+        lines[malformed + 1] = ",".join(cells)
+        self.write(tmp_path / "d.csv", lines)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(tmp_path / "d.csv", self.schema)
+        assert (err.value.row, err.value.column) == (malformed, "y")
+        with pytest.raises(CsvParseError) as err:
+            load_csv_whole(tmp_path / "d.csv", self.schema)
+        assert err.value.row == short
+
+    def test_byte_order_mark_ignored(self, data, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with EF BB BF
+        write_csv(data, tmp_path / "d.csv", self.schema)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "d.csv").read_bytes())
+        assert_same_data(load_csv(bom, self.schema), load_csv(tmp_path / "d.csv", self.schema))
+
+    def test_memory_bounded_by_a_block(self, tmp_path):
+        # the whole-file writer and reader peak at 27.6 and 30.5 MiB on this file
+        data, path = ragged_dataset(25_000, 7), tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            write_csv(data, path, self.schema)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            load_csv(path, self.schema)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak < 8 * 2**20, write_peak / 2**20
+        assert load_peak < 12 * 2**20, load_peak / 2**20
 
 
 class TestValidation:
