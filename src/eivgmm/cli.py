@@ -3,8 +3,8 @@ reproduce the acceptance grid.
 
 Reports are emitted as deterministic JSON (stable key order, volatile fields
 such as wall time kept out of the canonical document) plus aligned text for
-humans. Exit codes, mapped from errors in main only: 0 success; 1 estimation,
-ingestion or file failure (a JSON error on stdout); 2 an argument the CLI or
+humans. Exit codes: 0 success; 1 estimation, ingestion or file failure (a JSON
+error, or fit's failed estimator beside the others); 2 an argument the CLI or
 the library rejects (UsageError); 3 acceptance failure.
 """
 
@@ -20,13 +20,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .covariance import estimate_covariances
 from .errors import EivError, UsageError
-from .gmm import _check_fit_args, fit_gmm_multi
-from .model_data import CsvSchema, build_design, load_csv, write_csv
-from .moment_correction import fit_mc, fit_ols
+from .gmm import GmmFit, _check_fit_args
+from .model_data import CsvSchema, ParamVector, load_csv, write_csv
+from .moment_correction import McFit
 from .simgen import SimConfig, gen_dataset
-from .study import DISPLAY_NAMES, ESTIMATORS, run_study
+from .study import DISPLAY_NAMES, ESTIMATORS, GMM_SCHEMES, _fit_dataset, run_study
 
 EXIT_OK = 0
 EXIT_ESTIMATION = 1
@@ -35,6 +34,7 @@ EXIT_ACCEPTANCE = 3
 
 _WEIGHT_TOKENS = {"equal": "equal", "mm": "minimax", "minimax": "minimax",
                   "ql": "quasi_likelihood", "quasi_likelihood": "quasi_likelihood"}
+_STUDY_NAMES = {scheme: name for name, scheme in GMM_SCHEMES.items()}
 _ERROR_TOKENS = {"normal": "normal", "t2.5": "t2_5", "t2_5": "t2_5",
                  "contnormal": "contaminated_normal",
                  "contaminated_normal": "contaminated_normal"}
@@ -116,29 +116,21 @@ def cmd_fit(args) -> int:
     z = tuple(tok.strip() for tok in args.z.split(",") if tok.strip())
     schema = CsvSchema(y=args.y, z=z, w_prefix=args.w_prefix)
     d = load_csv(args.data, schema)
-    design = build_design(d)
-    results = {}
-    if "naive" in estimators:
-        results["naive"] = {"coef": fit_ols(d.y, design.v, d.p).theta.tolist(), "se": None}
-    if "mc" in estimators or "gmm" in estimators:
-        sigma_j = estimate_covariances(d)
-        mc = fit_mc(d, sigma_j, design)
-    if "mc" in estimators:
-        results["mc"] = {"coef": mc.theta.theta.tolist(), "se": None,
-                         "sigma_eps_sq": mc.sigma_eps_sq}
-    diagnostics = {}
+    names = [name for name in ("naive", "mc") if name in estimators]
     if "gmm" in estimators:
-        fits = fit_gmm_multi(d, schemes, b=args.bootstrap, seed=args.seed,
-                             mc=mc, sigma_j=sigma_j, design=design)
-        for scheme, fit in fits.items():
-            key = f"gmm_{scheme}"
-            if isinstance(fit, EivError):
-                diagnostics[key] = {"error": str(fit)}
-                continue
-            results[key] = {
-                "coef": fit.theta.theta.tolist(),
-                "se": None if fit.se is None else fit.se.tolist(),
-            }
+        names += [_STUDY_NAMES[scheme] for scheme in schemes]
+    results, diagnostics = {}, {}
+    for name, fit in _fit_dataset(d, names, b=args.bootstrap, seed=args.seed).items():
+        key = f"gmm_{GMM_SCHEMES[name]}" if name in GMM_SCHEMES else name
+        if isinstance(fit, Exception):
+            diagnostics[key] = {"error": str(fit)}
+            continue
+        theta = fit if isinstance(fit, ParamVector) else fit.theta
+        results[key] = {"coef": theta.theta.tolist(), "se": None}
+        if isinstance(fit, McFit):
+            results[key]["sigma_eps_sq"] = fit.sigma_eps_sq
+        elif isinstance(fit, GmmFit):
+            results[key]["se"] = None if fit.se is None else fit.se.tolist()
             diagnostics[key] = {
                 "q_value": fit.q_value,
                 "converged": fit.converged,
@@ -153,7 +145,7 @@ def cmd_fit(args) -> int:
 
     coef_names = [f"beta{i + 1}" for i in range(d.p)]
     coef_names += ["intercept"] + list(schema.z)
-    order = [k for k in ("naive", "mc", *(f"gmm_{s}" for s in schemes)) if k in results]
+    order = list(results)
     # text rows in the usual regression-table shape: intercept, error-prone
     # covariates, error-free covariates
     row_idx = [d.p, *range(d.p), *range(d.p + 1, d.p + 1 + d.q)]
@@ -182,7 +174,7 @@ def cmd_fit(args) -> int:
         "_text": text,
     }
     _emit(report, args, time.perf_counter() - start)
-    # a failed scheme is reported beside the others, and still fails the run
+    # a failed estimator is reported beside the others, and still fails the run
     failed = {key: diag["error"] for key, diag in diagnostics.items() if "error" in diag}
     for key, message in failed.items():
         print(f"error: {key}: {message}", file=sys.stderr)

@@ -44,7 +44,7 @@ from .covariance import estimate_covariances, pooled_error_covariance, psd_proje
 from .errors import (BootstrapInstabilityError, DegenerateCovarianceError, EivError,
                      StandardErrorError, UsageError)
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
-from .moment_correction import McFit, fit_mc, grad_corrected_l2
+from .moment_correction import fit_mc, grad_corrected_l2
 from .phase import EcfOutcome, _BootstrapPhase, _quad_rule, _t_star_from_counts, grad_and_hessian
 from .weights import SCHEMES, WeightVector, _block_weights
 
@@ -143,12 +143,11 @@ def _floor_eigh(omega: np.ndarray):
 def _resample_counts(seed: int, b: int, n: int) -> np.ndarray:
     """(b, n) row multiplicities of resamples 0 .. b-1; resample i draws n
     row indices from the stream keyed by (seed, i)."""
-    idx = np.stack([
-        np.random.default_rng(np.random.SeedSequence([int(seed), i])).integers(0, n, size=n)
-        for i in range(b)
-    ])
-    flat = (idx + n * np.arange(b)[:, None]).ravel()
-    return np.bincount(flat, minlength=flat.size).reshape(b, n).astype(float)
+    counts = np.empty((b, n))
+    for i in range(b):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+        counts[i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    return counts
 
 
 def _outcome_counts(counts: np.ndarray, y_inv: np.ndarray, n_y: int) -> np.ndarray:
@@ -381,21 +380,20 @@ def _check_fit_args(schemes, b):
 
 
 def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
-                  compute_se: bool = True, mc: McFit | None = None,
-                  sigma_j: np.ndarray | None = None,
-                  design: RegressionDesign | None = None) -> dict:
+                  compute_se: bool = True) -> dict:
     """Two-step combined fit for each weight scheme, sharing one bootstrap.
 
-    Step one takes the moment-corrected estimate (fit here unless mc is
-    given) and the bootstrap covariance of every scheme's stacked equations at
-    it, all schemes from the same b resamples; sharing the resample-level work
-    changes nothing statistically and keeps several schemes at roughly the
-    cost of one. Step two minimizes each scheme's quadratic form from that
-    estimate by damped Newton steps on the exact Hessian of the quadratic
-    form. The sandwich standard errors use the Jacobian the optimizer
-    evaluated at the estimate it returns. A scheme listed twice is fit once;
-    no scheme, a scheme name not in weights.SCHEMES, or b below
-    MIN_BOOTSTRAP raises UsageError (a ValueError) before any work.
+    Step one fits d's moment-corrected estimate (theta_init; its EivError
+    propagates) and the bootstrap covariance of every scheme's stacked
+    equations at it, all schemes from the same b resamples; sharing the
+    resample-level work changes nothing statistically and keeps several
+    schemes at roughly the cost of one. Step two minimizes each scheme's
+    quadratic form from that estimate by damped Newton steps on the exact
+    Hessian of the quadratic form. The sandwich standard errors use the
+    Jacobian the optimizer evaluated at the estimate it returns. A scheme
+    listed twice is fit once; no scheme, a scheme name not in
+    weights.SCHEMES, or b below MIN_BOOTSTRAP raises UsageError (a
+    ValueError) before any work.
 
     The full sample's t*, outcome ECF and weights are row 0 of the bootstrap
     pass; a constant outcome raises DegenerateInputError from its t* scan,
@@ -408,12 +406,9 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     """
     schemes = tuple(dict.fromkeys(schemes))
     _check_fit_args(schemes, b)
-    if sigma_j is None:
-        sigma_j = estimate_covariances(d)
-    if design is None:
-        design = build_design(d)
-    if mc is None:
-        mc = fit_mc(d, sigma_j, design)
+    sigma_j = estimate_covariances(d)
+    design = build_design(d)
+    mc = fit_mc(d, sigma_j, design)
     ecf, per_scheme = _bootstrap_accumulate(d, mc.theta, b, seed, schemes, design, sigma_j)
     sig_w = pooled_error_covariance(sigma_j, d.n_rep)
     jac_mc = 2.0 / d.n * mc.gram

@@ -220,9 +220,20 @@ def _replicate_pattern(w_prefix):
     return re.compile(rf"^{re.escape(w_prefix)}(\d+)_r(\d+)$")
 
 
+def _check_names(schema: CsvSchema):
+    """ValidationError if the outcome and error-free names repeat or look like replicates."""
+    named, pat = [schema.y, *schema.z], _replicate_pattern(schema.w_prefix)
+    clashes = sorted({name for name in named if named.count(name) > 1 or pat.match(name)})
+    if clashes:
+        raise ValidationError(
+            f"schema column names {clashes} repeat each other or have the replicate "
+            f"columns' form '{schema.w_prefix}<k>_r<r>'")
+
+
 def _layout(header, schema: CsvSchema):
     """Check a header against the schema. Returns (rep_cols, p, n_rep_cols):
     rep_cols maps (covariate k, replicate r), both from 1, to the column name."""
+    _check_names(schema)
     duplicates = sorted({name for name in header if header.count(name) > 1})
     if duplicates:
         raise ValidationError(f"duplicate column names {duplicates} in header")
@@ -290,9 +301,9 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
     Raises CsvParseError for a non-UTF-8 file, malformed numeric cells and
     rows with more or fewer cells than the header, and ValidationError for an
-    empty file, schema problems or rows with fewer than 2 complete replicate
-    vectors. Data rows are numbered from 0; blank lines are skipped. A UTF-8
-    byte-order mark before the header is dropped.
+    empty file, schema problems (names that clash, as write_csv refuses) or
+    rows with fewer than 2 complete replicate vectors. Data rows are numbered
+    from 0; blank lines are skipped. A UTF-8 byte-order mark is dropped.
 
     The rows are read and parsed in blocks of ``_CHUNK_ROWS``, so at most one
     block is held as text. Within a block every row's length is checked
@@ -330,24 +341,19 @@ def write_csv(d: Dataset, path, schema: CsvSchema | None = None) -> None:
     cells. Rows are formatted in blocks of ``_CHUNK_ROWS``, so at most one
     block is held as text; lines end in CRLF, as csv.writer ends them.
     Raises ValidationError, before the file is opened, when the outcome and
-    error-free names repeat each other or have the replicate columns' form
-    (which load_csv would read as a replicate column).
+    error-free names repeat each other or have the replicate columns' form,
+    names load_csv refuses too.
     """
     if schema is None:
         schema = CsvSchema(y="y", z=tuple(f"z{i + 1}" for i in range(d.q)))
     if len(schema.z) != d.q:
         raise ValidationError(
             f"schema names {len(schema.z)} error-free columns, dataset has q = {d.q}")
+    _check_names(schema)
     r_max = d.w.shape[1]
     header = [schema.y, *schema.z]
     header += [f"{schema.w_prefix}{k}_r{r}" for r in range(1, r_max + 1)
                for k in range(1, d.p + 1)]
-    named, pat = header[:1 + d.q], _replicate_pattern(schema.w_prefix)
-    clashes = sorted({name for name in named if named.count(name) > 1 or pat.match(name)})
-    if clashes:
-        raise ValidationError(
-            f"schema column names {clashes} repeat each other or have the replicate "
-            f"columns' form '{schema.w_prefix}<k>_r<r>'")
     # row j's filled cells come first: y, z, then w[j, :n_j].ravel(), which
     # runs over replicates, then covariates, the header's order
     n_filled = (1 + d.q + d.p * d.n_rep).tolist()

@@ -16,9 +16,9 @@ import numpy as np
 
 from .covariance import estimate_covariances
 from .errors import EivError, UsageError
-from .gmm import _check_fit_args, fit_gmm_multi
+from .gmm import GmmFit, _check_fit_args, fit_gmm_multi
 from .metrics import MIN_DET_REPS, mc_se_summary, robust_mse
-from .model_data import build_design
+from .model_data import ParamVector, build_design
 from .moment_correction import fit_mc, fit_ols
 from .simgen import SimConfig, gen_dataset
 
@@ -123,72 +123,59 @@ def _check_estimators(estimators, b):
         _check_fit_args(schemes, b)
 
 
+def _fit_dataset(d, estimators, b, seed, compute_se=True, x_true=None) -> dict:
+    """Fit each of estimators to d. Returns {name: outcome} in their order:
+    the ParamVector of true (OLS on x_true) and naive, the McFit of mc, the
+    GmmFit of a gmm_* scheme, or the EivError or LinAlgError that stopped it.
+    The gmm_* names share one fit_gmm_multi call; its error is each one's."""
+    def attempt(fit, *args, **kwargs):
+        try:
+            return fit(*args, **kwargs)
+        except (EivError, np.linalg.LinAlgError) as exc:
+            return exc
+
+    schemes = {name: GMM_SCHEMES[name] for name in estimators if name in GMM_SCHEMES}
+    gmm = attempt(fit_gmm_multi, d, tuple(schemes.values()), b=b, seed=seed,
+                  compute_se=compute_se) if schemes else {}
+    if isinstance(gmm, Exception):
+        gmm = dict.fromkeys(schemes.values(), gmm)
+    fits = {
+        "true": lambda: fit_ols(d.y, np.column_stack([x_true, d.z]), d.p),
+        "naive": lambda: fit_ols(d.y, build_design(d).v, d.p),
+        "mc": lambda: fit_mc(d, estimate_covariances(d)),
+    }
+    return {name: gmm[schemes[name]] if name in schemes else attempt(fits[name])
+            for name in estimators}
+
+
 def run_replication(cfg: SimConfig, m: int, estimators=ESTIMATORS, b: int = 100,
                     compute_se: bool = True):
-    """Generate dataset m and fit the requested estimators.
+    """Generate dataset m and fit the requested estimators (_fit_dataset).
 
     Returns (estimates, ses, errors): dicts keyed by estimator name, plus a
-    list of (estimator, message) for failed fits. Each GMM scheme reports
-    its own outcome: one whose fit failed gets a NaN estimate and its own
-    message, and one whose standard errors failed keeps its estimate with a
-    message that starts with SE_FAILURE_PREFIX. Bad estimators or b raise
-    UsageError before the dataset is drawn.
+    list of (estimator, message) for failed fits, in estimator order. Each
+    estimator reports its own outcome: a failed fit gets a NaN estimate and
+    its own message, and a GMM scheme whose standard errors failed keeps its
+    estimate with a message that starts with SE_FAILURE_PREFIX. Bad
+    estimators or b raise UsageError before the dataset is drawn.
     """
     _check_estimators(estimators, b)
     d, x_true = gen_dataset(cfg, m)
-    k = cfg.p + cfg.q + 1
+    nan_row = np.full(d.p + d.q + 1, np.nan)
     estimates, ses, errors = {}, {}, []
-    nan_row = np.full(k, np.nan)
-
-    gmm_names = [name for name in estimators if name in GMM_SCHEMES]
-    gmm_fits = {}
-    sigma_j = design = mc = None
-    if any(name not in ("true", "naive") for name in estimators):
-        try:
-            sigma_j = estimate_covariances(d)
-            design = build_design(d)
-            mc = fit_mc(d, sigma_j, design)
-        except (EivError, np.linalg.LinAlgError) as exc:
-            errors.extend((name, str(exc)) for name in estimators
-                          if name not in ("true", "naive"))
-            gmm_names = []
-    if gmm_names:
-        try:
-            fits = fit_gmm_multi(
-                d, tuple(GMM_SCHEMES[name] for name in gmm_names), b=b,
-                seed=_bootstrap_seed(cfg, m), compute_se=compute_se,
-                mc=mc, sigma_j=sigma_j, design=design,
-            )
-            gmm_fits = {name: fits[GMM_SCHEMES[name]] for name in gmm_names}
-        except (EivError, np.linalg.LinAlgError) as exc:
-            errors.extend((name, str(exc)) for name in gmm_names)
-
-    for name in estimators:
-        est, se = nan_row, None
-        try:
-            if name == "true":
-                est = fit_ols(d.y, np.column_stack([x_true, d.z]), cfg.p).theta
-            elif name == "naive":
-                if design is None:
-                    design = build_design(d)
-                est = fit_ols(d.y, design.v, cfg.p).theta
-            elif name == "mc":
-                if mc is not None:
-                    est = mc.theta.theta
-            elif name in gmm_fits:
-                fit = gmm_fits[name]
-                if isinstance(fit, EivError):
-                    raise fit
-                est, se = fit.theta.theta, fit.se
-                if not fit.converged:
-                    errors.append((name, "optimizer did not converge"))
-                elif "se_error" in fit.diagnostics:
-                    errors.append((name, SE_FAILURE_PREFIX + fit.diagnostics["se_error"]))
-        except (EivError, np.linalg.LinAlgError) as exc:
-            errors.append((name, str(exc)))
-            est, se = nan_row, None
-        estimates[name] = est
-        ses[name] = se if se is not None else np.full(k, np.nan)
+    outcomes = _fit_dataset(d, estimators, b, _bootstrap_seed(cfg, m), compute_se, x_true)
+    for name, fit in outcomes.items():
+        estimates[name], ses[name] = nan_row, nan_row
+        if isinstance(fit, Exception):
+            errors.append((name, str(fit)))
+            continue
+        estimates[name] = (fit if isinstance(fit, ParamVector) else fit.theta).theta
+        if isinstance(fit, GmmFit):
+            ses[name] = nan_row if fit.se is None else fit.se
+            if not fit.converged:
+                errors.append((name, "optimizer did not converge"))
+            elif "se_error" in fit.diagnostics:
+                errors.append((name, SE_FAILURE_PREFIX + fit.diagnostics["se_error"]))
     return estimates, ses, errors
 
 

@@ -21,6 +21,19 @@ def sigma_x_from_parts(w_bar, sigma_j, n_rep):
     return sample_cov - pooled_error_covariance(sigma_j, n_rep) / n
 
 
+def resample_counts(seed, b, n):
+    """(b, n) row multiplicities of resamples 0 .. b-1, resample i drawing n
+    row indices from the stream keyed by (seed, i): all b index vectors
+    stacked, offset by n per resample and counted by one flat bincount. The
+    oracle for gmm._resample_counts, which counts each resample into its row."""
+    idx = np.stack([
+        np.random.default_rng(np.random.SeedSequence([int(seed), i])).integers(0, n, size=n)
+        for i in range(b)
+    ])
+    flat = (idx + n * np.arange(b)[:, None]).ravel()
+    return np.bincount(flat, minlength=flat.size).reshape(b, n).astype(float)
+
+
 def gauss_newton_lm(resid_jac, omega_inv, x0):
     """Minimize Q(x) = s(x)' W s(x), W = omega_inv, from x0 by
     Gauss-Newton Levenberg-Marquardt, the optimizer `eivgmm.gmm` used

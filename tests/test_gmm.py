@@ -42,7 +42,7 @@ from eivgmm.phase import (
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
 from eivgmm.weights import SCHEMES
 from conftest import fail_minimax, full_sample_weights, toy_dataset
-from gmm_oracles import gauss_newton_lm
+from gmm_oracles import gauss_newton_lm, resample_counts
 from phase_oracles import SHARED_ECF_ATOL, SHARED_GRAD_RTOL, build_ecf, dtilde, node_pair_grad
 
 
@@ -153,9 +153,9 @@ class TestBootstrapOmega:
             _floor_eigh(np.diag([1.0, 0.0, 2.0]))
 
     def test_minimum_resamples_enforced(self, rng):
-        d, sigma_j, design, mc, _, _ = prepared(rng, n=40)
+        d = prepared(rng, n=40)[0]
         with pytest.raises(ValueError, match="25"):
-            fit_gmm_multi(d, ("equal",), b=10, seed=1, mc=mc, sigma_j=sigma_j, design=design)
+            fit_gmm_multi(d, ("equal",), b=10, seed=1)
 
     def test_instability_raises(self):
         # outcomes almost surely constant within a resample: the frequency
@@ -516,6 +516,14 @@ class TestBatchedBootstrap:
         _bootstrap_accumulate(*args)
         assert calls == [(args[3], args[2], args[0].n)]
 
+    @pytest.mark.parametrize("n, b", [(1000, 100), (37, 30)])
+    def test_resample_counts_match_flat_bincount(self, n, b):
+        # one bincount per resample row against the stacked flat bincount
+        got = gmm_module._resample_counts(11, b, n)
+        want = resample_counts(11, b, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 def recorded_blocks(monkeypatch, args):
     """Inputs and outputs of every _BootstrapPhase.block call that
@@ -634,9 +642,8 @@ class TestFullSampleRow:
     @pytest.mark.parametrize("setting", ["simple", "I", "III"])
     def test_estimate_matches_oracle_ingredients(self, setting, law):
         args = TestBatchedBootstrap.inputs(setting, law)
-        d, _, b, seed, _, design, sigma_j = args
-        fits = fit_gmm_multi(d, SCHEMES, b=b, seed=seed, compute_se=False,
-                             sigma_j=sigma_j, design=design)
+        d, _, b, seed = args[:4]
+        fits = fit_gmm_multi(d, SCHEMES, b=b, seed=seed, compute_se=False)
         for scheme, fit in fits.items():
             assert fit.converged
             assert_normwise_close(fit.theta.theta, gmm_estimate(args, scheme, fit.omega_inv),
@@ -777,8 +784,7 @@ class TestMinimizeQ:
         sigma_j = estimate_covariances(d)
         design = build_design(d)
         mc = fit_mc(d, sigma_j, design)
-        fit = fit_gmm_multi(d, ("minimax",), b=25, seed=seed, compute_se=False,
-                            mc=mc, sigma_j=sigma_j, design=design)["minimax"]
+        fit = fit_gmm_multi(d, ("minimax",), b=25, seed=seed, compute_se=False)["minimax"]
         assert fit.converged
         lt = np.linalg.cholesky(fit.omega_inv).T
 
@@ -857,8 +863,7 @@ class TestNewtonAgainstGaussNewton:
                                      error_law=law, seed=23), 0)
         sigma_j, design = estimate_covariances(d), build_design(d)
         mc = fit_mc(d, sigma_j, design)
-        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False,
-                             mc=mc, sigma_j=sigma_j, design=design)
+        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, compute_se=False)
         n_newton = n_gauss_newton = 0
         for fit in fits.values():
             resid_jac = functools.partial(
@@ -925,8 +930,8 @@ class TestNewtonAgainstGaussNewton:
                                      error_law="normal", seed=0), 0)
         sigma_j, design = estimate_covariances(d), build_design(d)
         mc = fit_mc(d, sigma_j, design)
-        fit = fit_gmm_multi(d, ("quasi_likelihood",), b=25, seed=0, compute_se=False,
-                            mc=mc, sigma_j=sigma_j, design=design)["quasi_likelihood"]
+        fit = fit_gmm_multi(d, ("quasi_likelihood",), b=25, seed=0,
+                            compute_se=False)["quasi_likelihood"]
         resid_jac = functools.partial(
             _stacked_equations, v=design.v, y=d.y,
             sig_w=pooled_error_covariance(sigma_j, d.n_rep),
@@ -1094,8 +1099,8 @@ class TestSchemeFailures:
     bit for bit as in an unforced run."""
 
     @staticmethod
-    def fit_all(d, sigma_j, design, mc):
-        return fit_gmm_multi(d, SCHEMES, b=30, seed=8, mc=mc, sigma_j=sigma_j, design=design)
+    def fit_all(d):
+        return fit_gmm_multi(d, SCHEMES, b=30, seed=8)
 
     @staticmethod
     def assert_others_unchanged(forced, ref):
@@ -1108,8 +1113,8 @@ class TestSchemeFailures:
                 want.q_value, want.n_iter, want.diagnostics)
 
     def test_standard_error_failure_keeps_estimate(self, rng, monkeypatch):
-        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, sigma_j, design, mc)
+        d = prepared(rng, n=60)[0]
+        ref = self.fit_all(d)
         sandwich = gmm_module.gmm_standard_errors
 
         def failing(jac, omega_inv):
@@ -1118,7 +1123,7 @@ class TestSchemeFailures:
             return sandwich(jac, omega_inv)
 
         monkeypatch.setattr(gmm_module, "gmm_standard_errors", failing)
-        forced = self.fit_all(d, sigma_j, design, mc)
+        forced = self.fit_all(d)
         self.assert_others_unchanged(forced, ref)
         got = forced["minimax"]
         assert got.se is None and ref["minimax"].se is not None
@@ -1126,10 +1131,10 @@ class TestSchemeFailures:
         assert np.array_equal(got.theta.theta, ref["minimax"].theta.theta)
 
     def test_bootstrap_over_limit_fails_alone(self, rng, monkeypatch):
-        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, sigma_j, design, mc)
+        d = prepared(rng, n=60)[0]
+        ref = self.fit_all(d)
         fail_minimax(monkeypatch)
-        forced = self.fit_all(d, sigma_j, design, mc)
+        forced = self.fit_all(d)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], BootstrapInstabilityError)
         assert "30/30 bootstrap resamples failed" in str(forced["minimax"])
@@ -1137,8 +1142,8 @@ class TestSchemeFailures:
     def test_zero_variance_fails_alone(self, rng, monkeypatch):
         # minimax's phase gradients the same for every resample: that scheme
         # fails with the typed error instead of weighting with a NaN
-        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, sigma_j, design, mc)
+        d = prepared(rng, n=60)[0]
+        ref = self.fit_all(d)
         block = _BootstrapPhase.block
 
         def constant_minimax(self, *args):
@@ -1147,16 +1152,16 @@ class TestSchemeFailures:
             return c_y, s_y, grads
 
         monkeypatch.setattr(_BootstrapPhase, "block", constant_minimax)
-        forced = self.fit_all(d, sigma_j, design, mc)
+        forced = self.fit_all(d)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], DegenerateCovarianceError)
         assert "non-positive variance" in str(forced["minimax"])
 
     def test_full_sample_weight_failure_fails_alone(self, rng, monkeypatch):
-        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, sigma_j, design, mc)
+        d = prepared(rng, n=60)[0]
+        ref = self.fit_all(d)
         fail_minimax(monkeypatch, lambda sx, counts: np.all(counts == 1.0))
-        forced = self.fit_all(d, sigma_j, design, mc)
+        forced = self.fit_all(d)
         self.assert_others_unchanged(forced, ref)
         assert isinstance(forced["minimax"], DegenerateCovarianceError)
         assert str(forced["minimax"]) == "forced failure"
@@ -1164,8 +1169,8 @@ class TestSchemeFailures:
     def test_full_sample_ql_events_are_counts_not_warnings(self, rng, monkeypatch):
         # the quasi-likelihood solve fails on the full sample only: that fit
         # runs on equal weights and says so in its diagnostics, silently
-        d, sigma_j, design, mc, _, _ = prepared(rng, n=60)
-        ref = self.fit_all(d, sigma_j, design, mc)
+        d = prepared(rng, n=60)[0]
+        ref = self.fit_all(d)
         solve = weights_module._solve_ql_system
 
         def failing(counts, omega_inv, w_bar, gamma):
@@ -1176,7 +1181,7 @@ class TestSchemeFailures:
         monkeypatch.setattr(weights_module, "_solve_ql_system", failing)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            forced = self.fit_all(d, sigma_j, design, mc)
+            forced = self.fit_all(d)
         got, want = forced["quasi_likelihood"], ref["quasi_likelihood"]
         assert got.weights.fallback and not want.weights.fallback
         assert (got.diagnostics["ql_fallback"], got.diagnostics["ql_clamped"]) == (1, 0)
@@ -1245,7 +1250,7 @@ class TestStandardErrors:
         d, _ = gen_dataset(SimConfig(setting=setting, n=300, n_rep=2, m_reps=1,
                                      error_law=law, seed=23), 0)
         sigma_j, design = estimate_covariances(d), build_design(d)
-        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3, sigma_j=sigma_j, design=design)
+        fits = fit_gmm_multi(d, SCHEMES, b=30, seed=3)
         jac_mc = corrected_ls_jacobian(d, sigma_j, design)
         for fit in fits.values():
             assert fit.se is not None
@@ -1264,7 +1269,7 @@ class TestStandardErrors:
             d, _ = gen_dataset(SimConfig(setting="III", n=300, n_rep=2, m_reps=1,
                                          error_law="t2_5", seed=17), 0)
             sigma_j, design = estimate_covariances(d), build_design(d)
-        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7, sigma_j=sigma_j, design=design)["minimax"]
+        fit = fit_gmm_multi(d, ("minimax",), b=40, seed=7)["minimax"]
         assert fit.se is not None
         theta = fit.theta.theta
         k = theta.size

@@ -56,6 +56,24 @@ class TestLoadCsv:
         # replicates 1 and 3 are the ones kept for the first row
         assert np.array_equal(d.w_reps[0], [[0.5], [0.9]])
 
+    @pytest.mark.parametrize("y, z, clash", [
+        # w1_r3 would be a replicate column and an error-free column at once
+        ("y", ("w1_r3",), ["w1_r3"]),
+        # the one column would be read as the outcome and as z
+        ("w1_r1", ("w1_r1",), ["w1_r1"]),
+    ])
+    def test_schema_with_clashing_names_rejected(self, tmp_path, y, z, clash):
+        f = tmp_path / "d.csv"
+        write_lines(f, [
+            "y,w1_r1,w1_r2,w1_r3",
+            "1.0,0.5,0.6,0.9",
+            "2.0,1.5,1.6,1.7",
+            "3.0,2.5,2.6,2.7",
+            "4.0,3.5,3.6,3.7",
+        ])
+        with pytest.raises(ValidationError, match=re.escape(f"schema column names {clash}")):
+            load_csv(f, CsvSchema(y=y, z=z))
+
     def test_single_replicate_column_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["y,w1_r1", "1.0,0.5", "2.0,1.5"])

@@ -11,6 +11,7 @@ import eivgmm.gmm as gmm_module
 import eivgmm.study as study_module
 from eivgmm.acceptance import run_criterion
 from eivgmm.cli import main
+from eivgmm.covariance import estimate_covariances
 from eivgmm.errors import (
     BootstrapInstabilityError,
     EstimationError,
@@ -18,9 +19,12 @@ from eivgmm.errors import (
     UsageError,
     ValidationError,
 )
-from eivgmm.model_data import CsvSchema, write_csv
+from eivgmm.gmm import fit_gmm_multi
+from eivgmm.model_data import CsvSchema, build_design, load_csv, write_csv
+from eivgmm.moment_correction import fit_mc, fit_ols
 from eivgmm.simgen import SimConfig, gen_dataset
 from eivgmm.study import _OPENBLAS_SET_THREADS, _pin_blas_threads, run_replication, run_study
+from eivgmm.weights import SCHEMES
 from conftest import fail_minimax
 
 
@@ -289,7 +293,8 @@ class TestCliFit:
 
     def test_naive_needs_no_corrected_fit(self, tmp_path, capsys):
         # the corrected normal equations of this file are singular; naive
-        # least squares does not use them
+        # least squares does not use them, and a failed MC fit is reported
+        # beside the naive one, as a failed scheme is
         path = tmp_path / "singular.csv"
         path.write_text("y,w1_r1,w1_r2\n0.3,-0.5,0.5\n-0.1,-0.5,0.5\n"
                         "1.2,0.5,1.5\n0.9,0.5,1.5\n", encoding="utf-8")
@@ -297,12 +302,41 @@ class TestCliFit:
         code, *_ = run_cli(["fit", "--data", str(path), "--y", "y",
                             "--estimators", "naive", "--json", str(json_path)], capsys)
         assert code == 0
-        report = json.loads(json_path.read_text())
-        assert np.allclose(report["results"]["naive"]["coef"], [0.95, 0.1])
-        code, out, _ = run_cli(["fit", "--data", str(path), "--y", "y",
-                                "--estimators", "mc"], capsys)
+        naive = json.loads(json_path.read_text())["results"]["naive"]
+        assert np.allclose(naive["coef"], [0.95, 0.1])
+        code, out, err = run_cli(["fit", "--data", str(path), "--y", "y",
+                                  "--estimators", "naive,mc", "--json", str(json_path)], capsys)
         assert code == 1
-        assert "near-singular" in json.loads(out.splitlines()[0])["error"]
+        report = json.loads(json_path.read_text())
+        assert report["results"] == {"naive": naive}
+        assert "near-singular" in report["diagnostics"]["mc"]["error"]
+        assert re.search(r"^error: mc: corrected normal equations are near-singular", err, re.M)
+        assert out.splitlines()[0].split() == ["coefficient", "naive"]
+
+    def test_report_matches_the_library(self, tmp_path, capsys):
+        # every coefficient and SE of the report equals, bit for bit, that of
+        # the library's own fits of the loaded file with the same b and seed
+        d, _ = gen_dataset(SimConfig(setting="III", n=200, n_rep=2, m_reps=1,
+                                     error_law="t2_5", seed=4), 0)
+        path, json_path = tmp_path / "iii.csv", tmp_path / "iii.json"
+        schema = CsvSchema(y="y", z=("z1", "z2"))
+        write_csv(d, path, schema)
+        code, *_ = run_cli(["fit", "--data", str(path), "--y", "y", "--z", "z1,z2",
+                            "--estimators", "naive,mc,gmm", "--weights", "equal,mm,ql",
+                            "--bootstrap", "30", "--seed", "9", "--json", str(json_path)],
+                           capsys)
+        assert code == 0
+        results = json.loads(json_path.read_text())["results"]
+        loaded = load_csv(path, schema)
+        mc = fit_mc(loaded, estimate_covariances(loaded))
+        want = {"naive": (fit_ols(loaded.y, build_design(loaded).v, loaded.p).theta, None),
+                "mc": (mc.theta.theta, None)}
+        for scheme, fit in fit_gmm_multi(loaded, SCHEMES, b=30, seed=9).items():
+            want[f"gmm_{scheme}"] = (fit.theta.theta, fit.se)
+        assert set(results) == set(want)
+        for key, (coef, se) in want.items():
+            assert results[key]["coef"] == coef.tolist()
+            assert results[key]["se"] == (None if se is None else se.tolist())
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "json-dir"])
     def test_file_error_json_exit_1(self, csv_path, tmp_path, capsys, case):
