@@ -13,8 +13,10 @@ corrected-LS gradient) is one matrix product per block of resamples over the
 original rows, and the weights of every scheme are formed for the block at
 once. The full sample is the resample whose multiplicities are all one: it
 is row 0 of the same pass, which gives its t*, outcome ECF and weights, and
-its gradient does not enter the covariance. Every sample's t* comes from an
-exact scan, the full sample's first; then each block forms the outcome ECFs
+its gradient does not enter the covariance. Once the full sample is checked
+for a constant outcome, every sample's t* comes from one lockstep scan over
+shared Chebyshev tables, each the grid point an exact scan of that sample
+finds (see phase._scan_t_stars); then each block forms the outcome ECFs
 and the phase gradients of every sample and weight scheme at the quadrature
 nodes of each sample's own band, from one set of trig tables shared by all
 samples (see phase._BootstrapPhase). The pass keeps one array per quantity,
@@ -45,7 +47,8 @@ from .errors import (BootstrapInstabilityError, DegenerateCovarianceError, EivEr
                      StandardErrorError, UsageError)
 from .model_data import Dataset, ParamVector, RegressionDesign, as_theta, build_design
 from .moment_correction import fit_mc, grad_corrected_l2
-from .phase import EcfOutcome, _BootstrapPhase, _quad_rule, _t_star_from_counts, grad_and_hessian
+from .phase import (EcfOutcome, _BootstrapPhase, _centered, _quad_rule, _scan_t_stars,
+                    grad_and_hessian)
 from .weights import SCHEMES, WeightVector, _block_weights
 
 __all__ = [
@@ -163,14 +166,15 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
     """Shared bootstrap pass: the full sample and one set of resamples, one
     gradient per scheme.
 
-    The full sample's exact t* scan runs first, over its distinct outcomes
-    and their counts: its EivError (a constant outcome) propagates before
-    any resample is drawn. Resample i draws n row indices from the stream
-    keyed by (seed, i); all b resamples are drawn once as row multiplicities
-    c, stacked under row 0, the full sample (all ones), and kept with their
-    outcome multiplicities (1.6 MB at n = 1000, b = 100); each resample's
-    exact t* scan runs next. Then the samples go in blocks of about
-    _BOOT_BLOCK_ROWS / n. Per block, one product of the multiplicities with
+    The full sample's distinct outcomes and their counts are checked first:
+    a constant outcome raises DegenerateInputError before any resample is
+    drawn. Resample i draws n row indices from the stream keyed by (seed, i);
+    all b resamples are drawn once as row multiplicities c, stacked under
+    row 0, the full sample (all ones), and kept with their outcome
+    multiplicities (1.6 MB at n = 1000, b = 100). One phase._scan_t_stars
+    call then finds the t* of rows 0 .. b in lockstep from shared tables,
+    and gives a constant resample its reason. Then the samples go in blocks
+    of about _BOOT_BLOCK_ROWS / n. Per block, one product of the multiplicities with
     a per-row table gives every sample's pooled error covariance
     sum_j c_j sigma_j / n_j, covariate covariance sigma_x (from second
     moments of the globally centered w_bar, PSD-projected once per block
@@ -218,26 +222,20 @@ def _bootstrap_accumulate(d: Dataset, theta, b: int, seed: int, schemes,
         v * (y - v @ theta)[:, None],
     ])
     y_vals, y_inv = np.unique(y, return_inverse=True)
-    # the scan's first crossing is a discontinuous decision, so every
-    # sample scans exactly, before the phase tables are sized from the
-    # largest t*; the full sample's scan error stops the fit before any
-    # resample is drawn
-    t_stars = np.full(b + 1, np.nan)
-    capped = np.zeros(b + 1, dtype=bool)
-    t_stars[0], capped[0] = _t_star_from_counts(y_vals, np.bincount(y_inv).astype(float))
+    # a constant outcome stops the fit here, before any resample is drawn
+    _centered(y_vals, np.bincount(y_inv).astype(float))
     # row 0 is the full sample, rows 1 .. b the resamples
     counts = np.vstack([np.ones((1, n)), _resample_counts(seed, b, n)])
     y_counts = _outcome_counts(counts, y_inv, y_vals.size)
+    # the scan's first crossing is a discontinuous decision, so every t* is
+    # found before the phase tables are sized from the largest
+    t_stars, capped, scan_errors = _scan_t_stars(y_vals, y_counts)
     # each stage sets the reasons it finds only where none is set yet, so a
     # failed scan outranks a weight error, which outranks a non-finite
     # stacked gradient
     reasons = np.full((b + 1, len(schemes)), None)
-    for row in range(1, b + 1):
-        held = y_counts[row] > 0.0
-        try:
-            t_stars[row], capped[row] = _t_star_from_counts(y_vals[held], y_counts[row, held])
-        except EivError as exc:
-            reasons[row] = exc
+    unscanned = np.not_equal(scan_errors, None)
+    reasons[unscanned] = scan_errors[unscanned, None]
     phase = _BootstrapPhase(v, theta, y_vals, t_stars)
     grads = np.full((b + 1, len(schemes), 2 * k), np.nan)
     fallback = np.zeros((b + 1, len(schemes)), dtype=bool)
@@ -396,7 +394,7 @@ def fit_gmm_multi(d: Dataset, schemes, b: int = 100, seed: int = 0,
     ValueError) before any work.
 
     The full sample's t*, outcome ECF and weights are row 0 of the bootstrap
-    pass; a constant outcome raises DegenerateInputError from its t* scan,
+    pass; a constant outcome raises DegenerateInputError from its t* check,
     before any resample is drawn. Each scheme carries its own outcome:
     returns {scheme: GmmFit}, where a scheme whose bootstrap exceeded the
     failure limit or has a zero variance, or whose full-sample weights could

@@ -5,20 +5,25 @@ observation, with no node pairing and no collapsing of tied values, which is
 what the fast paths in `eivgmm.phase` must reproduce to rounding level.
 `node_pair_grad` and `build_ecf` are the exceptions: the node-pair path
 over one sample's own rows and outcomes, the oracles of the bootstrap's
-shared tables. So is `second_order_scan`, the t* scan before its skip bound
-took the third derivative into account.
+shared tables. So are `t_star_from_counts`, one sample's exact skip-ahead t*
+scan (one exp over its own values per evaluation), the oracle of the
+lockstep scan over shared tables, and `second_order_scan`, the t* scan
+before its skip bound took the third derivative into account.
 """
+
+import math
 
 import numpy as np
 
+from eivgmm.errors import DegenerateInputError
 from eivgmm.model_data import as_theta
 from eivgmm.phase import (
     _N_SCAN_STEPS,
+    T_STEP_SCALE,
     EcfOutcome,
     _NodePairs,
     _phase_terms,
     _quad_rule,
-    _t_star_from_counts,
     kernel,
 )
 
@@ -35,10 +40,96 @@ class PhaseUndefinedError(ArithmeticError):
     """The weighted phase function has zero modulus at the requested frequency."""
 
 
+def skip_rule(d, counts, n: int):
+    """The t* scan's skip rule for the sample with centered distinct values d
+    and multiplicities counts: returns skip(t), which is None where the ECF
+    has re^2 + im^2 <= 1/n at t, and otherwise a length h such that
+    |phi| > n^{-1/2} on all of [t, t + h).
+
+    skip(t) gets phi, phi' and phi'' at t from one exp(i t d) and a 3-column
+    basis. With u = phi/|phi|, r = |phi|, rho = Re(conj(u) phi'), sigma =
+    Re(conj(u) phi''), M2 = mean d^2, M3 = mean |d|^3 and gap = r - n^{-1/2},
+    Taylor's theorem bounds |phi(t + h)| >= Re(conj(u) phi(t + h)) from
+    below twice: by r + rho h - M2 h^2 / 2, whose first crossing of the
+    floor is h2, and on [0, 2 h2] by r + rho h + sigma h^2 / 2 - M3 h^3 / 6
+    >= r + rho h + (sigma / 2 - M3 h2 / 3) h^2, whose first crossing h3 is
+    taken in closed form and capped at 2 h2. It returns max(h2, h3). The
+    scalar arithmetic is on Python floats, which cost less per operation
+    than numpy scalars.
+    """
+    m2 = float(counts @ d**2) / n
+    m3 = float(counts @ np.abs(d) ** 3) / n
+    basis = np.stack([counts, counts * d, counts * d**2]) / n
+    floor_sq = 1.0 / n
+    floor = math.sqrt(floor_sq)
+
+    def skip(t):
+        # rows: phi(t), -i phi'(t) and -phi''(t), as (real, imaginary) pairs
+        e = np.exp(1j * t * d)
+        (re, im), (re1, im1), (re2, im2) = (basis @ e.view(float).reshape(-1, 2)).tolist()
+        mod_sq = re * re + im * im
+        if mod_sq <= floor_sq:
+            return None
+        r = math.sqrt(mod_sq)
+        gap = r - floor
+        rho = (im * re1 - re * im1) / r
+        sigma = -(re * re2 + im * im2) / r
+        # first positive roots, each in the form free of cancellation
+        root = math.sqrt(rho * rho + 2.0 * m2 * gap)
+        h2 = (rho + root) / m2 if rho >= 0.0 else 2.0 * gap / (root - rho)
+        cap = 2.0 * h2
+        curv = 0.5 * sigma - m3 * cap / 6.0
+        disc = rho * rho - 4.0 * curv * gap
+        h3 = cap
+        if disc >= 0.0 and rho < 0.0:
+            h3 = 2.0 * gap / (math.sqrt(disc) - rho)
+        elif curv < 0.0:
+            h3 = (rho + math.sqrt(disc)) / (-2.0 * curv)
+        return max(h2, min(h3, cap))
+
+    return skip
+
+
+def scan_t_star(d, counts, n: int, step: float):
+    """First grid point t = j step, 1 <= j <= _N_SCAN_STEPS, where the ECF of
+    the sample with centered distinct values d and multiplicities counts has
+    re^2 + im^2 <= 1/n. Returns (t*, capped): (that point, False), or (the
+    last grid point, True) when no point crosses.
+
+    Between evaluations the scan skips the points that skip_rule keeps
+    above the floor; the 1e-9 margin absorbs rounding in the skip length.
+    """
+    skip = skip_rule(d, counts, n)
+    j = 1
+    while j <= _N_SCAN_STEPS:
+        h = skip(j * step)
+        if h is None:
+            return float(j * step), False
+        j += max(1, int(h / step * (1.0 - 1e-9)))
+    return float(_N_SCAN_STEPS * step), True
+
+
+def t_star_from_counts(vals: np.ndarray, counts: np.ndarray):
+    """(t*, capped) of the sample that holds the sorted distinct values vals
+    with multiplicities counts (float), by its own exact scan: the oracle of
+    `eivgmm.phase._scan_t_stars`, which finds every sample's t* in one
+    lockstep pass. sd(y) (ddof=1) is taken from the values and counts too,
+    so t* depends only on them, not on the order of the observations.
+    Raises DegenerateInputError for a constant sample."""
+    if vals.size < 2:
+        raise DegenerateInputError("outcome is constant; characteristic function never decays")
+    n = counts.sum()
+    d = vals - (counts @ vals) / n
+    sd = np.sqrt((counts @ d**2) / (n - 1.0))
+    if sd == 0.0 or not np.isfinite(sd):
+        raise DegenerateInputError("outcome is constant; characteristic function never decays")
+    return scan_t_star(d, counts, n, T_STEP_SCALE / sd)
+
+
 def second_order_scan(vals, counts, n: int, step: float):
     """First grid point t = j step, 1 <= j <= _N_SCAN_STEPS, where the ECF of
     the sample with distinct values vals and multiplicities counts has
-    re^2 + im^2 <= 1/n; returns (t*, capped) as `eivgmm.phase._scan_t_star`.
+    re^2 + im^2 <= 1/n; returns (t*, capped) as scan_t_star.
 
     Between evaluations it skips the points that the second-order bound
     keeps above the floor: with a = |phi'(t)|, M2 = mean d^2 >= |phi''| and
@@ -73,7 +164,7 @@ def build_ecf(y) -> EcfOutcome:
     DegenerateInputError for a constant outcome."""
     vals, counts = np.unique(np.asarray(y, dtype=float), return_counts=True)
     counts = counts.astype(float)
-    t_star, capped = _t_star_from_counts(vals, counts)
+    t_star, capped = t_star_from_counts(vals, counts)
     grid, quad_w = _quad_rule(t_star)
     cos_m, sin_m = _NodePairs(t_star, vals).times(counts[:, None] / counts.sum())
     return EcfOutcome(grid=grid, quad_w=quad_w, c_y=cos_m[:, 0], s_y=sin_m[:, 0],

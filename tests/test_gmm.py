@@ -36,7 +36,7 @@ from eivgmm.phase import (
     EcfOutcome,
     _BootstrapPhase,
     _NodePairs,
-    _t_star_from_counts,
+    _scan_t_stars,
     grad_and_hessian,
 )
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
@@ -166,6 +166,26 @@ class TestBootstrapOmega:
         with pytest.raises(BootstrapInstabilityError):
             scheme_omega(d, np.array([0.5, 0.1]), 40, seed=2, scheme="equal")
 
+    def test_constant_resamples_fail_with_their_reason(self):
+        # 3 of 40 outcomes are ones: a resample that draws none of them is
+        # constant, its scan row fails, and every scheme lists it with the
+        # scan's reason
+        rng = np.random.default_rng(3)
+        n, b, seed = 40, 100, 4
+        x = rng.exponential(1.0, size=(n, 1))
+        w = x[:, None, :] + 0.3 * rng.normal(size=(n, 2, 1))
+        y = np.where(np.arange(n) < 3, 1.0, 0.0)
+        d = make_dataset(y, np.empty((n, 0)), list(w))
+        sigma_j, design = estimate_covariances(d), build_design(d)
+        theta = fit_mc(d, sigma_j, design).theta.theta
+        constant = [i for i, row in enumerate(resample_counts(seed, b, n))
+                    if np.ptp(y[row > 0.0]) == 0.0]
+        assert 0 < len(constant) <= MAX_BOOT_FAILURE_FRAC * b
+        out = _bootstrap_accumulate(d, theta, b, seed, SCHEMES, design, sigma_j)[1]
+        for scheme in SCHEMES:
+            fails = out[scheme][2]
+            assert [i for i, reason in fails if "outcome is constant" in reason] == constant
+
     @pytest.mark.slow
     def test_variance_scales_inversely_with_n(self):
         # diagonal entries at n=2000 are about half those at n=1000
@@ -251,13 +271,13 @@ def batched_with_t_stars(monkeypatch, *args):
     resamples'."""
     t_stars = []
 
-    def recording_scan(vals, counts):
-        out = _t_star_from_counts(vals, counts)
-        t_stars.append(out)
+    def recording_scan(y_vals, y_counts):
+        out = _scan_t_stars(y_vals, y_counts)
+        t_stars.extend((float(t), bool(cap)) for t, cap, err in zip(*out) if err is None)
         return out
 
     with monkeypatch.context() as patch:
-        patch.setattr(gmm_module, "_t_star_from_counts", recording_scan)
+        patch.setattr(gmm_module, "_scan_t_stars", recording_scan)
         out = _bootstrap_accumulate(*args)[1]
     return out, t_stars
 
@@ -670,21 +690,28 @@ class TestFullSampleRow:
         w = x[:, None, :] + 0.3 * rng.normal(size=(n, 2, 1))
         d = make_dataset(np.ones(n), np.empty((n, 0)), list(w))
         calls = []
-        scan, draw = gmm_module._t_star_from_counts, gmm_module._resample_counts
+        check = gmm_module._centered
+        scan, draw = gmm_module._scan_t_stars, gmm_module._resample_counts
 
-        def counting_scan(vals, counts):
+        def counting_check(vals, counts):
             calls.append(vals.size)
-            return scan(vals, counts)
+            return check(vals, counts)
+
+        def recording_scan(*scan_args):
+            calls.append("scan")
+            return scan(*scan_args)
 
         def recording_draw(*draw_args):
             calls.append("draw")
             return draw(*draw_args)
 
-        monkeypatch.setattr(gmm_module, "_t_star_from_counts", counting_scan)
+        monkeypatch.setattr(gmm_module, "_centered", counting_check)
+        monkeypatch.setattr(gmm_module, "_scan_t_stars", recording_scan)
         monkeypatch.setattr(gmm_module, "_resample_counts", recording_draw)
         with pytest.raises(DegenerateInputError, match="outcome is constant"):
             fit_gmm_multi(d, SCHEMES, b=100, seed=0)
-        # one scan, the full sample's, and no resample drawn
+        # one check, the full sample's over its one value; no resample drawn
+        # and no t* scanned
         assert calls == [1]
 
 
@@ -1202,10 +1229,12 @@ class TestSchemeFailures:
     def test_unknown_scheme_raises_before_bootstrap(self, rng, monkeypatch):
         # names are compared as given: "Minimax" is not a scheme; an empty
         # list names none
-        def no_scan(vals, counts):
+        def no_scan(*scan_args):
             raise AssertionError("bootstrap t* scan ran")
 
-        monkeypatch.setattr(gmm_module, "_t_star_from_counts", no_scan)
+        # the full sample's check opens the bootstrap, then the scan of every sample
+        monkeypatch.setattr(gmm_module, "_centered", no_scan)
+        monkeypatch.setattr(gmm_module, "_scan_t_stars", no_scan)
         d, *_ = prepared(rng, n=60)
         for schemes, message in ((("bogus",), "unknown weight scheme"),
                                  (("equal", "Minimax"), "unknown weight scheme"),

@@ -1,22 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import eivgmm.phase as phase_module
+from eivgmm.acceptance import REFERENCE_EPS_VAR, REFERENCE_U_SCALE, _cfg
 from eivgmm.errors import DegenerateInputError
+from eivgmm.gmm import _outcome_counts, _resample_counts
 from eivgmm.phase import (
     N_QUAD,
     T_CAP_SCALE,
     T_STEP_SCALE,
     EcfOutcome,
     _BootstrapPhase,
+    _centered,
     _gl_rule,
-    _scan_t_star,
-    _skip_rule,
+    _scan_t_stars,
+    _skip_lengths,
     grad_and_hessian,
     kernel,
 )
 from eivgmm.model_data import build_design
 from eivgmm.simgen import ERROR_LAWS, SimConfig, gen_dataset
+from eivgmm.study import _bootstrap_seed
 import phase_oracles
 from phase_oracles import (
     SHARED_ECF_ATOL,
@@ -348,7 +355,7 @@ def _centered_counts(y):
 
 
 def _skip_t_star(y, step):
-    return _scan_t_star(*_centered_counts(y), y.size, step)
+    return phase_oracles.scan_t_star(*_centered_counts(y), y.size, step)
 
 
 #: bound on how far the three scans' |ecf|^2 may differ at one grid point.
@@ -359,7 +366,7 @@ MOD_SQ_AGREEMENT = 1e-13
 
 
 def _mod_sq_three_ways(y, step, j, chunk=512):
-    """|ecf(j step)|^2 as the skip scan (the counts / n row of _skip_rule's
+    """|ecf(j step)|^2 as the skip scan (the counts / n row of skip_rule's
     3-row basis times the cos/sin view of the direct exp of centered distinct
     values), the chunked scan (rotation from its chunk start) and the plain
     oracle (direct exp over every row) evaluate it."""
@@ -395,8 +402,8 @@ def _scan_sample(law, tied, seed, n):
 
 
 class TestSkipScan:
-    """The skip-ahead t* scan against the chunked rotation scan and the plain
-    direct scan it replaced."""
+    """The per-sample skip-ahead t* scan, the lockstep scan's oracle, against
+    the chunked rotation scan and the plain direct scan it replaced."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(law=st.sampled_from(["normal", "t2_5", "contaminated", "lattice"]),
@@ -443,7 +450,7 @@ class TestSkipScan:
         y = _scan_sample(law, tied, seed, n)
         step = T_STEP_SCALE / _ecf_sd(y)
         d, counts = _centered_counts(y)
-        skip = _skip_rule(d, counts, n)
+        skip = phase_oracles.skip_rule(d, counts, n)
         for j in np.random.default_rng(seed).integers(1, N_SCAN_STEPS, size=8):
             h = skip(j * step)
             if h is None:
@@ -480,7 +487,7 @@ class TestSkipScan:
             counts = counts.astype(float)
             step = T_STEP_SCALE / _ecf_sd(y)
             start = calls
-            got = _scan_t_star(*_centered_counts(y), d.n, step)
+            got = phase_oracles.scan_t_star(*_centered_counts(y), d.n, step)
             n_skip += calls - start
             start = calls
             assert got == phase_oracles.second_order_scan(vals, counts, d.n, step)
@@ -621,3 +628,207 @@ class TestCurvature:
             assert _max_gap(got, fd) <= CURV_FD_RTOL
             want = phase_oracles.hessian_derivative(theta, v, q, ecf, u)
             assert _max_gap(got, want) <= CURV_DIRECT_RTOL
+
+
+def _pass_counts(y, b, seed):
+    """Distinct outcomes of y and the (1 + b, n_y) outcome counts of y (row
+    0) and of b resamples of it, drawn and counted as the bootstrap pass
+    draws them."""
+    y_vals, y_inv = np.unique(y, return_inverse=True)
+    counts = np.vstack([np.ones((1, y.size)), _resample_counts(seed, b, y.size)])
+    return y_vals, _outcome_counts(counts, y_inv, y_vals.size)
+
+
+def _oracle_scans(y_vals, y_counts):
+    """Each row's (t*, capped) from its own exact scan, None for a constant row."""
+    out = []
+    for row in y_counts:
+        held = row > 0.0
+        try:
+            out.append(phase_oracles.t_star_from_counts(y_vals[held], row[held]))
+        except DegenerateInputError:
+            out.append(None)
+    return out
+
+
+def _lockstep_scans(y_vals, y_counts):
+    """_scan_t_stars's rows in the oracle's form."""
+    t_stars, capped, errors = _scan_t_stars(y_vals, y_counts)
+    assert all(err is None or isinstance(err, DegenerateInputError) for err in errors)
+    return [None if err is not None else (float(t), bool(cap))
+            for t, cap, err in zip(t_stars, capped, errors)]
+
+
+def _t0(y_vals, y_counts):
+    """The lockstep scan's first interval end, 2 sqrt(ln n) / sd of row 0."""
+    n = y_counts[0].sum()
+    held = y_counts[0] > 0.0
+    return 2.0 * np.sqrt(np.log(n)) / _centered(y_vals[held], y_counts[0, held])[2]
+
+
+def _recording_cheb_rule(monkeypatch):
+    """Patch the Chebyshev rule of the scan tables to record each (lo, hi, n_cheb)."""
+    built = []
+    rule = phase_module._cheb_rule
+
+    def recording(lo, hi, n_cheb):
+        built.append((lo, hi, n_cheb))
+        return rule(lo, hi, n_cheb)
+
+    monkeypatch.setattr(phase_module, "_cheb_rule", recording)
+    return built
+
+
+def _outlier_y():
+    """Setting I outcomes, n = 300, with y[7] moved to 1e6."""
+    d, _ = gen_dataset(SimConfig(setting="I", n=300, n_rep=2, m_reps=1, seed=31), 0)
+    y = d.y.copy()
+    y[7] = 1e6
+    return y
+
+
+#: the gross-outlier pass (setting I, n = 300, one y = 1e6, B = 100): no
+#: scan table may exceed this many Chebyshev points, nor the scan's
+#: tracemalloc peak this many bytes (measured: 34 points and 1.2 MiB; with
+#: every value in the tables a table needs about 10^6 points, and with cuts
+#: only at the values' own magnitudes 18054 points and 27 MiB)
+OUTLIER_MAX_CHEB = 256
+OUTLIER_PEAK_BYTES = 4 * 2**20
+
+
+class TestLockstepScan:
+    """Every sample's t* from one lockstep pass over shared Chebyshev tables
+    against each sample's own exact scan (phase_oracles.t_star_from_counts):
+    (t*, capped) identical, the floats compared with ==."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=st.sampled_from(["normal", "t2_5", "contaminated", "lattice"]),
+           tied=st.booleans(), seed=st.integers(0, 2**16), n=st.integers(30, 2000))
+    def test_matches_exact_scans(self, law, tied, seed, n):
+        y = _scan_sample(law, tied, seed, n)
+        y_vals, y_counts = _pass_counts(y, 8, seed)
+        got = _lockstep_scans(y_vals, y_counts)
+        assert got == _oracle_scans(y_vals, y_counts)
+        assert got[0][1] == (law == "lattice")
+
+    def test_crossing_intervals_past_t0(self, monkeypatch):
+        # row 0 holds 5% of values at +-40, so its sd sets T0 near 0.5; row
+        # 1 holds only the central values, whose |phi| meets the floor near
+        # t = 2.5, in the fourth interval [4 T0, 8 T0]
+        rng = np.random.default_rng(4)
+        y = np.concatenate([rng.normal(size=475), 40.0 * rng.choice([-1.0, 1.0], size=25)])
+        y_vals, y_inv = np.unique(y, return_inverse=True)
+        central = np.flatnonzero(np.abs(y) < 10.0)
+        counts = np.vstack([np.ones(y.size),
+                            np.bincount(rng.choice(central, size=y.size), minlength=y.size)])
+        y_counts = _outcome_counts(counts, y_inv, y_vals.size)
+        built = _recording_cheb_rule(monkeypatch)
+        got = _lockstep_scans(y_vals, y_counts)
+        assert got == _oracle_scans(y_vals, y_counts)
+        t0 = _t0(y_vals, y_counts)
+        assert got[1][0] > 4.0 * t0 and not got[1][1]
+        assert max(lo for lo, _, _ in built) >= 4.0 * t0 * (1.0 - 1e-12)
+
+    def test_constant_row_gets_its_error(self):
+        rng = np.random.default_rng(8)
+        y_vals = np.sort(rng.normal(size=50))
+        y_counts = np.vstack([np.ones(50), np.bincount([7] * 50, minlength=50),
+                              np.bincount(rng.integers(0, 50, size=50), minlength=50)])
+        t_stars, capped, errors = _scan_t_stars(y_vals, y_counts.astype(float))
+        assert isinstance(errors[1], DegenerateInputError)
+        assert "outcome is constant" in str(errors[1])
+        assert np.isnan(t_stars[1]) and not capped[1]
+        assert errors[0] is None and errors[2] is None
+        assert _lockstep_scans(y_vals, y_counts) == _oracle_scans(y_vals, y_counts)
+
+    def test_near_floor_branch_keeps_t_star(self, monkeypatch):
+        # a margin of 1 sends every evaluation to the exact branch, which
+        # must then decide every crossing as the interpolated one did
+        d, _ = gen_dataset(SimConfig(setting="I", n=300, n_rep=2, m_reps=1,
+                                     error_law="t2_5", seed=9), 0)
+        y_vals, y_counts = _pass_counts(d.y, 20, 3)
+        want = _lockstep_scans(y_vals, y_counts)
+        exact = phase_module._exact_mod_sq
+        calls = []
+
+        def counting(vals, counts, t):
+            calls.append(t)
+            return exact(vals, counts, t)
+
+        monkeypatch.setattr(phase_module, "_exact_mod_sq", counting)
+        assert _lockstep_scans(y_vals, y_counts) == want
+        assert not calls
+        monkeypatch.setattr(phase_module, "_FLOOR_MARGIN", 1.0)
+        assert _lockstep_scans(y_vals, y_counts) == want == _oracle_scans(y_vals, y_counts)
+        assert len(calls) >= y_counts.shape[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(law=st.sampled_from(["normal", "t2_5", "contaminated", "lattice"]),
+           tied=st.booleans(), seed=st.integers(0, 2**16), n=st.integers(30, 2000),
+           own_mean=st.booleans())
+    def test_skip_lengths_pass_only_points_above_floor(self, law, tied, seed, n, own_mean):
+        # the vector skip rule, from exact sums about the global center (or
+        # moved to the sample's own mean, as the scan moves them), at grid
+        # points anywhere on the scan's range: every point it passes over
+        # has |ecf|^2 > 1/n by a dense evaluation
+        y = _scan_sample(law, tied, seed, n)
+        vals, counts = np.unique(y, return_counts=True)
+        counts = counts.astype(float)
+        mean, d, sd = _centered(vals, counts)
+        step = T_STEP_SCALE / sd
+        c = vals - vals.mean()
+        mu = mean - vals.mean() if own_mean else 0.0
+        dist = np.abs(c - mu)
+        m2, m3 = counts @ dist**2 / n, counts @ dist**3 / n
+        j = np.random.default_rng(seed).integers(1, N_SCAN_STEPS, size=8)
+        e = np.exp(1j * (j * step)[:, None] * c) * counts / n
+        s0, s1, s2 = e.sum(axis=1), e @ c, e @ c**2
+        sums = np.stack([s0, s1 - mu * s0, s2 - 2.0 * mu * s1 + mu * mu * s0], axis=1)
+        h = _skip_lengths(sums, np.full(8, m2), np.full(8, m3), n**-0.5, np.zeros((8, 3)))
+        for jj, hh in zip(j.tolist(), h.tolist()):
+            stop = min(jj + max(1, int(hh / step * (1.0 - 1e-9))), N_SCAN_STEPS + 1)
+            for start in range(jj + 1, stop, 512):
+                t = np.arange(start, min(start + 512, stop)) * step
+                re, im = phase_oracles.ecf_from_counts(d, counts, n, t)
+                assert np.all(re**2 + im**2 > 1.0 / n)
+
+    def test_gross_outlier(self, monkeypatch):
+        # an outcome at 1e6 moves the global center to about 3.3e3: the
+        # resamples that leave it out hold every value near |c| = 3.3e3, and
+        # the cut keeps them out of the wide intervals' tables
+        y_vals, y_counts = _pass_counts(_outlier_y(), 100, 5)
+        built = _recording_cheb_rule(monkeypatch)
+        got = _lockstep_scans(y_vals, y_counts)
+        assert got == _oracle_scans(y_vals, y_counts)
+        assert max(n_cheb for _, _, n_cheb in built) <= OUTLIER_MAX_CHEB
+        tracemalloc.start()
+        try:
+            _scan_t_stars(y_vals, y_counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= OUTLIER_PEAK_BYTES
+
+    @pytest.mark.slow
+    def test_matches_exact_scans_on_benchmark_and_grid_inputs(self):
+        # every sample of perfbench's replication workload (slots 0-15,
+        # replications 0-5, B = 100) and of the four acceptance-grid
+        # criteria at M = 20, B = 25, at the benchmark's and the default
+        # seed, drawn as the bootstrap pass draws them
+        cases = [(SimConfig(setting="III", n=1000, n_rep=2, error_law="t2_5", rho=0.5,
+                            seed=20251017 + slot, sigma_eps_sq=REFERENCE_EPS_VAR,
+                            u_scale=REFERENCE_U_SCALE), range(6), 100) for slot in range(16)]
+        for seed in (20251017, 20250810):
+            cases += [(_cfg("I", 1000, "normal", 0.5, 20, seed), range(20), 25),
+                      (_cfg("I", 1000, "t2_5", 0.0, 20, seed), range(20), 25),
+                      (SimConfig(setting="simple", n=1000, n_rep=2, m_reps=20,
+                                 error_law="contaminated_normal", seed=seed), range(20), 25),
+                      (_cfg("I", 500, "normal", 0.5, 20, seed), range(20), 25)]
+        rows = 0
+        for cfg, reps, b in cases:
+            for m in reps:
+                y_vals, y_counts = _pass_counts(gen_dataset(cfg, m)[0].y, b,
+                                                _bootstrap_seed(cfg, m))
+                assert _lockstep_scans(y_vals, y_counts) == _oracle_scans(y_vals, y_counts)
+                rows += y_counts.shape[0]
+        assert rows == 16 * 6 * 101 + 2 * 4 * 20 * 26
