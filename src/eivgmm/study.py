@@ -1,9 +1,10 @@
 """Monte Carlo study driver: generate, fit every estimator, summarize.
 
 Used by the `simulate` and `reproduce` CLI commands. Replications run in a
-process pool whose workers run BLAS single-threaded; every random stream is
-keyed by (seed, replication index), so results are identical for any worker
-count.
+process pool whose workers run BLAS single-threaded; one pool lives for the
+life of the process and serves every multi-worker study. Every random stream
+is keyed by (seed, replication index), so results are identical for any
+worker count and on fresh or reused workers.
 """
 
 from __future__ import annotations
@@ -79,12 +80,14 @@ _OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_se
 def _pin_blas_threads():
     """Pool initializer: set every OpenBLAS loaded in this process to one thread.
 
-    The pool already keeps each core busy with one worker, and OpenBLAS's own
-    threads on top of that oversubscribe the cores: with two workers on two
-    cores, a reduced acceptance grid (M=20, B=25) took 36 s unpinned and 15 s
-    pinned. The libraries are found in the process's memory map and set
-    through ctypes, so no optional dependency is needed; where there is no
-    /proc or no OpenBLAS, nothing changes.
+    It runs once per worker, when _pool forks it. The pool already keeps each
+    core busy with one worker, and OpenBLAS's own threads on top of that
+    oversubscribe the cores: with two workers on two cores, a reduced
+    acceptance grid (M=20, B=25) took 36 s unpinned and 15 s pinned when
+    pinning came in, and takes about 2 s pinned now. The libraries are found
+    in the process's memory map and set through ctypes, so no optional
+    dependency is needed; where there is no /proc or no OpenBLAS, nothing
+    changes.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -103,6 +106,29 @@ def _pin_blas_threads():
                 setter.restype = None
                 setter(1)
                 break
+
+
+#: the process's one pool as (workers, executor), made by the first multi-worker study
+_POOL = None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of `workers` workers, forked at its first use.
+
+    Reused while the worker count stays the same. A different count, or a
+    pool that a dead worker broke (the executor sets `_broken` before it
+    fails the pending futures), is shut down and replaced. The workers exit
+    at interpreter exit through concurrent.futures' own exit hook. Studies
+    share the one slot, so they run one at a time, not from several threads.
+    """
+    global _POOL
+    if _POOL is not None and (_POOL[0] != workers or _POOL[1]._broken):
+        _POOL[1].shutdown(wait=True)
+        _POOL = None
+    if _POOL is None:
+        _POOL = (workers, ProcessPoolExecutor(max_workers=workers,
+                                              initializer=_pin_blas_threads))
+    return _POOL[1]
 
 
 def _bootstrap_seed(cfg: SimConfig, m: int) -> int:
@@ -191,6 +217,15 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
     Trimmed det metrics need at least MIN_DET_REPS successful replications
     per estimator; SE summaries cover the GMM variants when compute_se is set.
     Bad estimators, b or workers raise UsageError before any dataset is drawn.
+
+    With workers > 1 the replications run on the process's one pool
+    (_pool): its workers are forked at the first multi-worker study and
+    reused by every later one with the same count, since the first job of
+    freshly forked workers runs 2-3x slower than a warm one. So a worker runs
+    the package as it was at that fork: a function monkeypatched later in
+    this process is not patched there. No test patches the package and then
+    runs a multi-worker study; keep it so. A BrokenProcessPool from a dead
+    worker propagates unchanged, and the next study forks a fresh pool.
     """
     _check_estimators(estimators, b)
     if workers < 1:
@@ -203,8 +238,8 @@ def run_study(cfg: SimConfig, estimators=ESTIMATORS, b: int = 100, workers: int 
 
     jobs = [(cfg, m, tuple(estimators), b, compute_se) for m in range(m_reps)]
     if workers > 1 and m_reps > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads) as pool:
-            results = list(pool.map(_job, jobs, chunksize=max(1, m_reps // (4 * workers))))
+        results = list(_pool(workers).map(_job, jobs,
+                                          chunksize=max(1, m_reps // (4 * workers))))
     else:
         results = [_job(job) for job in jobs]
 

@@ -2,11 +2,16 @@ import ctypes
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eivgmm
 import eivgmm.gmm as gmm_module
 import eivgmm.study as study_module
 from eivgmm.acceptance import run_criterion
@@ -23,7 +28,7 @@ from eivgmm.gmm import fit_gmm_multi
 from eivgmm.model_data import CsvSchema, build_design, load_csv, write_csv
 from eivgmm.moment_correction import fit_mc, fit_ols
 from eivgmm.simgen import SimConfig, gen_dataset
-from eivgmm.study import _OPENBLAS_SET_THREADS, _pin_blas_threads, run_replication, run_study
+from eivgmm.study import _OPENBLAS_SET_THREADS, run_replication, run_study
 from eivgmm.weights import SCHEMES
 from conftest import fail_minimax
 
@@ -44,6 +49,31 @@ def openblas_threads():
                 threads[path] = int(getter())
                 break
     return threads
+
+
+def _slow_pid():
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def pool_pids(pool, workers):
+    """The pids of pool's workers: rounds of one short job per worker until
+    every worker has answered."""
+    pids = set()
+    for _ in range(20):
+        pids |= {f.result(timeout=60) for f in [pool.submit(_slow_pid) for _ in range(workers)]}
+        if len(pids) >= workers:
+            return pids
+    raise AssertionError(f"only {len(pids)} of {workers} workers answered")
+
+
+def alive(pid):
+    """True while pid runs; a zombie waiting to be reaped has exited."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestStudy:
@@ -83,8 +113,8 @@ class TestStudy:
     def test_pool_workers_run_blas_single_threaded(self):
         if not openblas_threads():
             pytest.skip("no OpenBLAS library is loaded in this process")
-        with ProcessPoolExecutor(max_workers=2, initializer=_pin_blas_threads) as pool:
-            seen = [pool.submit(openblas_threads).result(timeout=60) for _ in range(4)]
+        pool = study_module._pool(2)
+        seen = [pool.submit(openblas_threads).result(timeout=60) for _ in range(4)]
         for threads in seen:
             assert threads and set(threads.values()) == {1}
 
@@ -172,6 +202,58 @@ def run_cli(argv, capsys):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def small_study(seed, workers, error_law="normal"):
+    cfg = SimConfig(setting="simple", n=120, n_rep=2, m_reps=4, error_law=error_law,
+                    seed=seed)
+    return run_study(cfg, estimators=("naive", "mc", "gmm_equal"), b=25, workers=workers)
+
+
+def assert_same_study(got, want):
+    for name in want.estimates:
+        assert np.array_equal(got.estimates[name], want.estimates[name])
+        assert np.array_equal(got.ses[name], want.ses[name], equal_nan=True)
+    assert got.failures == want.failures and got.det_metrics == want.det_metrics
+
+
+class TestPool:
+    """run_study's one pool: kept for later studies with the same worker
+    count, replaced on another count or after a worker died, and gone when
+    the process exits. Every result equals the in-process run's bit for bit."""
+
+    def test_reused_across_studies_and_replaced_on_a_new_count(self):
+        serial = [small_study(5, 1), small_study(6, 1, "t2_5")]
+        assert_same_study(small_study(5, 2), serial[0])
+        pool = study_module._pool(2)
+        pids = pool_pids(pool, 2)
+        assert_same_study(small_study(6, 2, "t2_5"), serial[1])
+        assert study_module._pool(2) is pool and pool_pids(pool, 2) == pids
+        assert_same_study(small_study(5, 3), serial[0])
+        assert len(pool_pids(study_module._pool(3), 3)) == 3
+        assert not any(alive(pid) for pid in pids)
+
+    def test_broken_pool_replaced_by_the_next_study(self):
+        pool = study_module._pool(2)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os._exit, 1).result(timeout=60)
+        assert_same_study(small_study(5, 2), small_study(5, 1))
+        assert study_module._pool(2) is not pool
+
+    def test_workers_exit_with_the_process(self):
+        code = ("import multiprocessing, eivgmm.study as s\n"
+                "from eivgmm.simgen import SimConfig\n"
+                "cfg = SimConfig(setting='simple', n=120, n_rep=2, m_reps=4, seed=5)\n"
+                "s.run_study(cfg, estimators=('naive', 'mc'), workers=2)\n"
+                "print(*[p.pid for p in multiprocessing.active_children()])\n")
+        src = str(Path(eivgmm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        assert not any(alive(pid) for pid in pids)
 
 
 class TestCliFit:
